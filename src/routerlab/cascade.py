@@ -14,23 +14,22 @@ decision latency, never the cost or the decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
 from .costs import (
-    average_quality,
+    _sweep_points,
     llm_only_point,
     llm_question_cost,
-    normalized_cascade_cost,
     slm_question_cost,
 )
-from .parallel import map_tau_chunks
 from .records import (
     DEFAULT_TAUS,
     SCHEMES,
-    CurvePoint,
     DatasetProfile,
+    OutcomesByTau,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
@@ -56,11 +55,11 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     every level votes with the same weight; larger alpha spreads weights
     apart around the anchor.
     """
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"alpha must be a finite number >= 0, got {alpha}")
     level = float(confidence_level)
     weight = WEIGHT_ANCHOR + alpha * (level - WEIGHT_ANCHOR)
-    if weight <= 0:
+    if not weight > 0:
         raise ValidationError(
             f"alpha={alpha} gives a nonpositive vote weight for confidence "
             f"{level:.1f}; weights must stay positive"
@@ -229,8 +228,9 @@ def route_cascade(
     return _outcome_at(prepared, tau)
 
 
-# Indexes into the per-question tuples prepared for sweeping. A plain
-# tuple keeps them cheap to pickle to worker processes.
+# Everything a question contributes to a sweep at any threshold, as one
+# tuple: (id, codes, weights, tokens, answers, correct_by_code, slm_cost,
+# llm_cost, llm_quality).
 def _prepare(
     question: QuestionRecord,
     scheme: str,
@@ -295,6 +295,20 @@ def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
     )
 
 
+def _sweep_columns(prepared: tuple) -> tuple[float, str, float, float, float, float]:
+    """Engine row of one prepared question, scored by its full-tally winner share.
+
+    The cascade accepts exactly when that share reaches tau, so it routes
+    exactly when the share is below tau.
+    """
+    qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, llm_quality = prepared
+    _accepted, winner, share, _latency, _stopped = kernels.cascade_vote(
+        codes, weights, tokens, 0.0
+    )
+    quality = float(correct_by_code[winner]) if winner >= 0 else 0.0
+    return (share, qid, slm_cost, quality, slm_cost + llm_cost, llm_quality)
+
+
 def sweep_cascade(
     questions: Sequence[QuestionRecord],
     profile: DatasetProfile,
@@ -304,14 +318,14 @@ def sweep_cascade(
     k: int = DEFAULT_K,
     alpha: float = DEFAULT_ALPHA,
     assume_perfect: bool = False,
-    jobs: int = 1,
 ) -> SweepResult:
     """Evaluate the cascade across a threshold grid.
 
     Returns the trade-off curve bracketed by the two reference points
-    (all-SLM first, all-LLM last) plus the raw outcomes per threshold.
-    The all-SLM point accepts every vote (it equals the grid at tau=0);
-    the all-LLM point skips sampling entirely.
+    (all-SLM first, all-LLM last) plus the outcomes per threshold, built
+    with their early-stop latencies on first read. The all-SLM point
+    accepts every vote (it equals the grid at tau=0); the all-LLM point
+    skips sampling entirely.
     """
     taus = normalize_taus(taus)
     questions = tuple(questions)
@@ -322,34 +336,10 @@ def sweep_cascade(
         _prepare(q, scheme, k, alpha, profile, pricing, assume_perfect)
         for q in questions
     )
-    outcomes_by_tau = map_tau_chunks(_cascade_worker, prepared, taus, jobs)
-
-    accept_all = tuple(_outcome_at(p, 0.0) for p in prepared)
-    points = [
-        CurvePoint(
-            cost=normalized_cascade_cost(accept_all, profile, pricing),
-            performance=average_quality(accept_all),
-            label="slm_only",
-            n_routed=0,
-        )
-    ]
-    for tau in taus:
-        outcomes = outcomes_by_tau[tau]
-        points.append(
-            CurvePoint(
-                cost=normalized_cascade_cost(outcomes, profile, pricing),
-                performance=average_quality(outcomes),
-                tau=tau,
-                n_routed=sum(1 for o in outcomes if o.routed),
-            )
-        )
+    points = _sweep_points(map(_sweep_columns, prepared), profile, pricing, taus)
     points.append(llm_only_point(questions, profile, pricing, assume_perfect))
-    return SweepResult(points=tuple(points), outcomes_by_tau=outcomes_by_tau)
 
+    def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
+        return tuple(_outcome_at(p, tau) for p in prepared)
 
-def _cascade_worker(args) -> list[tuple[float, tuple[RoutingOutcome, ...]]]:
-    prepared, taus = args
-    return [
-        (tau, tuple(_outcome_at(p, tau) for p in prepared))
-        for tau in taus
-    ]
+    return SweepResult(points=tuple(points), outcomes_by_tau=OutcomesByTau(taus, outcomes_at))

@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the hindsight-optimal reference curve and report ToGR",
     )
     p.add_argument("--pricing", help="pricing JSON file (default: built-in prices)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for the sweep (default: 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("build", help="build preference pairs and refusal examples from a corpus")
@@ -221,76 +220,28 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    latency_tau = _grid_tau(args.taus, args.tau) if args.mode == "cascade" else None
     questions, profile = load_dataset(args.dataset)
     pricing = load_pricing(args.pricing) if args.pricing else PricingSchedule()
-    os.makedirs(args.out_dir, exist_ok=True)
 
-    if args.mode == "pre":
-        result = sweep_pre(
-            questions,
-            profile,
-            pricing,
-            taus=args.taus,
-            score_source=args.score_source,
-            assume_perfect=args.assume_perfect,
-            jobs=args.jobs,
-        )
-    else:
-        result = sweep_cascade(
-            questions,
-            profile,
-            pricing,
-            taus=args.taus,
-            scheme=args.scheme,
-            k=args.k,
-            alpha=args.alpha,
-            assume_perfect=args.assume_perfect,
-            jobs=args.jobs,
-        )
-
-    curve_path = os.path.join(args.out_dir, "curve.csv")
-    write_curve(result.points, curve_path)
-
+    result = _run_sweep(args, questions, profile, pricing, args.assume_perfect)
+    curves = {"curve.csv": result.points}
     toa_value = toa_from_points(result.points)
     toa100_value = toa_value if args.assume_perfect else None
-    perfect_points = result.points if args.assume_perfect else None
     togr_value = None
-    golden_points = None
 
     if args.golden:
         golden_points = golden_curve(questions, profile, pricing)
-        write_curve(golden_points, os.path.join(args.out_dir, "golden.csv"))
-        if perfect_points is None:
-            if args.mode == "pre":
-                perfect = sweep_pre(
-                    questions,
-                    profile,
-                    pricing,
-                    taus=args.taus,
-                    score_source=args.score_source,
-                    assume_perfect=True,
-                    jobs=args.jobs,
-                )
-            else:
-                perfect = sweep_cascade(
-                    questions,
-                    profile,
-                    pricing,
-                    taus=args.taus,
-                    scheme=args.scheme,
-                    k=args.k,
-                    alpha=args.alpha,
-                    assume_perfect=True,
-                    jobs=args.jobs,
-                )
-            perfect_points = perfect.points
-            write_curve(perfect_points, os.path.join(args.out_dir, "curve_perfect.csv"))
+        curves["golden.csv"] = golden_points
+        perfect_points = result.points
+        if not args.assume_perfect:
+            perfect_points = _run_sweep(args, questions, profile, pricing, True).points
+            curves["curve_perfect.csv"] = perfect_points
             toa100_value = toa_from_points(perfect_points)
         togr_value = togr(perfect_points, golden_points)
 
-    if args.mode == "cascade":
-        outcomes = result.outcomes_by_tau[_grid_tau(result.outcomes_by_tau, args.tau)]
-        latencies = latency_report(outcomes)
+    if latency_tau is not None:
+        latencies = latency_report(result.outcomes_by_tau[latency_tau])
         agl_value, arol_value = latencies.agl, latencies.arol
     else:
         agl_value, arol_value = 0.0, 0.0
@@ -303,6 +254,10 @@ def _cmd_sweep(args) -> int:
         toa100=toa100_value,
         togr=togr_value,
     )
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, points in curves.items():
+        write_curve(points, os.path.join(args.out_dir, name))
+    curve_path = os.path.join(args.out_dir, "curve.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.json")
     write_metrics(report, metrics_path)
 
@@ -320,11 +275,34 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _grid_tau(outcomes_by_tau, requested: float) -> float:
-    for tau in outcomes_by_tau:
+def _run_sweep(args, questions, profile, pricing, assume_perfect: bool):
+    """The policy sweep ``args`` selects, in actual or assume-perfect mode."""
+    if args.mode == "pre":
+        return sweep_pre(
+            questions,
+            profile,
+            pricing,
+            taus=args.taus,
+            score_source=args.score_source,
+            assume_perfect=assume_perfect,
+        )
+    return sweep_cascade(
+        questions,
+        profile,
+        pricing,
+        taus=args.taus,
+        scheme=args.scheme,
+        k=args.k,
+        alpha=args.alpha,
+        assume_perfect=assume_perfect,
+    )
+
+
+def _grid_tau(taus, requested: float) -> float:
+    for tau in taus:
         if tau == requested or abs(tau - requested) <= 1e-9:
             return tau
-    grid = ", ".join(f"{t:g}" for t in sorted(outcomes_by_tau))
+    grid = ", ".join(f"{t:g}" for t in sorted(taus))
     raise ValidationError(
         f"--tau {requested:g} is not on the sweep grid ({grid}); "
         "pick a grid threshold for the latency report"

@@ -8,6 +8,8 @@ routing a question independent of the answer the LLM happened to give.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .records import (
@@ -153,6 +155,60 @@ def llm_only_point(
         label="llm_only",
         n_routed=len(questions),
     )
+
+
+def _sweep_points(
+    columns: Iterable[tuple[float, str, float, float, float, float]],
+    profile: DatasetProfile,
+    pricing: PricingSchedule,
+    taus: Sequence[float] | None = None,
+) -> list[CurvePoint]:
+    """Curve points of a policy that routes exactly the questions scoring below tau.
+
+    ``columns`` holds one ``(score, id, keep_cost, keep_quality,
+    route_cost, route_quality)`` row per question: its cost and quality
+    when it stays on the small model and when it is routed. Rows are
+    sorted once by (score, id), so the questions with ``score < tau``
+    are always the first ``m = bisect_left(scores, tau)``, and a point is
+    a prefix sum of route terms plus a suffix sum of keep terms. A sweep
+    costs O(N log N + T) for N questions and T thresholds.
+
+    The first point keeps everything (m = 0) and is labelled
+    ``slm_only``. With ``taus``, one grid point per threshold follows.
+    Without, one point per m = 1..N follows, the last labelled
+    ``llm_only``: the curve that routes the m lowest scores.
+    """
+    rows = sorted(columns)
+    ids = tuple(sorted(row[1] for row in rows))
+    if ids != profile.ids:
+        raise ValidationError(
+            "questions do not match the profiled dataset "
+            f"({len(ids)} questions vs {profile.n_questions} profiled)"
+        )
+    n = len(rows)
+    _, _, keep_costs, keep_qualities, route_costs, route_qualities = zip(*rows)
+    route_cost = list(accumulate(route_costs, initial=0.0))
+    route_quality = list(accumulate(route_qualities, initial=0.0))
+    keep_cost = list(accumulate(reversed(keep_costs), initial=0.0))[::-1]
+    keep_quality = list(accumulate(reversed(keep_qualities), initial=0.0))[::-1]
+    denominator = total_llm_cost(profile, pricing)
+
+    def point(m: int, tau: float | None = None, label: str | None = None) -> CurvePoint:
+        return CurvePoint(
+            cost=(route_cost[m] + keep_cost[m]) / denominator,
+            performance=(keep_quality[m] + route_quality[m]) / n,
+            tau=tau,
+            label=label,
+            n_routed=m,
+        )
+
+    points = [point(0, label="slm_only")]
+    if taus is None:
+        points += [point(m, label="llm_only" if m == n else None) for m in range(1, n + 1)]
+    else:
+        scores = [row[0] for row in rows]
+        points += [point(bisect_left(scores, tau), tau=tau) for tau in taus]
+    return points
 
 
 def _check_coverage(

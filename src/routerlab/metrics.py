@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .costs import (
+    _sweep_points,
     llm_question_cost,
     mean_sample_correct,
     mean_sample_tokens,
     slm_question_cost,
-    total_llm_cost,
 )
 from .records import (
     CurvePoint,
@@ -120,7 +120,7 @@ def toa100(
     Reruns the sweep with every escalated question scored 1.0, which
     isolates routing quality from the large model's own errors.
     ``sweep_kwargs`` are forwarded to the policy's sweep (taus,
-    score_source, scheme, k, alpha, jobs).
+    score_source, scheme, k, alpha).
     """
     result = perfect_sweep(questions, profile, pricing, policy, **sweep_kwargs)
     return toa_from_points(result.points)
@@ -162,46 +162,20 @@ def golden_curve(
     questions = tuple(questions)
     if not questions:
         raise ValidationError("cannot build a golden curve for an empty dataset")
-    ids = tuple(sorted(q.id for q in questions))
-    if ids != profile.ids:
-        raise ValidationError(
-            "questions do not match the profiled dataset "
-            f"({len(ids)} questions vs {profile.n_questions} profiled)"
-        )
-    denominator = total_llm_cost(profile, pricing)
-
-    ordered = sorted(questions, key=lambda q: (mean_sample_correct(q), q.id))
-    accuracies = [mean_sample_correct(q) for q in ordered]
-    slm_costs = [slm_question_cost(q, mean_sample_tokens(q), pricing) for q in ordered]
-    llm_costs = [llm_question_cost(q, profile, pricing) for q in ordered]
-
-    n = len(ordered)
-    slm_suffix = [0.0] * (n + 1)
-    acc_suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        slm_suffix[i] = slm_suffix[i + 1] + slm_costs[i]
-        acc_suffix[i] = acc_suffix[i + 1] + accuracies[i]
-
-    points = []
-    llm_prefix = 0.0
-    for m in range(n + 1):
-        if m == 0:
-            label = "slm_only"
-        elif m == n:
-            label = "llm_only"
-        else:
-            label = None
-        points.append(
-            CurvePoint(
-                cost=(llm_prefix + slm_suffix[m]) / denominator,
-                performance=(acc_suffix[m] + m) / n,
-                label=label,
-                n_routed=m,
+    columns = []
+    for q in questions:
+        accuracy = mean_sample_correct(q)
+        columns.append(
+            (
+                accuracy,
+                q.id,
+                slm_question_cost(q, mean_sample_tokens(q), pricing),
+                accuracy,
+                llm_question_cost(q, profile, pricing),
+                1.0,
             )
         )
-        if m < n:
-            llm_prefix += llm_costs[m]
-    return tuple(points)
+    return tuple(_sweep_points(columns, profile, pricing))
 
 
 def togr(

@@ -13,20 +13,18 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .costs import (
-    average_quality,
+    _sweep_points,
     llm_only_point,
     llm_question_cost,
     mean_sample_correct,
     mean_sample_tokens,
-    normalized_pre_cost,
     slm_question_cost,
 )
-from .parallel import map_tau_chunks
 from .records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
-    CurvePoint,
     DatasetProfile,
+    OutcomesByTau,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
@@ -145,55 +143,33 @@ def sweep_pre(
     taus: Iterable[float] = DEFAULT_TAUS,
     score_source: str = "pre",
     assume_perfect: bool = False,
-    jobs: int = 1,
 ) -> SweepResult:
     """Evaluate pre-generation routing across a threshold grid.
 
     Returns the trade-off curve bracketed by the two reference points
-    (all-SLM first, all-LLM last) plus the raw outcomes per threshold.
+    (all-SLM first, all-LLM last) plus the outcomes per threshold, built
+    on first read.
     """
     taus = normalize_taus(taus)
     questions = tuple(questions)
     if not questions:
         raise ValidationError("cannot sweep an empty dataset")
 
-    common = (questions, profile, pricing, score_source, assume_perfect)
-    outcomes_by_tau = map_tau_chunks(_pre_worker, common, taus, jobs)
-
-    kept_all = tuple(_kept(q, pricing) for q in questions)
-    points = [
-        CurvePoint(
-            cost=normalized_pre_cost(kept_all, profile, pricing),
-            performance=average_quality(kept_all),
-            label="slm_only",
-            n_routed=0,
-        )
-    ]
-    for tau in taus:
-        outcomes = outcomes_by_tau[tau]
-        points.append(
-            CurvePoint(
-                cost=normalized_pre_cost(outcomes, profile, pricing),
-                performance=average_quality(outcomes),
-                tau=tau,
-                n_routed=sum(1 for o in outcomes if o.routed),
-            )
-        )
+    scores = [question_score(q, score_source) for q in questions]
+    kept = [_kept(q, pricing) for q in questions]
+    escalated = [_escalated(q, profile, pricing, assume_perfect) for q in questions]
+    points = _sweep_points(
+        (
+            (score, k.question_id, k.slm_cost, k.quality, e.llm_cost, e.quality)
+            for score, k, e in zip(scores, kept, escalated)
+        ),
+        profile,
+        pricing,
+        taus,
+    )
     points.append(llm_only_point(questions, profile, pricing, assume_perfect))
-    return SweepResult(points=tuple(points), outcomes_by_tau=outcomes_by_tau)
 
+    def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
+        return tuple(e if score < tau else k for score, k, e in zip(scores, kept, escalated))
 
-def _pre_worker(args) -> list[tuple[float, tuple[RoutingOutcome, ...]]]:
-    (questions, profile, pricing, score_source, assume_perfect), taus = args
-    out = []
-    for tau in taus:
-        out.append(
-            (
-                tau,
-                tuple(
-                    route_pre(q, tau, profile, pricing, score_source, assume_perfect)
-                    for q in questions
-                ),
-            )
-        )
-    return out
+    return SweepResult(points=tuple(points), outcomes_by_tau=OutcomesByTau(taus, outcomes_at))

@@ -8,7 +8,7 @@ record instance it holds is well formed. All records are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 class ValidationError(ValueError):
@@ -625,6 +625,37 @@ class RefusalExample:
             prompt=data["prompt"],
             target=data["target"],
         )
+
+
+class OutcomesByTau(Mapping):
+    """Read-only ``tau -> outcomes`` mapping over a sweep's grid.
+
+    ``build(tau)`` makes one threshold's per-question outcomes; it runs
+    on the first read of that threshold, and the result is kept, so a
+    caller pays only for the thresholds it reads.
+    """
+
+    def __init__(
+        self,
+        taus: Iterable[float],
+        build: Callable[[float], tuple[RoutingOutcome, ...]],
+    ) -> None:
+        self._taus = tuple(taus)
+        self._build = build
+        self._built: dict[float, tuple[RoutingOutcome, ...]] = {}
+
+    def __getitem__(self, tau: float) -> tuple[RoutingOutcome, ...]:
+        if tau not in self._built:
+            if tau not in self._taus:
+                raise KeyError(tau)
+            self._built[tau] = self._build(tau)
+        return self._built[tau]
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._taus)
+
+    def __len__(self) -> int:
+        return len(self._taus)
 
 
 @dataclass(frozen=True)

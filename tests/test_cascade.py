@@ -300,13 +300,6 @@ class TestSweepCascade:
         sweep = sweep_cascade(questions, profile, pricing, scheme="rcv")
         assert sweep.points[0].n_routed == 0
 
-    def test_parallel_matches_serial(self, synth_rcv, pricing):
-        questions, profile = synth_rcv
-        serial = sweep_cascade(questions, profile, pricing, scheme="rcv")
-        parallel = sweep_cascade(questions, profile, pricing, scheme="rcv", jobs=3)
-        assert serial.points == parallel.points
-        assert serial.outcomes_by_tau == parallel.outcomes_by_tau
-
     def test_sc_and_fcv_schemes(self, synth_sc, synth_fcv, pricing):
         for (questions, profile), scheme in ((synth_sc, "sc"), (synth_fcv, "fcv")):
             sweep = sweep_cascade(questions, profile, pricing, scheme=scheme)

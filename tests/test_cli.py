@@ -135,11 +135,31 @@ class TestSweep:
                 "0:1:0.25",
                 "--tau",
                 "0.6",
+                "--golden",
             ],
             capsys,
         )
         assert code == 1
         assert "0.6" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, dataset, tmp_path, capsys, alpha):
+        code, out, err = run(
+            [
+                "sweep",
+                str(dataset),
+                "--mode",
+                "cascade",
+                "--alpha",
+                alpha,
+                "--out-dir",
+                str(tmp_path / "x"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "alpha" in err
 
     def test_malformed_taus_exit_two(self, dataset, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -178,13 +178,6 @@ class TestSweepPre:
         sweep = sweep_pre(questions, profile, pricing, score_source="refusal")
         assert len(sweep.points) == len(DEFAULT_TAUS) + 2
 
-    def test_parallel_matches_serial(self, synth_rcv, pricing):
-        questions, profile = synth_rcv
-        serial = sweep_pre(questions, profile, pricing)
-        parallel = sweep_pre(questions, profile, pricing, jobs=2)
-        assert serial.points == parallel.points
-        assert serial.outcomes_by_tau == parallel.outcomes_by_tau
-
     def test_perfect_performance_hits_one_at_full_routing(self, synth_rcv, pricing):
         questions, profile = synth_rcv
         sweep = sweep_pre(questions, profile, pricing, assume_perfect=True)

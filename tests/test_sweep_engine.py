@@ -1,0 +1,144 @@
+"""Properties of the sort-once threshold-sweep engine.
+
+The sweeps and the golden curve sum prefix and suffix columns in score
+order; ``route_pre`` and ``route_cascade`` decide each (question, tau)
+cell on their own and stay the reference they are checked against.
+Settings are derandomized so every run draws the same examples.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from routerlab.cascade import route_cascade, sweep_cascade
+from routerlab.costs import average_quality, normalized_cascade_cost, normalized_pre_cost
+from routerlab.metrics import golden_curve
+from routerlab.prerouting import route_pre, sweep_pre
+from routerlab.records import (
+    DEFAULT_TAUS,
+    SCHEMES,
+    DatasetProfile,
+    LlmOutcome,
+    PricingSchedule,
+    QuestionRecord,
+)
+
+from conftest import make_sample
+
+PRICING = PricingSchedule()
+REL_TOL = 1e-12
+DETERMINISTIC = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Pre scores either sit exactly on a grid threshold or anywhere in [0, 1].
+pre_scores = st.one_of(st.sampled_from(DEFAULT_TAUS), st.floats(0.0, 1.0))
+
+
+@st.composite
+def datasets(draw, schemes=SCHEMES):
+    """(scheme, k, questions): a small dataset replayable by ``scheme``.
+
+    Answers come from a three-way pool with "a" correct, so vote shares
+    often tie a grid threshold exactly; about one question in four
+    refuses at every sample.
+    """
+    scheme = draw(st.sampled_from(schemes))
+    k = 10 if scheme == "rcv" else draw(st.integers(1, 5))
+    questions = []
+    for i in range(draw(st.integers(1, 8))):
+        all_refuse = draw(st.integers(0, 3)) == 0
+        samples = []
+        for j in range(k):
+            answer = None if all_refuse else draw(st.sampled_from([None, "a", "b", "c"]))
+            samples.append(
+                make_sample(
+                    answer=answer,
+                    correct=answer == "a",
+                    tokens=draw(st.integers(1, 300)),
+                    confidence={"rcv": (j + 1) / 10, "fcv": 1.0, "sc": None}[scheme],
+                    refusal=answer is None,
+                )
+            )
+        questions.append(
+            QuestionRecord(
+                id=f"q{i:02d}",
+                input_tokens=draw(st.integers(1, 500)),
+                slm_samples=tuple(samples),
+                pre_score=draw(pre_scores),
+                llm=LlmOutcome(correct=draw(st.booleans()), tokens=draw(st.integers(1, 500))),
+            )
+        )
+    return scheme, k, questions
+
+
+def close(a, b):
+    return math.isclose(a, b, rel_tol=REL_TOL)
+
+
+def assert_matches_oracle(sweep, questions, profile, route, normalize):
+    """Every grid point, and the slm_only point (nothing routes at tau=0),
+    equals the per-question oracle; every threshold's outcomes too."""
+    for point in sweep.points[:-1]:
+        tau = 0.0 if point.label == "slm_only" else point.tau
+        outcomes = [route(q, tau) for q in questions]
+        assert point.n_routed == sum(1 for o in outcomes if o.routed)
+        assert close(point.cost, normalize(outcomes, profile, PRICING))
+        assert close(point.performance, average_quality(outcomes))
+    for tau, outcomes in sweep.outcomes_by_tau.items():
+        assert outcomes == tuple(route(q, tau) for q in questions)
+
+
+def assert_same_curve(a, b):
+    assert len(a) == len(b)
+    for p, q in zip(a, b):
+        assert (p.tau, p.label, p.n_routed) == (q.tau, q.label, q.n_routed)
+        assert close(p.cost, q.cost)
+        assert close(p.performance, q.performance)
+
+
+@DETERMINISTIC
+@given(datasets(), st.booleans())
+def test_cascade_sweep_matches_route_cascade(data, assume_perfect):
+    scheme, k, questions = data
+    profile = DatasetProfile.from_questions(questions)
+    sweep = sweep_cascade(
+        questions, profile, PRICING, scheme=scheme, k=k, assume_perfect=assume_perfect
+    )
+
+    def route(question, tau):
+        return route_cascade(
+            question, tau, profile, PRICING, scheme=scheme, k=k, assume_perfect=assume_perfect
+        )
+
+    assert_matches_oracle(sweep, questions, profile, route, normalized_cascade_cost)
+
+
+@DETERMINISTIC
+@given(datasets(schemes=("rcv",)), st.sampled_from(["pre", "refusal"]), st.booleans())
+def test_pre_sweep_matches_route_pre(data, score_source, assume_perfect):
+    _, _, questions = data
+    profile = DatasetProfile.from_questions(questions)
+    sweep = sweep_pre(
+        questions, profile, PRICING, score_source=score_source, assume_perfect=assume_perfect
+    )
+
+    def route(question, tau):
+        return route_pre(question, tau, profile, PRICING, score_source, assume_perfect)
+
+    assert_matches_oracle(sweep, questions, profile, route, normalized_pre_cost)
+
+
+@DETERMINISTIC
+@given(datasets(), st.integers(0, 2**32 - 1))
+def test_curves_do_not_depend_on_question_order(data, seed):
+    scheme, k, questions = data
+    shuffled = list(questions)
+    random.Random(seed).shuffle(shuffled)
+    profile = DatasetProfile.from_questions(questions)
+    for run in (
+        lambda qs: sweep_cascade(qs, profile, PRICING, scheme=scheme, k=k).points,
+        lambda qs: sweep_pre(qs, profile, PRICING).points,
+        lambda qs: golden_curve(qs, profile, PRICING),
+    ):
+        assert_same_curve(run(questions), run(shuffled))
