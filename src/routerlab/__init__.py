@@ -42,15 +42,12 @@ from .io import (
 )
 from .metrics import (
     LatencyReport,
-    agl,
-    arol,
     golden_curve,
     latency_report,
     toa,
     toa100,
     toa_from_points,
     toga,
-    toga_from_points,
     togr,
 )
 from .prerouting import (

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import kernels
 from .costs import (
     _sweep_points,
     llm_only_point,
@@ -116,9 +115,9 @@ class CascadeDecision:
 def _encode(
     samples: Sequence[SampleRecord], alpha: float
 ) -> tuple[tuple[str, ...], list[int], list[float], list[int]]:
-    """Flatten samples into the parallel lists the kernels consume.
+    """Flatten samples into the parallel lists the vote consumes.
 
-    Candidate codes are assigned in sorted-answer order, so the kernel's
+    Candidate codes are assigned in sorted-answer order, so the vote's
     lowest-code tie-break is exactly a lexicographic tie-break.
     """
     if not samples:
@@ -134,12 +133,105 @@ def _encode(
     return answers, codes, weights, tokens
 
 
+def _vote_masses(codes: list[int], weights: list[float], n_candidates: int) -> tuple[list[float], float]:
+    """Accumulate vote mass per candidate.
+
+    ``codes`` and ``weights`` are the lists ``_encode`` builds: one
+    candidate index per sample (-1 for a refusal) and strictly positive
+    weights. Returns ``(masses, total_weight)``. Refusals contribute
+    their weight to the total but to no candidate, which is what dilutes
+    every share when refusals are present.
+    """
+    if len(weights) != len(codes):
+        raise ValueError("codes and weights must have equal length")
+    masses = [0.0] * n_candidates
+    total = 0.0
+    for code, weight in zip(codes, weights):
+        total += weight
+        if code >= 0:
+            if code >= n_candidates:
+                raise ValueError("candidate code out of range")
+            masses[code] += weight
+        elif code < -1:
+            raise ValueError("candidate code out of range")
+    return masses, total
+
+
+def cascade_vote(
+    codes: list[int],
+    weights: list[float],
+    tokens: list[int],
+    tau: float,
+) -> tuple[bool, int, float, int, bool]:
+    """Full-tally vote decision plus its parallel early-stop latency.
+
+    The decision is always taken from the complete tally: accept when the
+    strongest candidate's share of the total weight reaches ``tau``.
+
+    For latency, samples are replayed in order of completion (ascending
+    token count, ties by position). After each completion the decision is
+    settled early if either a candidate's observed share already reached
+    ``tau``, or no candidate can reach it even with every still-pending
+    answer-bearing sample agreeing. Pending refusals are never counted as
+    reachable mass; they can only dilute, and the total weight they
+    dilute into is fixed up front.
+
+    Returns ``(accepted, winner, winner_share, latency_tokens,
+    stopped_early)`` where ``winner`` is a candidate index or -1 when no
+    candidate received any mass, and ``winner_share`` is the share the
+    full tally gives the winner (0.0 when there is none).
+    """
+    k = len(codes)
+    if k == 0:
+        raise ValueError("cannot vote over zero samples")
+    if len(weights) != k or len(tokens) != k:
+        raise ValueError("codes, weights and tokens must have equal length")
+    n_candidates = 0
+    for code in codes:
+        if code + 1 > n_candidates:
+            n_candidates = code + 1
+
+    masses, total = _vote_masses(codes, weights, n_candidates)
+    winner = -1
+    best = 0.0
+    for candidate in range(n_candidates):
+        if masses[candidate] > best:
+            best = masses[candidate]
+            winner = candidate
+    winner_share = best / total if winner >= 0 else 0.0
+    accepted = winner_share >= tau
+
+    order = sorted(range(k), key=lambda i: (tokens[i], i))
+    pending_votable = 0.0
+    for i in range(k):
+        if codes[i] >= 0:
+            pending_votable += weights[i]
+
+    observed = [0.0] * n_candidates
+    max_observed = 0.0
+    latency = 0
+    stopped_early = False
+    for step, i in enumerate(order):
+        code = codes[i]
+        if code >= 0:
+            pending_votable -= weights[i]
+            observed[code] += weights[i]
+            if observed[code] > max_observed:
+                max_observed = observed[code]
+        latency = tokens[i]
+        if max_observed / total >= tau or (max_observed + pending_votable) / total < tau:
+            stopped_early = step < k - 1
+            break
+
+    return accepted, winner, winner_share, latency, stopped_early
+
+
 def tally_votes(
     samples: Sequence[SampleRecord], alpha: float = DEFAULT_ALPHA
 ) -> VoteTally:
     """Tally the weighted votes of one question's samples."""
     answers, codes, weights, _ = _encode(samples, alpha)
-    masses, total = kernels.vote_masses(codes, weights, len(answers))
+    masses, total = _vote_masses(codes, weights, len(answers))
     refusal_weight = 0.0
     for code, weight in zip(codes, weights):
         if code < 0:
@@ -171,7 +263,7 @@ def simulate_parallel(
     Returns ``(decision, latency_tokens, stopped_early)``.
     """
     answers, codes, weights, tokens = _encode(samples, alpha)
-    accepted, winner, share, latency, stopped_early = kernels.cascade_vote(
+    accepted, winner, share, latency, stopped_early = cascade_vote(
         codes, weights, tokens, tau
     )
     decision = CascadeDecision(
@@ -263,7 +355,7 @@ def _prepare(
 
 def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
     qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, llm_quality = prepared
-    accepted, winner, _share, latency, _stopped = kernels.cascade_vote(
+    accepted, winner, _share, latency, _stopped = cascade_vote(
         codes, weights, tokens, tau
     )
     if accepted:
@@ -302,7 +394,7 @@ def _sweep_columns(prepared: tuple) -> tuple[float, str, float, float, float, fl
     exactly when the share is below tau.
     """
     qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, llm_quality = prepared
-    _accepted, winner, share, _latency, _stopped = kernels.cascade_vote(
+    _accepted, winner, share, _latency, _stopped = cascade_vote(
         codes, weights, tokens, 0.0
     )
     quality = float(correct_by_code[winner]) if winner >= 0 else 0.0

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import __version__, kernels
+from . import __version__
 from .cascade import DEFAULT_ALPHA, DEFAULT_K, sweep_cascade
 from .io import (
     SyntheticParams,
@@ -263,7 +263,7 @@ def _cmd_sweep(args) -> int:
 
     print(
         f"swept {len(questions)} questions, mode={args.mode}, "
-        f"{len(result.points)} curve rows, kernels={kernels.backend_name()}"
+        f"{len(result.points)} curve rows"
     )
     print(f"wrote {curve_path} and {metrics_path}")
     summary = f"toa={report.toa:.4f} toga={report.toga:.4f}"
@@ -319,8 +319,6 @@ def _cmd_build(args) -> int:
             f"{len(short)} question(s) do not have exactly {ESTIMATE_SAMPLES} samples "
             f"(first: {shown}); the corpus cannot be built"
         )
-    os.makedirs(args.out_dir, exist_ok=True)
-
     pairs = []
     for question in corpus:
         pair = build_dpo_pair(
@@ -337,6 +335,7 @@ def _cmd_build(args) -> int:
         for example in build_refusal_examples(question, seed)
     ]
 
+    os.makedirs(args.out_dir, exist_ok=True)
     pairs_path = os.path.join(args.out_dir, "pairs.jsonl")
     refusal_path = os.path.join(args.out_dir, "refusal.jsonl")
     write_pairs(pairs, pairs_path)

@@ -14,7 +14,7 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .records import (
     CONFIDENCE_LEVELS,
@@ -40,15 +40,39 @@ class DatasetError(ValidationError):
     """A file could not be parsed; the message carries file:line context."""
 
 
-def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
+def _read_jsonl(
+    path: str, parse: Callable[..., Any]
+) -> Iterator[tuple[Any, None] | tuple[None, str]]:
+    """Parse each non-blank line; yield ``(record, None)`` or ``(None, problem)``.
+
+    A problem is the line's ``path:line`` followed by what is wrong with
+    it: invalid JSON, a record ``parse`` rejects, or an id already seen
+    on an earlier line. Callers decide whether to stop or collect.
+    """
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield None, f"{where}: invalid JSON: {exc}"
+                continue
+            try:
+                record = parse(data, source=where)
+            except ValidationError as exc:
+                yield None, f"{where}: {exc}"
+                continue
+            if record.id in seen:
+                yield None, (
+                    f"{where}: duplicate question id {record.id!r} "
+                    f"(first seen on line {seen[record.id]})"
+                )
+                continue
+            seen[record.id] = lineno
+            yield record, None
 
 
 def _warn_unknown(data: Mapping[str, Any], known: frozenset[str], where: str) -> None:
@@ -82,21 +106,10 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
 
 def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
     """Read a dataset and profile it. Raises on the first bad line."""
-    questions: list[QuestionRecord] = []
-    seen: dict[str, int] = {}
-    for lineno, data in _iter_jsonl(path):
-        try:
-            question = parse_question(data, source=f"{path}:{lineno}")
-        except DatasetError:
-            raise
-        except ValidationError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-        if question.id in seen:
-            raise DatasetError(
-                f"{path}:{lineno}: duplicate question id {question.id!r} "
-                f"(first seen on line {seen[question.id]})"
-            )
-        seen[question.id] = lineno
+    questions = []
+    for question, problem in _read_jsonl(path, parse_question):
+        if problem is not None:
+            raise DatasetError(problem)
         questions.append(question)
     if not questions:
         raise DatasetError(f"{path}: no questions found")
@@ -108,29 +121,11 @@ def scan_dataset(path: str) -> tuple[int, list[str]]:
     problem. Returns (valid_question_count, diagnostics)."""
     count = 0
     problems: list[str] = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"{path}:{lineno}: invalid JSON: {exc}")
-                continue
-            try:
-                question = parse_question(data, source=f"{path}:{lineno}")
-            except ValidationError as exc:
-                problems.append(f"{path}:{lineno}: {exc}")
-                continue
-            if question.id in seen:
-                problems.append(
-                    f"{path}:{lineno}: duplicate question id {question.id!r} "
-                    f"(first seen on line {seen[question.id]})"
-                )
-                continue
-            seen[question.id] = lineno
+    for question, problem in _read_jsonl(path, parse_question):
+        if problem is None:
             count += 1
+        else:
+            problems.append(problem)
     if count == 0 and not problems:
         problems.append(f"{path}: no questions found")
     return count, problems
@@ -275,21 +270,10 @@ def parse_training_question(data: Mapping[str, Any], source: str = "question") -
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:
     """Read a raw training corpus. Raises on the first bad line."""
-    questions: list[TrainingQuestion] = []
-    seen: dict[str, int] = {}
-    for lineno, data in _iter_jsonl(path):
-        try:
-            question = parse_training_question(data, source=f"{path}:{lineno}")
-        except DatasetError:
-            raise
-        except ValidationError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-        if question.id in seen:
-            raise DatasetError(
-                f"{path}:{lineno}: duplicate question id {question.id!r} "
-                f"(first seen on line {seen[question.id]})"
-            )
-        seen[question.id] = lineno
+    questions = []
+    for question, problem in _read_jsonl(path, parse_training_question):
+        if problem is not None:
+            raise DatasetError(problem)
         questions.append(question)
     if not questions:
         raise DatasetError(f"{path}: no questions found")

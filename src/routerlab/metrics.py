@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .cascade import sweep_cascade
 from .costs import (
     _sweep_points,
     llm_question_cost,
@@ -20,6 +21,7 @@ from .costs import (
     mean_sample_tokens,
     slm_question_cost,
 )
+from .prerouting import sweep_pre
 from .records import (
     CurvePoint,
     DatasetProfile,
@@ -104,10 +106,6 @@ def toa_from_points(points: Sequence[CurvePoint]) -> float:
     return toa(points, (slm.cost, slm.performance), (llm.cost, llm.performance))
 
 
-def toga_from_points(points: Sequence[CurvePoint]) -> float:
-    return toa_from_points(points) - 0.5
-
-
 def toa100(
     questions: Sequence[QuestionRecord],
     profile: DatasetProfile,
@@ -122,28 +120,11 @@ def toa100(
     ``sweep_kwargs`` are forwarded to the policy's sweep (taus,
     score_source, scheme, k, alpha).
     """
-    result = perfect_sweep(questions, profile, pricing, policy, **sweep_kwargs)
+    sweeps = {"pre": sweep_pre, "cascade": sweep_cascade}
+    if policy not in sweeps:
+        raise ValidationError(f"policy must be 'pre' or 'cascade', got {policy!r}")
+    result = sweeps[policy](questions, profile, pricing, assume_perfect=True, **sweep_kwargs)
     return toa_from_points(result.points)
-
-
-def perfect_sweep(
-    questions: Sequence[QuestionRecord],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    policy: str = "pre",
-    **sweep_kwargs,
-):
-    """Run a policy sweep in assume-perfect mode."""
-    # Imported here so the policy modules can import metrics helpers
-    # without a cycle.
-    from .cascade import sweep_cascade
-    from .prerouting import sweep_pre
-
-    if policy == "pre":
-        return sweep_pre(questions, profile, pricing, assume_perfect=True, **sweep_kwargs)
-    if policy == "cascade":
-        return sweep_cascade(questions, profile, pricing, assume_perfect=True, **sweep_kwargs)
-    raise ValidationError(f"policy must be 'pre' or 'cascade', got {policy!r}")
 
 
 def golden_curve(
@@ -234,13 +215,3 @@ def latency_report(outcomes: Iterable[RoutingOutcome]) -> LatencyReport:
         n_accepted=len(accepted),
         n_rejected=len(rejected),
     )
-
-
-def agl(outcomes: Iterable[RoutingOutcome]) -> float:
-    """Mean decision latency over accepted questions (0.0 if none)."""
-    return latency_report(outcomes).agl
-
-
-def arol(outcomes: Iterable[RoutingOutcome]) -> float:
-    """Mean decision latency over rejected questions (0.0 if none)."""
-    return latency_report(outcomes).arol

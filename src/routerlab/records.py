@@ -7,6 +7,7 @@ record instance it holds is well formed. All records are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -78,7 +79,10 @@ def refusal_prompt_prefix(threshold: float) -> str:
 def _as_float(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: Any, name: str) -> int:
@@ -383,12 +387,6 @@ class DatasetProfile:
             avg_llm_tokens=avg,
             n_with_llm=len(llm_tokens),
         )
-
-    def total_llm_cost(self, pricing: PricingSchedule) -> float:
-        """Cost in USD of sending every question to the large model."""
-        from .costs import total_llm_cost
-
-        return total_llm_cost(self, pricing)
 
 
 @dataclass(frozen=True)

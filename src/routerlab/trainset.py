@@ -97,10 +97,10 @@ def build_dpo_pair(
     ``min_ratio`` may be raised above the stored-pair guarantee of
     1.5 but never below it.
     """
-    if min_ratio < REJECTED_TOKEN_RATIO:
+    if not (math.isfinite(min_ratio) and min_ratio >= REJECTED_TOKEN_RATIO):
         raise ValidationError(
-            f"min_ratio must be >= {REJECTED_TOKEN_RATIO}; stored pairs "
-            "guarantee at least that length gap"
+            f"min_ratio must be a finite number >= {REJECTED_TOKEN_RATIO}, got "
+            f"{min_ratio}; stored pairs guarantee at least that length gap"
         )
     chosen = None
     for sample in samples:

@@ -20,7 +20,7 @@ from routerlab.cascade import (
     tally_votes,
 )
 from routerlab.io import SyntheticParams, generate_synthetic
-from routerlab.metrics import arol, golden_curve, toa, toa_from_points, togr
+from routerlab.metrics import golden_curve, latency_report, toa, toa_from_points, togr
 from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     CONFIDENCE_LEVELS,
@@ -461,7 +461,7 @@ def test_criterion_10_end_to_end_sanity(acceptance_log):
     fcv_sweep = sweep_cascade(
         fcv_questions, fcv_profile, PRICING, scheme="fcv", taus=[0.6]
     )
-    fcv_arol = arol(fcv_sweep.outcomes_by_tau[0.6])
+    fcv_arol = latency_report(fcv_sweep.outcomes_by_tau[0.6]).arol
 
     sc_questions = generate_synthetic(
         400, seed=777, params=SyntheticParams(scheme="sc", easy_fraction=0.25)
@@ -470,7 +470,7 @@ def test_criterion_10_end_to_end_sanity(acceptance_log):
     sc_sweep = sweep_cascade(
         sc_questions, sc_profile, PRICING, scheme="sc", taus=[0.6]
     )
-    sc_arol = arol(sc_sweep.outcomes_by_tau[0.6])
+    sc_arol = latency_report(sc_sweep.outcomes_by_tau[0.6]).arol
 
     fcv_rejected = sum(1 for o in fcv_sweep.outcomes_by_tau[0.6] if o.routed)
     sc_rejected = sum(1 for o in sc_sweep.outcomes_by_tau[0.6] if o.routed)

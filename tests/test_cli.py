@@ -161,6 +161,34 @@ class TestSweep:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("slm_in", float("nan")), ("llm_in", float("inf"))]
+    )
+    def test_non_finite_price_rejected(self, dataset, tmp_path, capsys, field, value):
+        pricing = tmp_path / "pricing.json"
+        prices = {"slm_in": 0.02, "slm_out": 0.08, "llm_in": 0.275, "llm_out": 1.1}
+        prices[field] = value
+        # json writes these as the bare NaN / Infinity literals Python accepts back
+        pricing.write_text(json.dumps(prices), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        code, out, err = run(
+            [
+                "sweep",
+                str(dataset),
+                "--mode",
+                "cascade",
+                "--pricing",
+                str(pricing),
+                "--out-dir",
+                str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert str(pricing) in err
+        assert f"{field} must be a finite number" in err
+        assert not out_dir.exists()
+
     def test_malformed_taus_exit_two(self, dataset, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -286,6 +314,18 @@ class TestBuild:
             capsys,
         )
         assert code == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_min_ratio_rejected(self, corpus, tmp_path, capsys, ratio):
+        out_dir = tmp_path / "x"
+        code, out, err = run(
+            ["build", str(corpus), "--out-dir", str(out_dir), "--min-ratio", ratio],
+            capsys,
+        )
+        assert code == 1
+        assert "min_ratio" in err
+        assert not out_dir.exists()
 
 
 class TestSynth:
@@ -406,18 +446,3 @@ class TestTopLevel:
             main([])
         capsys.readouterr()
         assert excinfo.value.code == 2
-
-    def test_kernel_backend_reported(self, dataset, tmp_path, capsys):
-        code, out, err = run(
-            [
-                "sweep",
-                str(dataset),
-                "--mode",
-                "cascade",
-                "--out-dir",
-                str(tmp_path / "k"),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "kernels=" in out

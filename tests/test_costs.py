@@ -76,11 +76,6 @@ class TestPerQuestionCosts:
         total = total_llm_cost(profile, pricing)
         assert total == sum(llm_question_cost(q, profile, pricing) for q in qs)
 
-    def test_profile_method_delegates(self, pricing):
-        qs = [make_question("a"), make_question("b", input_tokens=70)]
-        profile = DatasetProfile.from_questions(qs)
-        assert profile.total_llm_cost(pricing) == total_llm_cost(profile, pricing)
-
 
 class TestSampleAverages:
     def test_mean_tokens(self):

@@ -53,6 +53,51 @@ def question_line(qid="q1", **overrides):
     return json.dumps(data)
 
 
+def training_line(qid="t1"):
+    return json.dumps(
+        {
+            "id": qid,
+            "question": "Why?",
+            "samples": [
+                {"text": f"resp-{i}", "correct": i < 6, "tokens": 10 + i}
+                for i in range(10)
+            ],
+        }
+    )
+
+
+def first_problem(read, path):
+    """The one problem ``read`` reports for ``path``, as text."""
+    if read is scan_dataset:
+        count, problems = scan_dataset(path)
+        assert (count, len(problems)) == (1, 1)
+        return problems[0]
+    with pytest.raises(DatasetError) as excinfo:
+        read(path)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("kind", ["invalid_json", "invalid_record", "duplicate_id"])
+@pytest.mark.parametrize(
+    "read",
+    [load_dataset, load_training_questions, scan_dataset],
+    ids=lambda read: read.__name__,
+)
+def test_bad_line_reported_at_its_location(tmp_path, read, kind):
+    make_line = training_line if read is load_training_questions else question_line
+    bad = {
+        "invalid_json": "{not json",
+        "invalid_record": make_line(""),
+        "duplicate_id": make_line("q1"),
+    }[kind]
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [make_line("q1"), bad])
+    message = first_problem(read, str(path))
+    assert message.startswith(f"{path}:2: ")
+    if read is scan_dataset:
+        assert message == first_problem(load_dataset, str(path))
+
+
 class TestLoadDataset:
     def test_round_trip(self, tmp_path, synth_rcv):
         questions, profile = synth_rcv
@@ -207,28 +252,16 @@ class TestMetricsJson:
 
 
 class TestTrainingCorpus:
-    def corpus_line(self, qid="t1"):
-        return json.dumps(
-            {
-                "id": qid,
-                "question": "Why?",
-                "samples": [
-                    {"text": f"resp-{i}", "correct": i < 6, "tokens": 10 + i}
-                    for i in range(10)
-                ],
-            }
-        )
-
     def test_round_trip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_lines(path, [self.corpus_line("a"), self.corpus_line("b")])
+        write_lines(path, [training_line("a"), training_line("b")])
         questions = load_training_questions(str(path))
         assert [q.id for q in questions] == ["a", "b"]
         assert len(questions[0].samples) == 10
 
     def test_unknown_field_warns(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        line = json.loads(self.corpus_line())
+        line = json.loads(training_line())
         line["difficulty"] = "hard"
         write_lines(path, [json.dumps(line)])
         with pytest.warns(UserWarning, match="unknown field"):

@@ -1,85 +1,45 @@
-"""Voting kernels: reference implementation, compiled twin, and selection."""
+"""The cascade vote: hand tallies, the early-stop walk, and its properties."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routerlab import kernels
-from routerlab.kernels import _pure
+from routerlab import cascade
 
-try:
-    from routerlab.kernels import _native
-except ImportError:
-    _native = None
-
-BACKENDS = [("pure", _pure)] + ([("native", _native)] if _native else [])
+# The vote has one plain-Python implementation; the "pure" id keeps the
+# test names it has always had.
+IMPLEMENTATIONS = [pytest.param(cascade, id="pure")]
 
 
-def backend_params():
-    return [pytest.param(mod, id=name) for name, mod in BACKENDS]
-
-
-class TestSelection:
-    def test_active_backend_is_known(self):
-        assert kernels.backend_name() in {"pure", "native"}
-
-    def test_env_forces_pure(self):
-        code = (
-            "from routerlab import kernels; print(kernels.backend_name())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "ROUTERLAB_KERNELS": "pure"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "pure"
-
-    def test_env_rejects_unknown_value(self):
-        code = "import routerlab.kernels"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "ROUTERLAB_KERNELS": "fastest"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "ROUTERLAB_KERNELS" in out.stderr
-
-
-@pytest.mark.parametrize("mod", backend_params())
+@pytest.mark.parametrize("mod", IMPLEMENTATIONS)
 class TestVoteMasses:
     def test_hand_tally(self, mod):
         # two A votes (1.0 + 0.55), one B (0.775), one refusal (0.325)
         codes = [0, 0, 1, -1]
         weights = [1.0, 0.55, 0.775, 0.325]
-        masses, total = mod.vote_masses(codes, weights, 2)
+        masses, total = mod._vote_masses(codes, weights, 2)
         assert list(masses) == [1.0 + 0.55, 0.775]
         assert total == ((1.0 + 0.55) + 0.775) + 0.325
 
     def test_refusal_inflates_denominator_only(self, mod):
-        masses, total = mod.vote_masses([0, -1], [1.0, 1.0], 1)
+        masses, total = mod._vote_masses([0, -1], [1.0, 1.0], 1)
         assert list(masses) == [1.0]
         assert total == 2.0
 
     def test_length_mismatch_rejected(self, mod):
         with pytest.raises(ValueError):
-            mod.vote_masses([0, 1], [1.0], 2)
+            mod._vote_masses([0, 1], [1.0], 2)
 
     def test_code_out_of_range_rejected(self, mod):
         with pytest.raises(ValueError):
-            mod.vote_masses([2], [1.0], 2)
+            mod._vote_masses([2], [1.0], 2)
         with pytest.raises(ValueError):
-            mod.vote_masses([-2], [1.0], 2)
+            mod._vote_masses([-2], [1.0], 2)
 
 
-@pytest.mark.parametrize("mod", backend_params())
+@pytest.mark.parametrize("mod", IMPLEMENTATIONS)
 class TestCascadeVote:
     def test_smoke_vote(self, mod):
         codes = [0, 0, 1, -1]
@@ -183,34 +143,12 @@ def vote_configs(draw):
     return codes, weights, tokens, n_candidates, tau
 
 
-@pytest.mark.skipif(_native is None, reason="compiled kernel not built")
-class TestTwinEquivalence:
-    @given(vote_configs())
-    @settings(max_examples=300, deadline=None)
-    def test_cascade_vote_bitwise_identical(self, config):
-        codes, weights, tokens, n_candidates, tau = config
-        pure = _pure.cascade_vote(codes, weights, tokens, tau)
-        native = _native.cascade_vote(codes, weights, tokens, tau)
-        assert pure == native
-        # floats must agree bitwise, not merely approximately
-        assert pure[2].hex() == native[2].hex()
-
-    @given(vote_configs())
-    @settings(max_examples=300, deadline=None)
-    def test_vote_masses_bitwise_identical(self, config):
-        codes, weights, tokens, n_candidates, tau = config
-        m_pure, t_pure = _pure.vote_masses(codes, weights, n_candidates)
-        m_native, t_native = _native.vote_masses(codes, weights, n_candidates)
-        assert list(m_pure) == list(m_native)
-        assert t_pure.hex() == t_native.hex()
-
-
 class TestWalkProperties:
     @given(vote_configs())
     @settings(max_examples=300, deadline=None)
     def test_latency_bounded_by_sample_lengths(self, config):
         codes, weights, tokens, n_candidates, tau = config
-        _, _, _, latency, stopped = _pure.cascade_vote(codes, weights, tokens, tau)
+        _, _, _, latency, stopped = cascade.cascade_vote(codes, weights, tokens, tau)
         assert min(tokens) <= latency <= max(tokens)
         if not stopped:
             assert latency == max(tokens)
@@ -219,9 +157,9 @@ class TestWalkProperties:
     @settings(max_examples=300, deadline=None)
     def test_walk_never_changes_the_decision(self, config):
         codes, weights, tokens, n_candidates, tau = config
-        masses, total = _pure.vote_masses(codes, weights, n_candidates)
+        masses, total = cascade._vote_masses(codes, weights, n_candidates)
         full_accept = max(masses) / total >= tau
-        accepted, _, _, _, _ = _pure.cascade_vote(codes, weights, tokens, tau)
+        accepted, _, _, _, _ = cascade.cascade_vote(codes, weights, tokens, tau)
         assert accepted == full_accept
 
     def test_deterministic(self):
@@ -232,6 +170,6 @@ class TestWalkProperties:
             weights = [rng.choice([0.55, 1.0]) for _ in range(k)]
             tokens = [rng.randint(1, 99) for _ in range(k)]
             tau = rng.random()
-            first = _pure.cascade_vote(codes, weights, tokens, tau)
-            second = _pure.cascade_vote(codes, weights, tokens, tau)
+            first = cascade.cascade_vote(codes, weights, tokens, tau)
+            second = cascade.cascade_vote(codes, weights, tokens, tau)
             assert first == second

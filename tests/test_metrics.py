@@ -6,15 +6,12 @@ import pytest
 
 from routerlab.metrics import (
     LatencyReport,
-    agl,
-    arol,
     golden_curve,
     latency_report,
     toa,
     toa100,
     toa_from_points,
     toga,
-    toga_from_points,
     togr,
 )
 from routerlab.records import (
@@ -95,7 +92,6 @@ class TestToaFromPoints:
         points = self.curve()
         expected = toa(points, (0.1, 0.5), (1.0, 1.0))
         assert toa_from_points(points) == expected
-        assert toga_from_points(points) == expected - 0.5
 
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ValidationError):
@@ -237,8 +233,6 @@ class TestLatency:
         ]
         report = latency_report(outcomes)
         assert report == LatencyReport(agl=20.0, arol=100.0, n_accepted=2, n_rejected=1)
-        assert agl(outcomes) == 20.0
-        assert arol(outcomes) == 100.0
 
     def test_empty_groups_flagged_by_counts(self):
         accepted_only = [cascade_outcome("a", False, 10)]

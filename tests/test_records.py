@@ -112,6 +112,11 @@ class TestPricingSchedule:
         with pytest.raises(ValidationError):
             PricingSchedule(llm_out=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_prices_rejected(self, value):
+        with pytest.raises(ValidationError, match="slm_in must be a finite number"):
+            PricingSchedule(slm_in=value)
+
     def test_dict_round_trip(self):
         p = PricingSchedule(slm_in=0.01, slm_out=0.05, llm_in=0.2, llm_out=0.9)
         assert PricingSchedule.from_dict(p.to_dict()) == p
@@ -266,6 +271,21 @@ class TestRoutingOutcome:
                 accepted_answer="a",
             )
 
+    @pytest.mark.parametrize("name", ["quality", "slm_cost", "llm_cost"])
+    def test_nan_rejected(self, name):
+        fields = dict(
+            question_id="q",
+            mode="cascade",
+            routed=True,
+            slm_cost=1e-6,
+            llm_cost=1e-6,
+            quality=1.0,
+            decision_latency_tokens=5,
+        )
+        fields[name] = float("nan")
+        with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+            RoutingOutcome(**fields)
+
     def test_cascade_latency_must_be_positive(self):
         with pytest.raises(ValidationError):
             RoutingOutcome(
@@ -310,6 +330,10 @@ class TestCurvePoint:
             CurvePoint(cost=0.5, performance=1.1, tau=0.5, n_routed=0)
         with pytest.raises(ValidationError):
             CurvePoint(cost=0.5, performance=0.5, label="midpoint", n_routed=0)
+        with pytest.raises(ValidationError, match="cost must be a finite number"):
+            CurvePoint(cost=float("nan"), performance=0.5, tau=0.5, n_routed=0)
+        with pytest.raises(ValidationError, match="performance must be a finite number"):
+            CurvePoint(cost=0.5, performance=float("nan"), tau=0.5, n_routed=0)
 
 
 class TestMetricsReport:
@@ -335,6 +359,13 @@ class TestMetricsReport:
     def test_mode_validated(self):
         with pytest.raises(ValidationError):
             MetricsReport(toa=0.5, agl=0.0, arol=0.0, mode="typical")
+
+    @pytest.mark.parametrize("name", ["toa", "agl", "arol", "toa100", "togr"])
+    def test_non_finite_values_rejected(self, name):
+        values = dict(toa=0.5, agl=0.0, arol=0.0, mode="actual")
+        values[name] = float("nan")
+        with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+            MetricsReport(**values)
 
 
 class TestPreferencePair:
