@@ -45,7 +45,6 @@ from .metrics import (
     golden_curve,
     latency_report,
     toa,
-    toa100,
     toa_from_points,
     toga,
     togr,

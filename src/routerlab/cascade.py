@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .costs import (
-    _sweep_points,
-    llm_only_point,
-    llm_question_cost,
-    slm_question_cost,
-)
+from .costs import _sweep_points, llm_quality, llm_question_cost, slm_question_cost
 from .records import (
     DEFAULT_TAUS,
     SCHEMES,
@@ -322,7 +317,7 @@ def route_cascade(
 
 # Everything a question contributes to a sweep at any threshold, as one
 # tuple: (id, codes, weights, tokens, answers, correct_by_code, slm_cost,
-# llm_cost, llm_quality).
+# llm_cost, route_quality).
 def _prepare(
     question: QuestionRecord,
     scheme: str,
@@ -341,20 +336,12 @@ def _prepare(
     correct_by_code = tuple(correct_of[answer] for answer in answers)
     slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
     llm_cost = llm_question_cost(question, profile, pricing)
-    if assume_perfect:
-        llm_quality = 1.0
-    else:
-        if question.llm is None:
-            raise ValidationError(
-                f"question {question.id!r} has no llm record; "
-                "actual-quality evaluation needs one (or use assume-perfect)"
-            )
-        llm_quality = float(question.llm.correct)
-    return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, llm_quality)
+    route_quality = llm_quality(question, assume_perfect)
+    return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality)
 
 
 def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
-    qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, llm_quality = prepared
+    qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality = prepared
     accepted, winner, _share, latency, _stopped = cascade_vote(
         codes, weights, tokens, tau
     )
@@ -379,7 +366,7 @@ def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
         question_id=qid,
         mode="cascade",
         routed=True,
-        quality=llm_quality,
+        quality=route_quality,
         slm_cost=slm_cost,
         llm_cost=llm_cost,
         decision_latency_tokens=latency,
@@ -393,12 +380,12 @@ def _sweep_columns(prepared: tuple) -> tuple[float, str, float, float, float, fl
     The cascade accepts exactly when that share reaches tau, so it routes
     exactly when the share is below tau.
     """
-    qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, llm_quality = prepared
+    qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, route_quality = prepared
     _accepted, winner, share, _latency, _stopped = cascade_vote(
         codes, weights, tokens, 0.0
     )
     quality = float(correct_by_code[winner]) if winner >= 0 else 0.0
-    return (share, qid, slm_cost, quality, slm_cost + llm_cost, llm_quality)
+    return (share, qid, slm_cost, quality, slm_cost + llm_cost, route_quality)
 
 
 def sweep_cascade(
@@ -429,7 +416,6 @@ def sweep_cascade(
         for q in questions
     )
     points = _sweep_points(map(_sweep_columns, prepared), profile, pricing, taus)
-    points.append(llm_only_point(questions, profile, pricing, assume_perfect))
 
     def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
         return tuple(_outcome_at(p, tau) for p in prepared)

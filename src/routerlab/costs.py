@@ -127,34 +127,19 @@ def average_quality(outcomes: Iterable[RoutingOutcome]) -> float:
     return sum(o.quality for o in outcomes) / len(outcomes)
 
 
-def llm_only_point(
-    questions: Sequence[QuestionRecord],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    assume_perfect: bool,
-) -> CurvePoint:
-    """All-LLM reference point for a trade-off curve.
+def llm_quality(question: QuestionRecord, assume_perfect: bool) -> float:
+    """Quality of the large model's answer to a routed question.
 
-    Its normalised cost is 1 by construction: the numerator would be the
-    identical per-question sum the denominator already is.
+    1.0 under a perfect large model, otherwise the recorded result.
     """
-    total_llm_cost(profile, pricing)  # raises early when LLM costs are undefined
     if assume_perfect:
-        performance = 1.0
-    else:
-        missing = [q.id for q in questions if q.llm is None]
-        if missing:
-            raise ValidationError(
-                f"{len(missing)} question(s) have no llm record "
-                f"(first: {missing[0]!r}); the all-LLM reference needs them"
-            )
-        performance = sum(1 for q in questions if q.llm.correct) / len(questions)
-    return CurvePoint(
-        cost=1.0,
-        performance=performance,
-        label="llm_only",
-        n_routed=len(questions),
-    )
+        return 1.0
+    if question.llm is None:
+        raise ValidationError(
+            f"question {question.id!r} has no llm record; "
+            "actual-quality evaluation needs one (or use assume-perfect)"
+        )
+    return float(question.llm.correct)
 
 
 def _sweep_points(
@@ -174,9 +159,11 @@ def _sweep_points(
     costs O(N log N + T) for N questions and T thresholds.
 
     The first point keeps everything (m = 0) and is labelled
-    ``slm_only``. With ``taus``, one grid point per threshold follows.
-    Without, one point per m = 1..N follows, the last labelled
-    ``llm_only``: the curve that routes the m lowest scores.
+    ``slm_only``. With ``taus``, one grid point per threshold follows;
+    without, one point per m = 1..N-1: the curve that routes the m
+    lowest scores. The last point, labelled ``llm_only``, routes every
+    question without a small-model pass, so its cost is the denominator
+    itself, 1.0, and its performance is the mean route quality.
     """
     rows = sorted(columns)
     ids = tuple(sorted(row[1] for row in rows))
@@ -204,10 +191,13 @@ def _sweep_points(
 
     points = [point(0, label="slm_only")]
     if taus is None:
-        points += [point(m, label="llm_only" if m == n else None) for m in range(1, n + 1)]
+        points += [point(m) for m in range(1, n)]
     else:
         scores = [row[0] for row in rows]
         points += [point(bisect_left(scores, tau), tau=tau) for tau in taus]
+    points.append(
+        CurvePoint(cost=1.0, performance=route_quality[n] / n, label="llm_only", n_routed=n)
+    )
     return points
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass, fields
@@ -89,9 +90,13 @@ _RESPONSE_FIELDS = frozenset({"text", "correct", "tokens"})
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
-    """Build a QuestionRecord from one decoded JSONL object."""
+    """Build a QuestionRecord from one decoded JSONL object.
+
+    ``source`` names the record in unknown-field warnings only; the
+    reader puts the location in front of a raised error.
+    """
     if not isinstance(data, Mapping):
-        raise ValidationError(f"{source}: expected a JSON object, got {type(data).__name__}")
+        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
     _warn_unknown(data, _QUESTION_FIELDS, source)
     raw_samples = data.get("slm_samples")
     if isinstance(raw_samples, Sequence) and not isinstance(raw_samples, (str, bytes)):
@@ -244,24 +249,24 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 
 
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
-    """Build a TrainingQuestion from one decoded JSONL object."""
+    """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
     if not isinstance(data, Mapping):
-        raise ValidationError(f"{source}: expected a JSON object, got {type(data).__name__}")
+        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
     _warn_unknown(data, _TRAINING_FIELDS, source)
     for name in ("id", "question", "samples"):
         if name not in data:
-            raise ValidationError(f"{source}: missing required field {name!r}")
+            raise ValidationError(f"missing required field {name!r}")
     raw_samples = data["samples"]
     if not isinstance(raw_samples, Sequence) or isinstance(raw_samples, (str, bytes)):
-        raise ValidationError(f"{source}: samples must be a list")
+        raise ValidationError("samples must be a list")
     samples = []
     for index, raw in enumerate(raw_samples):
         if not isinstance(raw, Mapping):
-            raise ValidationError(f"{source}: samples[{index}] must be an object")
+            raise ValidationError(f"samples[{index}] must be an object")
         _warn_unknown(raw, _RESPONSE_FIELDS, f"{source}: samples[{index}]")
         for name in ("text", "correct", "tokens"):
             if name not in raw:
-                raise ValidationError(f"{source}: samples[{index}] is missing {name!r}")
+                raise ValidationError(f"samples[{index}] is missing {name!r}")
         samples.append(
             ResponseSample(text=raw["text"], correct=raw["correct"], tokens=raw["tokens"])
         )
@@ -330,8 +335,10 @@ class SyntheticParams:
             raise ValidationError(f"easy_fraction must lie in [0, 1], got {self.easy_fraction}")
         if not 0.0 <= self.llm_correct_prob <= 1.0:
             raise ValidationError(f"llm_correct_prob must lie in [0, 1], got {self.llm_correct_prob}")
-        if self.pre_score_noise < 0:
-            raise ValidationError(f"pre_score_noise must be >= 0, got {self.pre_score_noise}")
+        if not (math.isfinite(self.pre_score_noise) and self.pre_score_noise >= 0):
+            raise ValidationError(
+                f"pre_score_noise must be a finite number >= 0, got {self.pre_score_noise}"
+            )
         for name in ("input_tokens", "answer_tokens", "refusal_tokens", "llm_tokens"):
             bounds = getattr(self, name)
             if (

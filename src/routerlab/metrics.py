@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cascade import sweep_cascade
-from .costs import (
-    _sweep_points,
-    llm_question_cost,
-    mean_sample_correct,
-    mean_sample_tokens,
-    slm_question_cost,
-)
-from .prerouting import sweep_pre
+from .costs import _sweep_points, mean_sample_correct
+from .prerouting import _pre_row
 from .records import (
     CurvePoint,
     DatasetProfile,
@@ -106,27 +99,6 @@ def toa_from_points(points: Sequence[CurvePoint]) -> float:
     return toa(points, (slm.cost, slm.performance), (llm.cost, llm.performance))
 
 
-def toa100(
-    questions: Sequence[QuestionRecord],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    policy: str = "pre",
-    **sweep_kwargs,
-) -> float:
-    """ToA with the large model assumed perfect.
-
-    Reruns the sweep with every escalated question scored 1.0, which
-    isolates routing quality from the large model's own errors.
-    ``sweep_kwargs`` are forwarded to the policy's sweep (taus,
-    score_source, scheme, k, alpha).
-    """
-    sweeps = {"pre": sweep_pre, "cascade": sweep_cascade}
-    if policy not in sweeps:
-        raise ValidationError(f"policy must be 'pre' or 'cascade', got {policy!r}")
-    result = sweeps[policy](questions, profile, pricing, assume_perfect=True, **sweep_kwargs)
-    return toa_from_points(result.points)
-
-
 def golden_curve(
     questions: Sequence[QuestionRecord],
     profile: DatasetProfile,
@@ -134,29 +106,16 @@ def golden_curve(
 ) -> tuple[CurvePoint, ...]:
     """Hindsight-optimal routing reference under a perfect large model.
 
-    Questions are escalated in ascending order of their small-model
-    accuracy (ties broken by id): the m-th point routes the m hardest
-    questions and keeps the rest, for m = 0..N. Kept questions score
-    their mean sample accuracy and cost a mean-length SLM pass; routed
-    questions score 1.0. The ends are the usual reference points.
+    The pre-generation router scored by each question's small-model
+    accuracy, with every routed question scoring 1.0: the m-th point
+    routes the m hardest questions (ties broken by id) and keeps the
+    rest, for m = 0..N. The ends are the usual reference points.
     """
     questions = tuple(questions)
     if not questions:
         raise ValidationError("cannot build a golden curve for an empty dataset")
-    columns = []
-    for q in questions:
-        accuracy = mean_sample_correct(q)
-        columns.append(
-            (
-                accuracy,
-                q.id,
-                slm_question_cost(q, mean_sample_tokens(q), pricing),
-                accuracy,
-                llm_question_cost(q, profile, pricing),
-                1.0,
-            )
-        )
-    return tuple(_sweep_points(columns, profile, pricing))
+    rows = [_pre_row(q, mean_sample_correct(q), profile, pricing, True) for q in questions]
+    return tuple(_sweep_points(rows, profile, pricing))
 
 
 def togr(

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .costs import (
     _sweep_points,
-    llm_only_point,
+    llm_quality,
     llm_question_cost,
     mean_sample_correct,
     mean_sample_tokens,
@@ -115,24 +115,38 @@ def _escalated(
     assume_perfect: bool,
 ) -> RoutingOutcome:
     """Outcome when the question goes to the large model before sampling."""
-    if assume_perfect:
-        quality = 1.0
-    else:
-        if question.llm is None:
-            raise ValidationError(
-                f"question {question.id!r} has no llm record; "
-                "actual-quality evaluation needs one (or use assume-perfect)"
-            )
-        quality = float(question.llm.correct)
     return RoutingOutcome(
         question_id=question.id,
         mode="pre",
         routed=True,
-        quality=quality,
+        quality=llm_quality(question, assume_perfect),
         slm_cost=0.0,
         llm_cost=llm_question_cost(question, profile, pricing),
         decision_latency_tokens=0,
         accepted_answer=None,
+    )
+
+
+def _pre_row(
+    question: QuestionRecord,
+    score: float,
+    profile: DatasetProfile,
+    pricing: PricingSchedule,
+    assume_perfect: bool,
+) -> tuple[float, str, float, float, float, float]:
+    """Engine row of one question under pre-generation routing.
+
+    Kept, it costs a mean-length SLM pass and scores its mean sample
+    accuracy, as ``_kept``; routed, it costs and scores what the large
+    model gives it, as ``_escalated``.
+    """
+    return (
+        score,
+        question.id,
+        slm_question_cost(question, mean_sample_tokens(question), pricing),
+        mean_sample_correct(question),
+        llm_question_cost(question, profile, pricing),
+        llm_quality(question, assume_perfect),
     )
 
 
@@ -156,20 +170,20 @@ def sweep_pre(
         raise ValidationError("cannot sweep an empty dataset")
 
     scores = [question_score(q, score_source) for q in questions]
-    kept = [_kept(q, pricing) for q in questions]
-    escalated = [_escalated(q, profile, pricing, assume_perfect) for q in questions]
     points = _sweep_points(
         (
-            (score, k.question_id, k.slm_cost, k.quality, e.llm_cost, e.quality)
-            for score, k, e in zip(scores, kept, escalated)
+            _pre_row(q, score, profile, pricing, assume_perfect)
+            for q, score in zip(questions, scores)
         ),
         profile,
         pricing,
         taus,
     )
-    points.append(llm_only_point(questions, profile, pricing, assume_perfect))
 
     def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
-        return tuple(e if score < tau else k for score, k, e in zip(scores, kept, escalated))
+        return tuple(
+            _escalated(q, profile, pricing, assume_perfect) if score < tau else _kept(q, pricing)
+            for q, score in zip(questions, scores)
+        )
 
     return SweepResult(points=tuple(points), outcomes_by_tau=OutcomesByTau(taus, outcomes_at))

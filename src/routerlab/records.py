@@ -173,8 +173,6 @@ class SampleRecord:
             if self.answer is None:
                 raise ValidationError("a non-refusal sample must carry an answer")
             answer = canonical_answer(_as_str(self.answer, "answer"))
-            if not answer:
-                raise ValidationError("answer is empty after normalisation")
             object.__setattr__(self, "answer", answer)
         if self.confidence_level is not None:
             level = snap_confidence(_as_float(self.confidence_level, "confidence_level"))

@@ -366,6 +366,13 @@ class TestSynth:
         capsys.readouterr()
         assert excinfo.value.code == 2
 
+    def test_non_finite_pre_noise_rejected(self, tmp_path, capsys):
+        path = tmp_path / "x.jsonl"
+        code, out, err = run(["synth", str(path), "--n", "5", "--pre-noise", "nan"], capsys)
+        assert code == 1
+        assert "pre_score_noise" in err
+        assert not path.exists()
+
 
 class TestMetrics:
     def test_recompute_from_curve(self, dataset, tmp_path, capsys):

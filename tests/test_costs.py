@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from routerlab.costs import (
     average_quality,
-    llm_only_point,
     llm_question_cost,
     mean_sample_correct,
     mean_sample_tokens,
@@ -15,6 +14,7 @@ from routerlab.costs import (
     slm_question_cost,
     total_llm_cost,
 )
+from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     DatasetProfile,
     PricingSchedule,
@@ -170,6 +170,11 @@ class TestNormalizedCost:
         assert cost_with(scaled) == pytest.approx(cost_with(base), rel=1e-9)
 
 
+def llm_only_point(questions, profile, pricing, assume_perfect):
+    """The all-LLM reference the sweep engine ends every curve with."""
+    return sweep_pre(questions, profile, pricing, assume_perfect=assume_perfect).points[-1]
+
+
 class TestQualityAndEndpoints:
     def test_average_quality(self):
         outs = [
@@ -201,7 +206,7 @@ class TestQualityAndEndpoints:
         assert point.performance == 1.0
 
     def test_llm_only_point_requires_llm_in_actual_mode(self, pricing):
-        qs = [make_question("a", with_llm=False)]
+        qs = [make_question("a"), make_question("b", with_llm=False)]
         profile = DatasetProfile.from_questions(qs)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="'b' has no llm record"):
             llm_only_point(qs, profile, pricing, assume_perfect=False)

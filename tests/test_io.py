@@ -66,6 +66,12 @@ def training_line(qid="t1"):
     )
 
 
+def without_field(line, name):
+    data = json.loads(line)
+    del data[name]
+    return json.dumps(data)
+
+
 def first_problem(read, path):
     """The one problem ``read`` reports for ``path``, as text."""
     if read is scan_dataset:
@@ -77,23 +83,29 @@ def first_problem(read, path):
     return str(excinfo.value)
 
 
-@pytest.mark.parametrize("kind", ["invalid_json", "invalid_record", "duplicate_id"])
+@pytest.mark.parametrize(
+    "kind", ["invalid_json", "invalid_record", "duplicate_id", "not_an_object", "missing_samples"]
+)
 @pytest.mark.parametrize(
     "read",
     [load_dataset, load_training_questions, scan_dataset],
     ids=lambda read: read.__name__,
 )
 def test_bad_line_reported_at_its_location(tmp_path, read, kind):
-    make_line = training_line if read is load_training_questions else question_line
+    training = read is load_training_questions
+    make_line = training_line if training else question_line
     bad = {
         "invalid_json": "{not json",
         "invalid_record": make_line(""),
         "duplicate_id": make_line("q1"),
+        "not_an_object": "[1, 2]",
+        "missing_samples": without_field(make_line("q2"), "samples" if training else "slm_samples"),
     }[kind]
     path = tmp_path / "data.jsonl"
     write_lines(path, [make_line("q1"), bad])
     message = first_problem(read, str(path))
     assert message.startswith(f"{path}:2: ")
+    assert message.count(f"{path}:2") == 1
     if read is scan_dataset:
         assert message == first_problem(load_dataset, str(path))
 
@@ -375,6 +387,9 @@ class TestSyntheticGenerator:
             SyntheticParams(answer_keys=("a",))
         with pytest.raises(Exception):
             SyntheticParams(scheme="sc", n_samples=0)
+        for noise in (math.nan, math.inf, -0.1):
+            with pytest.raises(Exception):
+                SyntheticParams(pre_score_noise=noise)
 
     def test_refusal_examples_from_synthetic_ids(self):
         # seeding by question id keeps refusal targets stable across corpora

@@ -9,7 +9,6 @@ from routerlab.metrics import (
     golden_curve,
     latency_report,
     toa,
-    toa100,
     toa_from_points,
     toga,
     togr,
@@ -160,11 +159,11 @@ class TestGoldenCurve:
         with pytest.raises(ValidationError):
             golden_curve(qs[:1], profile, pricing)
 
-    def test_endpoint_costs(self, pricing):
-        qs, profile = self.two_question_fixture(pricing)
-        curve = golden_curve(qs, profile, pricing)
-        assert curve[-1].cost == 1.0
-        assert curve[0].cost < 1.0
+    def test_endpoint_costs(self, pricing, synth_rcv):
+        for qs, profile in (self.two_question_fixture(pricing), synth_rcv):
+            curve = golden_curve(qs, profile, pricing)
+            assert curve[-1].cost == 1.0
+            assert curve[0].cost < 1.0
 
 
 class TestTogr:
@@ -188,27 +187,6 @@ class TestTogr:
         diagonal = [curve[0], curve[-1]]
         with pytest.raises(ValidationError):
             togr(curve, diagonal)
-
-
-class TestToa100:
-    def test_matches_perfect_sweep(self, synth_rcv, pricing):
-        from routerlab.prerouting import sweep_pre
-
-        questions, profile = synth_rcv
-        sweep = sweep_pre(questions, profile, pricing, assume_perfect=True)
-        assert toa100(questions, profile, pricing, policy="pre") == toa_from_points(
-            sweep.points
-        )
-
-    def test_cascade_policy(self, synth_rcv, pricing):
-        questions, profile = synth_rcv
-        value = toa100(questions, profile, pricing, policy="cascade", scheme="rcv")
-        assert 0.0 <= value <= 1.0
-
-    def test_unknown_policy_rejected(self, synth_rcv, pricing):
-        questions, profile = synth_rcv
-        with pytest.raises(ValidationError):
-            toa100(questions, profile, pricing, policy="post")
 
 
 def cascade_outcome(qid, routed, latency):

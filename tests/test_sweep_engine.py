@@ -76,9 +76,21 @@ def close(a, b):
     return math.isclose(a, b, rel_tol=REL_TOL)
 
 
-def assert_matches_oracle(sweep, questions, profile, route, normalize):
+def assert_ends_at_llm_only(points, questions, assume_perfect):
+    """The curve ends at the all-LLM reference: cost exactly 1.0, every
+    question routed, and the large model's accuracy as performance."""
+    end = points[-1]
+    assert (end.label, end.cost, end.n_routed) == ("llm_only", 1.0, len(questions))
+    if assume_perfect:
+        assert end.performance == 1.0
+    else:
+        assert end.performance == sum(q.llm.correct for q in questions) / len(questions)
+
+
+def assert_matches_oracle(sweep, questions, profile, route, normalize, assume_perfect):
     """Every grid point, and the slm_only point (nothing routes at tau=0),
     equals the per-question oracle; every threshold's outcomes too."""
+    assert_ends_at_llm_only(sweep.points, questions, assume_perfect)
     for point in sweep.points[:-1]:
         tau = 0.0 if point.label == "slm_only" else point.tau
         outcomes = [route(q, tau) for q in questions]
@@ -111,7 +123,9 @@ def test_cascade_sweep_matches_route_cascade(data, assume_perfect):
             question, tau, profile, PRICING, scheme=scheme, k=k, assume_perfect=assume_perfect
         )
 
-    assert_matches_oracle(sweep, questions, profile, route, normalized_cascade_cost)
+    assert_matches_oracle(
+        sweep, questions, profile, route, normalized_cascade_cost, assume_perfect
+    )
 
 
 @DETERMINISTIC
@@ -126,7 +140,7 @@ def test_pre_sweep_matches_route_pre(data, score_source, assume_perfect):
     def route(question, tau):
         return route_pre(question, tau, profile, PRICING, score_source, assume_perfect)
 
-    assert_matches_oracle(sweep, questions, profile, route, normalized_pre_cost)
+    assert_matches_oracle(sweep, questions, profile, route, normalized_pre_cost, assume_perfect)
 
 
 @DETERMINISTIC
@@ -136,9 +150,11 @@ def test_curves_do_not_depend_on_question_order(data, seed):
     shuffled = list(questions)
     random.Random(seed).shuffle(shuffled)
     profile = DatasetProfile.from_questions(questions)
-    for run in (
-        lambda qs: sweep_cascade(qs, profile, PRICING, scheme=scheme, k=k).points,
-        lambda qs: sweep_pre(qs, profile, PRICING).points,
-        lambda qs: golden_curve(qs, profile, PRICING),
+    for run, assume_perfect in (
+        (lambda qs: sweep_cascade(qs, profile, PRICING, scheme=scheme, k=k).points, False),
+        (lambda qs: sweep_pre(qs, profile, PRICING).points, False),
+        (lambda qs: golden_curve(qs, profile, PRICING), True),
     ):
-        assert_same_curve(run(questions), run(shuffled))
+        points = run(questions)
+        assert_ends_at_llm_only(points, questions, assume_perfect)
+        assert_same_curve(points, run(shuffled))
