@@ -2,20 +2,24 @@
 
 Datasets, training corpora, preference pairs and refusal examples are
 JSON Lines; curves are CSV; pricing and metrics are single JSON objects.
-Parsers are strict about required fields and value ranges but tolerate
-unknown fields with a warning, so newer files keep loading.
+This module is the only reader of these formats: ``_object`` checks one
+decoded object against its record class. Parsers are strict about
+required fields and value ranges but tolerate unknown fields with a
+warning, so newer files keep loading.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import random
 import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import MISSING, dataclass, fields
+from typing import Any
 
 from .records import (
     CONFIDENCE_LEVELS,
@@ -47,18 +51,19 @@ def _read_jsonl(
     """Parse each non-blank line; yield ``(record, None)`` or ``(None, problem)``.
 
     A problem is the line's ``path:line`` followed by what is wrong with
-    it: invalid JSON, a record ``parse`` rejects, or an id already seen
-    on an earlier line. Callers decide whether to stop or collect.
+    it: invalid JSON or UTF-8, a record ``parse`` rejects, or an id
+    already seen on an earlier line. Callers decide whether to stop or
+    collect.
     """
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 yield None, f"{where}: invalid JSON: {exc}"
                 continue
             try:
@@ -76,17 +81,59 @@ def _read_jsonl(
             yield record, None
 
 
-def _warn_unknown(data: Mapping[str, Any], known: frozenset[str], where: str) -> None:
-    extras = sorted(set(data) - known)
-    if extras:
-        warnings.warn(f"{where}: ignoring unknown field(s) {', '.join(extras)}")
+@functools.cache
+def _shape(
+    cls: type, required: tuple[str, ...]
+) -> tuple[frozenset[str], frozenset[str], dict[str, Any]]:
+    """``cls``'s field names, ``required`` as a set, and each field's
+    default (None when it has none); read from the dataclass once."""
+    return (
+        frozenset(f.name for f in fields(cls)),
+        frozenset(required),
+        {f.name: None if f.default is MISSING else f.default for f in fields(cls)},
+    )
 
 
-_QUESTION_FIELDS = frozenset({"id", "input_tokens", "pre_score", "slm_samples", "llm"})
-_SAMPLE_FIELDS = frozenset({"answer", "correct", "tokens", "confidence_level", "refusal"})
-_LLM_FIELDS = frozenset({"correct", "tokens"})
-_TRAINING_FIELDS = frozenset({"id", "question", "samples"})
-_RESPONSE_FIELDS = frozenset({"text", "correct", "tokens"})
+def _object(
+    data: Any, cls: type, required: tuple[str, ...], source: str, name: str = ""
+) -> dict[str, Any]:
+    """Keyword arguments for ``cls`` from one decoded JSON object.
+
+    ``name`` places a nested object inside its record (``llm``,
+    ``slm_samples[3]``) and prefixes what is raised or warned about it.
+    Keys ``cls`` has no field for are ignored with a warning naming
+    ``source``; a missing ``required`` key is an error, and any other
+    absent key takes the field's default.
+    """
+    prefix = f"{name}: " if name else ""
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"{prefix}expected a JSON object, got {type(data).__name__}")
+    known, needed, defaults = _shape(cls, required)
+    if data.keys() <= known:
+        kwargs = {**defaults, **data}
+    else:
+        extras = sorted(set(data) - known)
+        warnings.warn(f"{source}: {prefix}ignoring unknown field(s) {', '.join(extras)}")
+        kwargs = {**defaults, **{key: value for key, value in data.items() if key in known}}
+    if not data.keys() >= needed:
+        missing = [key for key in required if key not in data]
+        noun = "field" if len(missing) == 1 else "fields"
+        raise ValidationError(
+            f"{prefix}missing required {noun} {', '.join(repr(key) for key in missing)}"
+        )
+    return kwargs
+
+
+def _objects(
+    value: Any, cls: type, required: tuple[str, ...], source: str, name: str
+) -> tuple[Any, ...]:
+    """One ``cls`` record per object of the JSON list in field ``name``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list")
+    return tuple(
+        cls(**_object(raw, cls, required, source, f"{name}[{index}]"))
+        for index, raw in enumerate(value)
+    )
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
@@ -95,18 +142,15 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
     ``source`` names the record in unknown-field warnings only; the
     reader puts the location in front of a raised error.
     """
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
-    _warn_unknown(data, _QUESTION_FIELDS, source)
-    raw_samples = data.get("slm_samples")
-    if isinstance(raw_samples, Sequence) and not isinstance(raw_samples, (str, bytes)):
-        for index, sample in enumerate(raw_samples):
-            if isinstance(sample, Mapping):
-                _warn_unknown(sample, _SAMPLE_FIELDS, f"{source}: slm_samples[{index}]")
-    raw_llm = data.get("llm")
-    if isinstance(raw_llm, Mapping):
-        _warn_unknown(raw_llm, _LLM_FIELDS, f"{source}: llm")
-    return QuestionRecord.from_dict(data)
+    kwargs = _object(data, QuestionRecord, ("id", "input_tokens", "slm_samples"), source)
+    kwargs["slm_samples"] = _objects(
+        kwargs["slm_samples"], SampleRecord, ("correct", "tokens"), source, "slm_samples"
+    )
+    if kwargs["llm"] is not None:
+        kwargs["llm"] = LlmOutcome(
+            **_object(kwargs["llm"], LlmOutcome, ("correct", "tokens"), source, "llm")
+        )
+    return QuestionRecord(**kwargs)
 
 
 def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
@@ -149,17 +193,14 @@ def _write_jsonl(rows: Iterable[Mapping[str, Any]], path: str) -> None:
 
 def load_pricing(path: str) -> PricingSchedule:
     """Read a pricing JSON object."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, Mapping):
-        raise DatasetError(f"{path}: expected a JSON object with the four prices")
-    known = frozenset(f.name for f in fields(PricingSchedule))
-    _warn_unknown(data, known, path)
+    prices = ("slm_in", "slm_out", "llm_in", "llm_out")
     try:
-        return PricingSchedule.from_dict(data)
+        return PricingSchedule(**_object(data, PricingSchedule, prices, path))
     except ValidationError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
@@ -188,41 +229,44 @@ def write_curve(points: Iterable[CurvePoint], path: str) -> None:
 
 def read_curve(path: str) -> tuple[CurvePoint, ...]:
     """Read a curve CSV back into points (at the file's precision)."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    header = rows[0] if rows else None
+    if header is None or tuple(header) != CURVE_HEADER:
+        raise DatasetError(
+            f"{path}: expected header {','.join(CURVE_HEADER)}, "
+            f"got {','.join(header) if header else 'an empty file'}"
+        )
     points: list[CurvePoint] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CURVE_HEADER:
-            raise DatasetError(
-                f"{path}: expected header {','.join(CURVE_HEADER)}, "
-                f"got {','.join(header) if header else 'an empty file'}"
-            )
-        for row_index, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CURVE_HEADER):
-                raise DatasetError(f"{path}:{row_index}: expected {len(CURVE_HEADER)} columns")
-            tau_cell, cost_cell, perf_cell, routed_cell = row
-            label = None
-            tau = None
-            if tau_cell in ("slm_only", "llm_only"):
-                label = tau_cell
-            elif tau_cell:
-                tau = _parse_float(tau_cell, path, row_index, "tau")
-            try:
-                points.append(
-                    CurvePoint(
-                        cost=_parse_float(cost_cell, path, row_index, "cost"),
-                        performance=_parse_float(perf_cell, path, row_index, "performance"),
-                        tau=tau,
-                        label=label,
-                        n_routed=_parse_int(routed_cell, path, row_index, "n_routed"),
-                    )
+    for row_index, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CURVE_HEADER):
+            raise DatasetError(f"{path}:{row_index}: expected {len(CURVE_HEADER)} columns")
+        tau_cell, cost_cell, perf_cell, routed_cell = row
+        label = None
+        tau = None
+        if tau_cell in ("slm_only", "llm_only"):
+            label = tau_cell
+        elif tau_cell:
+            tau = _parse_float(tau_cell, path, row_index, "tau")
+        try:
+            points.append(
+                CurvePoint(
+                    cost=_parse_float(cost_cell, path, row_index, "cost"),
+                    performance=_parse_float(perf_cell, path, row_index, "performance"),
+                    tau=tau,
+                    label=label,
+                    n_routed=_parse_int(routed_cell, path, row_index, "n_routed"),
                 )
-            except DatasetError:
-                raise
-            except ValidationError as exc:
-                raise DatasetError(f"{path}:{row_index}: {exc}") from exc
+            )
+        except DatasetError:
+            raise
+        except ValidationError as exc:
+            raise DatasetError(f"{path}:{row_index}: {exc}") from exc
     if not points:
         raise DatasetError(f"{path}: no curve points found")
     return tuple(points)
@@ -250,27 +294,11 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
-    _warn_unknown(data, _TRAINING_FIELDS, source)
-    for name in ("id", "question", "samples"):
-        if name not in data:
-            raise ValidationError(f"missing required field {name!r}")
-    raw_samples = data["samples"]
-    if not isinstance(raw_samples, Sequence) or isinstance(raw_samples, (str, bytes)):
-        raise ValidationError("samples must be a list")
-    samples = []
-    for index, raw in enumerate(raw_samples):
-        if not isinstance(raw, Mapping):
-            raise ValidationError(f"samples[{index}] must be an object")
-        _warn_unknown(raw, _RESPONSE_FIELDS, f"{source}: samples[{index}]")
-        for name in ("text", "correct", "tokens"):
-            if name not in raw:
-                raise ValidationError(f"samples[{index}] is missing {name!r}")
-        samples.append(
-            ResponseSample(text=raw["text"], correct=raw["correct"], tokens=raw["tokens"])
-        )
-    return TrainingQuestion(id=data["id"], question=data["question"], samples=tuple(samples))
+    kwargs = _object(data, TrainingQuestion, ("id", "question", "samples"), source)
+    kwargs["samples"] = _objects(
+        kwargs["samples"], ResponseSample, ("text", "correct", "tokens"), source, "samples"
+    )
+    return TrainingQuestion(**kwargs)
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:

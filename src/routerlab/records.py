@@ -8,7 +8,7 @@ record instance it holds is well formed. All records are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
@@ -132,14 +132,6 @@ class PricingSchedule:
             "llm_out": self.llm_out,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PricingSchedule":
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        missing = [f.name for f in fields(cls) if f.name not in data]
-        if missing:
-            raise ValidationError(f"pricing is missing fields: {', '.join(missing)}")
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -187,18 +179,6 @@ class SampleRecord:
             "refusal": self.refusal,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SampleRecord":
-        if "correct" not in data or "tokens" not in data:
-            raise ValidationError("sample requires 'correct' and 'tokens' fields")
-        return cls(
-            answer=data.get("answer"),
-            correct=data["correct"],
-            tokens=data["tokens"],
-            confidence_level=data.get("confidence_level"),
-            refusal=data.get("refusal", False),
-        )
-
 
 @dataclass(frozen=True)
 class LlmOutcome:
@@ -216,12 +196,6 @@ class LlmOutcome:
 
     def to_dict(self) -> dict[str, Any]:
         return {"correct": self.correct, "tokens": self.tokens}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LlmOutcome":
-        if "correct" not in data or "tokens" not in data:
-            raise ValidationError("llm record requires 'correct' and 'tokens' fields")
-        return cls(correct=data["correct"], tokens=data["tokens"])
 
 
 @dataclass(frozen=True)
@@ -287,25 +261,6 @@ class QuestionRecord:
             "slm_samples": [s.to_dict() for s in self.slm_samples],
             "llm": self.llm.to_dict() if self.llm is not None else None,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuestionRecord":
-        for name in ("id", "input_tokens", "slm_samples"):
-            if name not in data:
-                raise ValidationError(f"question requires a {name!r} field")
-        raw_samples = data["slm_samples"]
-        if not isinstance(raw_samples, (list, tuple)):
-            raise ValidationError("slm_samples must be a list")
-        samples = tuple(SampleRecord.from_dict(s) for s in raw_samples)
-        raw_llm = data.get("llm")
-        llm = LlmOutcome.from_dict(raw_llm) if raw_llm is not None else None
-        return cls(
-            id=data["id"],
-            input_tokens=data["input_tokens"],
-            slm_samples=samples,
-            pre_score=data.get("pre_score"),
-            llm=llm,
-        )
 
 
 def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
@@ -562,19 +517,6 @@ class PreferencePair:
             "rejected_tokens": self.rejected_tokens,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PreferencePair":
-        for name in ("id", "chosen", "rejected", "chosen_tokens", "rejected_tokens"):
-            if name not in data:
-                raise ValidationError(f"preference pair requires a {name!r} field")
-        return cls(
-            question_id=data["id"],
-            chosen=data["chosen"],
-            rejected=data["rejected"],
-            chosen_tokens=data["chosen_tokens"],
-            rejected_tokens=data["rejected_tokens"],
-        )
-
 
 @dataclass(frozen=True)
 class RefusalExample:
@@ -609,18 +551,6 @@ class RefusalExample:
             "prompt": self.prompt,
             "target": self.target,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RefusalExample":
-        for name in ("id", "threshold", "prompt", "target"):
-            if name not in data:
-                raise ValidationError(f"refusal example requires a {name!r} field")
-        return cls(
-            question_id=data["id"],
-            threshold=data["threshold"],
-            prompt=data["prompt"],
-            target=data["target"],
-        )
 
 
 class OutcomesByTau(Mapping):

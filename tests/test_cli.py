@@ -50,10 +50,16 @@ class TestValidate:
 
     def test_broken_dataset(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "q"}\nnot json\n', encoding="utf-8")
+        path.write_bytes(
+            b'{"id": "q"}\n'
+            b"not json\n"
+            b'{"id": "q3", "input_tokens": 9, "slm_samples": [5]}\n'
+            b'{"id": "q\xe9", "input_tokens": 9, "slm_samples": []}\n'
+        )
         code, out, err = run(["validate", str(path)], capsys)
         assert code == 1
-        assert ":1:" in err and ":2:" in err
+        assert all(f"{path}:{line}:" in err for line in (1, 2, 3, 4))
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = run(["validate", str(tmp_path / "nope.jsonl")], capsys)

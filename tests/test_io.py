@@ -83,8 +83,24 @@ def first_problem(read, path):
     return str(excinfo.value)
 
 
+def with_field(line, name, value):
+    data = json.loads(line)
+    data[name] = value
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
-    "kind", ["invalid_json", "invalid_record", "duplicate_id", "not_an_object", "missing_samples"]
+    "kind",
+    [
+        "invalid_json",
+        "invalid_record",
+        "duplicate_id",
+        "not_an_object",
+        "missing_samples",
+        "sample_not_an_object",
+        "nested_list",
+        "not_utf8",
+    ],
 )
 @pytest.mark.parametrize(
     "read",
@@ -94,15 +110,27 @@ def first_problem(read, path):
 def test_bad_line_reported_at_its_location(tmp_path, read, kind):
     training = read is load_training_questions
     make_line = training_line if training else question_line
+    samples_field = "samples" if training else "slm_samples"
+    # A nested object given as the list of its keys.
+    if training:
+        nested_list = ("samples", [["text", "correct", "tokens"]])
+    else:
+        nested_list = ("llm", ["correct", "tokens"])
     bad = {
         "invalid_json": "{not json",
         "invalid_record": make_line(""),
         "duplicate_id": make_line("q1"),
         "not_an_object": "[1, 2]",
-        "missing_samples": without_field(make_line("q2"), "samples" if training else "slm_samples"),
+        "missing_samples": without_field(make_line("q2"), samples_field),
+        "sample_not_an_object": with_field(make_line("q2"), samples_field, [5]),
+        "nested_list": with_field(make_line("q2"), *nested_list),
+        "not_utf8": make_line("q2").replace("q2", "q\xe9"),
     }[kind]
     path = tmp_path / "data.jsonl"
-    write_lines(path, [make_line("q1"), bad])
+    if kind == "not_utf8":  # line 2 holds the byte 0xE9, which is not UTF-8
+        path.write_bytes(f"{make_line('q1')}\n{bad}\n".encode("latin-1"))
+    else:
+        write_lines(path, [make_line("q1"), bad])
     message = first_problem(read, str(path))
     assert message.startswith(f"{path}:2: ")
     assert message.count(f"{path}:2") == 1
@@ -144,6 +172,13 @@ class TestLoadDataset:
         del line["input_tokens"]
         write_lines(path, [json.dumps(line)])
         with pytest.raises(DatasetError, match="input_tokens"):
+            load_dataset(str(path))
+        line = json.loads(question_line())
+        del line["slm_samples"][1]["correct"]
+        write_lines(path, [json.dumps(line)])
+        with pytest.raises(
+            DatasetError, match=r"data\.jsonl:1: slm_samples\[1\]: missing required field 'correct'$"
+        ):
             load_dataset(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -202,6 +237,12 @@ class TestPricingFile:
         with pytest.raises(DatasetError, match="slm_out"):
             load_pricing(str(path))
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "pricing.json"
+        path.write_bytes(b'{"slm_in": 0.02, "note": "caf\xe9"}')
+        with pytest.raises(DatasetError, match=r"pricing\.json: invalid JSON: 'utf-8' codec"):
+            load_pricing(str(path))
+
 
 class TestCurveCsv:
     def points(self):
@@ -247,6 +288,12 @@ class TestCurveCsv:
             "tau,cost,performance,n_routed\n0.5,-1.0,0.5,0\n", encoding="utf-8"
         )
         with pytest.raises(DatasetError, match=r"curve\.csv:2"):
+            read_curve(str(path))
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"tau,cost,performance,n_routed\nslm_only\xe9,0.1,0.5,0\n")
+        with pytest.raises(DatasetError, match=r"curve\.csv: not valid UTF-8"):
             read_curve(str(path))
 
 

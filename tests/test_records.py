@@ -1,9 +1,11 @@
 """Record validation, canonicalization, and dataclass invariants."""
 
+import json
 import math
 
 import pytest
 
+from routerlab.io import load_pricing, parse_question
 from routerlab.records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
@@ -14,7 +16,6 @@ from routerlab.records import (
     MetricsReport,
     PreferencePair,
     PricingSchedule,
-    QuestionRecord,
     RefusalExample,
     RoutingOutcome,
     SampleRecord,
@@ -117,9 +118,11 @@ class TestPricingSchedule:
         with pytest.raises(ValidationError, match="slm_in must be a finite number"):
             PricingSchedule(slm_in=value)
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         p = PricingSchedule(slm_in=0.01, slm_out=0.05, llm_in=0.2, llm_out=0.9)
-        assert PricingSchedule.from_dict(p.to_dict()) == p
+        path = tmp_path / "pricing.json"
+        path.write_text(json.dumps(p.to_dict()), encoding="utf-8")
+        assert load_pricing(str(path)) == p
 
 
 class TestSampleRecord:
@@ -174,11 +177,11 @@ class TestQuestionRecord:
 
     def test_round_trip(self):
         q = make_question(samples=make_ladder(6))
-        assert QuestionRecord.from_dict(q.to_dict()) == q
+        assert parse_question(q.to_dict()) == q
 
     def test_round_trip_without_llm(self):
         q = make_question(with_llm=False, pre_score=None)
-        assert QuestionRecord.from_dict(q.to_dict()) == q
+        assert parse_question(q.to_dict()) == q
 
 
 class TestConfidenceLadder:
@@ -430,7 +433,8 @@ class TestRefusalExample:
 class TestLlmOutcome:
     def test_round_trip(self):
         o = LlmOutcome(correct=False, tokens=123)
-        assert LlmOutcome.from_dict(o.to_dict()) == o
+        q = make_question(llm_correct=o.correct, llm_tokens=o.tokens)
+        assert parse_question(q.to_dict()).llm == o
 
     def test_tokens_positive(self):
         with pytest.raises(ValidationError):
