@@ -9,14 +9,10 @@ preference-pair and refusal training sets distilled from such records.
 __version__ = "0.1.0"
 
 from .cascade import (
-    CascadeDecision,
-    VoteTally,
-    decide,
     route_cascade,
     select_samples,
     simulate_parallel,
     sweep_cascade,
-    tally_votes,
     vote_weight,
 )
 from .costs import (

@@ -15,7 +15,6 @@ decision latency, never the cost or the decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .costs import _sweep_points, llm_quality, llm_question_cost, slm_question_cost
@@ -61,52 +60,6 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     return weight
 
 
-@dataclass(frozen=True)
-class VoteTally:
-    """Weighted vote totals for one question's samples.
-
-    ``answers`` are the distinct canonical answers in sorted order, with
-    ``masses`` aligned. ``total_weight`` includes refusal weight, which
-    is why refusals pull every share down.
-    """
-
-    answers: tuple[str, ...]
-    masses: tuple[float, ...]
-    total_weight: float
-    refusal_weight: float
-
-    def share(self, answer: str) -> float:
-        """This answer's fraction of the total vote weight."""
-        for candidate, mass in zip(self.answers, self.masses):
-            if candidate == answer:
-                return mass / self.total_weight
-        return 0.0
-
-    def best(self) -> tuple[str | None, float]:
-        """Strongest answer and its share; lexicographic tie-break.
-
-        Returns ``(None, 0.0)`` when every sample refused.
-        """
-        winner = None
-        best_mass = 0.0
-        for candidate, mass in zip(self.answers, self.masses):
-            if mass > best_mass:
-                best_mass = mass
-                winner = candidate
-        if winner is None:
-            return None, 0.0
-        return winner, best_mass / self.total_weight
-
-
-@dataclass(frozen=True)
-class CascadeDecision:
-    """What the vote concluded: accept ``answer`` or escalate."""
-
-    accepted: bool
-    answer: str | None
-    share: float
-
-
 def _encode(
     samples: Sequence[SampleRecord], alpha: float
 ) -> tuple[tuple[str, ...], list[int], list[float], list[int]]:
@@ -128,30 +81,6 @@ def _encode(
     return answers, codes, weights, tokens
 
 
-def _vote_masses(codes: list[int], weights: list[float], n_candidates: int) -> tuple[list[float], float]:
-    """Accumulate vote mass per candidate.
-
-    ``codes`` and ``weights`` are the lists ``_encode`` builds: one
-    candidate index per sample (-1 for a refusal) and strictly positive
-    weights. Returns ``(masses, total_weight)``. Refusals contribute
-    their weight to the total but to no candidate, which is what dilutes
-    every share when refusals are present.
-    """
-    if len(weights) != len(codes):
-        raise ValueError("codes and weights must have equal length")
-    masses = [0.0] * n_candidates
-    total = 0.0
-    for code, weight in zip(codes, weights):
-        total += weight
-        if code >= 0:
-            if code >= n_candidates:
-                raise ValueError("candidate code out of range")
-            masses[code] += weight
-        elif code < -1:
-            raise ValueError("candidate code out of range")
-    return masses, total
-
-
 def cascade_vote(
     codes: list[int],
     weights: list[float],
@@ -160,16 +89,23 @@ def cascade_vote(
 ) -> tuple[bool, int, float, int, bool]:
     """Full-tally vote decision plus its parallel early-stop latency.
 
-    The decision is always taken from the complete tally: accept when the
-    strongest candidate's share of the total weight reaches ``tau``.
+    ``codes`` holds one candidate index per sample (-1 for a refusal) and
+    ``weights`` the samples' strictly positive vote weights. The decision
+    is always taken from the complete tally: accept when the strongest
+    candidate's share of the total weight reaches ``tau``. Refusals add
+    their weight to the total but vote for no candidate, which is what
+    dilutes every share; ties go to the lowest candidate index.
 
     For latency, samples are replayed in order of completion (ascending
-    token count, ties by position). After each completion the decision is
-    settled early if either a candidate's observed share already reached
-    ``tau``, or no candidate can reach it even with every still-pending
+    token count, ties by position). The walk stops at the first
+    completion after which the full-tally decision is certain: for an
+    accept, once a candidate's observed share reaches ``tau``; for a
+    reject, once no candidate can reach it even with every still-pending
     answer-bearing sample agreeing. Pending refusals are never counted as
     reachable mass; they can only dilute, and the total weight they
-    dilute into is fixed up front.
+    dilute into is fixed up front. Only the test matching the decision is
+    checked, so float rounding in the completion-order sums can delay the
+    stop but never stop the walk on the wrong side of ``tau``.
 
     Returns ``(accepted, winner, winner_share, latency_tokens,
     stopped_early)`` where ``winner`` is a candidate index or -1 when no
@@ -181,32 +117,31 @@ def cascade_vote(
         raise ValueError("cannot vote over zero samples")
     if len(weights) != k or len(tokens) != k:
         raise ValueError("codes, weights and tokens must have equal length")
-    n_candidates = 0
-    for code in codes:
-        if code + 1 > n_candidates:
-            n_candidates = code + 1
 
-    masses, total = _vote_masses(codes, weights, n_candidates)
+    masses = [0.0] * (max(codes) + 1)
+    total = 0.0
+    pending_votable = 0.0
+    for code, weight in zip(codes, weights):
+        total += weight
+        if code >= 0:
+            masses[code] += weight
+            pending_votable += weight
+        elif code < -1:
+            raise ValueError("candidate code out of range")
     winner = -1
     best = 0.0
-    for candidate in range(n_candidates):
-        if masses[candidate] > best:
-            best = masses[candidate]
+    for candidate, mass in enumerate(masses):
+        if mass > best:
+            best = mass
             winner = candidate
     winner_share = best / total if winner >= 0 else 0.0
     accepted = winner_share >= tau
 
-    order = sorted(range(k), key=lambda i: (tokens[i], i))
-    pending_votable = 0.0
-    for i in range(k):
-        if codes[i] >= 0:
-            pending_votable += weights[i]
-
-    observed = [0.0] * n_candidates
+    observed = [0.0] * len(masses)
     max_observed = 0.0
     latency = 0
     stopped_early = False
-    for step, i in enumerate(order):
+    for step, i in enumerate(sorted(range(k), key=lambda i: (tokens[i], i))):
         code = codes[i]
         if code >= 0:
             pending_votable -= weights[i]
@@ -214,59 +149,37 @@ def cascade_vote(
             if observed[code] > max_observed:
                 max_observed = observed[code]
         latency = tokens[i]
-        if max_observed / total >= tau or (max_observed + pending_votable) / total < tau:
+        if accepted:
+            settled = max_observed / total >= tau
+        else:
+            settled = (max_observed + pending_votable) / total < tau
+        if settled:
             stopped_early = step < k - 1
             break
 
     return accepted, winner, winner_share, latency, stopped_early
 
 
-def tally_votes(
-    samples: Sequence[SampleRecord], alpha: float = DEFAULT_ALPHA
-) -> VoteTally:
-    """Tally the weighted votes of one question's samples."""
-    answers, codes, weights, _ = _encode(samples, alpha)
-    masses, total = _vote_masses(codes, weights, len(answers))
-    refusal_weight = 0.0
-    for code, weight in zip(codes, weights):
-        if code < 0:
-            refusal_weight += weight
-    return VoteTally(
-        answers=answers,
-        masses=tuple(masses),
-        total_weight=total,
-        refusal_weight=refusal_weight,
-    )
-
-
-def decide(tally: VoteTally, tau: float) -> CascadeDecision:
-    """Accept the strongest answer iff its share reaches ``tau``."""
-    answer, share = tally.best()
-    return CascadeDecision(accepted=share >= tau, answer=answer, share=share)
-
-
 def simulate_parallel(
     samples: Sequence[SampleRecord], tau: float, alpha: float = DEFAULT_ALPHA
-) -> tuple[CascadeDecision, int, bool]:
-    """Decision plus its latency under parallel sampling with early stop.
+) -> tuple[bool, str | None, float, int, bool]:
+    """One question's vote and its latency under parallel sampling.
 
     All samples launch together; completions land in ascending token
     order. Generation stops the moment the full-tally decision is
-    certain, so the returned decision always equals ``decide`` on the
-    complete tally and only the latency reflects the early stop.
+    certain, so only the latency reflects the early stop. The strongest
+    answer wins; ties go to the lexicographically smallest answer.
 
-    Returns ``(decision, latency_tokens, stopped_early)``.
+    Returns ``cascade_vote``'s tuple with the winner as its answer:
+    ``(accepted, answer, share, latency_tokens, stopped_early)``, where
+    ``answer`` is None when every sample refused.
     """
     answers, codes, weights, tokens = _encode(samples, alpha)
     accepted, winner, share, latency, stopped_early = cascade_vote(
         codes, weights, tokens, tau
     )
-    decision = CascadeDecision(
-        accepted=accepted,
-        answer=answers[winner] if winner >= 0 else None,
-        share=share,
-    )
-    return decision, latency, stopped_early
+    answer = answers[winner] if winner >= 0 else None
+    return accepted, answer, share, latency, stopped_early
 
 
 def select_samples(

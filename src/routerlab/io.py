@@ -127,13 +127,22 @@ def _object(
 def _objects(
     value: Any, cls: type, required: tuple[str, ...], source: str, name: str
 ) -> tuple[Any, ...]:
-    """One ``cls`` record per object of the JSON list in field ``name``."""
+    """One ``cls`` record per object of the JSON list in field ``name``.
+
+    Every error about an element, its shape or its values, starts with
+    the element's place, as in ``slm_samples[3]: ``.
+    """
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{name} must be a list")
-    return tuple(
-        cls(**_object(raw, cls, required, source, f"{name}[{index}]"))
-        for index, raw in enumerate(value)
-    )
+    records = []
+    for index, raw in enumerate(value):
+        place = f"{name}[{index}]"
+        kwargs = _object(raw, cls, required, source, place)
+        try:
+            records.append(cls(**kwargs))
+        except ValidationError as exc:
+            raise ValidationError(f"{place}: {exc}") from exc
+    return tuple(records)
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:

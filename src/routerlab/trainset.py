@@ -29,6 +29,9 @@ from .records import (
     PreferencePair,
     RefusalExample,
     ValidationError,
+    _as_bool,
+    _as_int,
+    _as_str,
     refusal_prompt,
 )
 
@@ -49,12 +52,10 @@ class ResponseSample:
     tokens: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text:
-            raise ValidationError(f"sample text must be a non-empty string, got {self.text!r}")
-        if not isinstance(self.correct, bool):
-            raise ValidationError(f"correct must be a boolean, got {self.correct!r}")
-        if isinstance(self.tokens, bool) or not isinstance(self.tokens, int) or self.tokens < 1:
-            raise ValidationError(f"tokens must be an integer >= 1, got {self.tokens!r}")
+        _as_str(self.text, "text")
+        _as_bool(self.correct, "correct")
+        if _as_int(self.tokens, "tokens") < 1:
+            raise ValidationError(f"tokens must be >= 1, got {self.tokens}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,8 @@ class TrainingQuestion:
     samples: tuple[ResponseSample, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"question id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.question, str) or not self.question:
-            raise ValidationError(f"question {self.id!r}: question text is required")
+        _as_str(self.id, "id")
+        _as_str(self.question, "question")
         samples = tuple(self.samples)
         if not samples:
             raise ValidationError(f"question {self.id!r} has no samples")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from routerlab.cascade import vote_weight
 from routerlab.io import SyntheticParams, generate_synthetic
 from routerlab.records import (
     DatasetProfile,
@@ -90,6 +91,28 @@ def sc_votes(answers, tokens=None):
         else:
             out.append(make_sample(ans, ans == "a", tok))
     return out
+
+
+def reference_vote(samples, alpha, tau):
+    """``(accepted, answer, share)`` of the weighted vote, tallied apart
+    from the cascade code.
+
+    Sums each answer's vote weight in sample order, puts refusal weight
+    in the total only, and breaks ties by the lowest answer. Untagged
+    samples vote with weight 1.0.
+    """
+    mass = {}
+    total = 0.0
+    for s in samples:
+        weight = 1.0 if s.confidence_level is None else vote_weight(s.confidence_level, alpha)
+        total += weight
+        if s.answer is not None:
+            mass[s.answer] = mass.get(s.answer, 0.0) + weight
+    if not mass:
+        return 0.0 >= tau, None, 0.0
+    answer = min(mass, key=lambda a: (-mass[a], a))
+    share = mass[answer] / total
+    return share >= tau, answer, share
 
 
 def uniform_cost_question(qid, n_correct, rng, input_tokens=120, sample_tokens=60):

@@ -12,13 +12,7 @@ from collections import Counter
 
 import pytest
 
-from routerlab.cascade import (
-    decide,
-    route_cascade,
-    simulate_parallel,
-    sweep_cascade,
-    tally_votes,
-)
+from routerlab.cascade import route_cascade, simulate_parallel, sweep_cascade
 from routerlab.io import SyntheticParams, generate_synthetic
 from routerlab.metrics import golden_curve, latency_report, toa, toa_from_points, togr
 from routerlab.prerouting import sweep_pre
@@ -38,7 +32,7 @@ from routerlab.trainset import (
     combined_loss,
 )
 
-from conftest import make_question, sc_votes, uniform_cost_question
+from conftest import make_question, reference_vote, sc_votes, uniform_cost_question
 
 PRICING = PricingSchedule()
 
@@ -170,9 +164,8 @@ def test_criterion_04_early_stop_is_an_oracle(acceptance_log):
         samples = _random_vote_samples(rng)
         alpha = rng.uniform(0.0, 1.2)
         tau = rng.choice([rng.random(), rng.randint(0, 10) / 10])
-        decision, latency, _ = simulate_parallel(samples, tau, alpha=alpha)
-        full = decide(tally_votes(samples, alpha), tau)
-        if decision != full:
+        accepted, answer, share, latency, _ = simulate_parallel(samples, tau, alpha=alpha)
+        if (accepted, answer, share) != reference_vote(samples, alpha, tau):
             mismatches += 1
         if latency > max(s.tokens for s in samples):
             latency_violations += 1
@@ -220,7 +213,7 @@ def test_criterion_05_uniform_weights_reduce_to_majority(acceptance_log):
                 )
             )
         alpha = 0.0 if flat_by_alpha else rng.uniform(0.0, 1.0)
-        voted, _ = tally_votes(samples, alpha).best()
+        _, voted, _, _, _ = simulate_parallel(samples, 0.0, alpha=alpha)
         if voted != _independent_majority(samples):
             mismatches += 1
     ok = mismatches == 0

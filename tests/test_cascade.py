@@ -8,12 +8,10 @@ from routerlab.cascade import (
     DEFAULT_ALPHA,
     DEFAULT_K,
     WEIGHT_ANCHOR,
-    decide,
     route_cascade,
     select_samples,
     simulate_parallel,
     sweep_cascade,
-    tally_votes,
     vote_weight,
 )
 from routerlab.costs import llm_question_cost
@@ -23,7 +21,7 @@ from routerlab.records import (
     ValidationError,
 )
 
-from conftest import make_ladder, make_question, make_sample, sc_votes
+from conftest import make_ladder, make_question, make_sample, reference_vote, sc_votes
 
 
 class TestVoteWeight:
@@ -58,85 +56,70 @@ class TestVoteWeight:
             vote_weight(0.1, 2.0)
 
 
+def vote(samples, tau=0.0, alpha=DEFAULT_ALPHA):
+    """``(accepted, answer, share)`` of ``simulate_parallel``."""
+    accepted, answer, share, _latency, _stopped = simulate_parallel(samples, tau, alpha)
+    return accepted, answer, share
+
+
 class TestTally:
     def test_equal_weight_share_oracle(self):
-        tally = tally_votes(sc_votes(["a", "a", "b", "c"]), alpha=DEFAULT_ALPHA)
-        assert tally.share("a") == 0.5
-        assert tally.total_weight == 4.0
-        assert tally.refusal_weight == 0.0
+        # 2 of 4 unit weights
+        assert vote(sc_votes(["a", "a", "b", "c"])) == (True, "a", 0.5)
 
     def test_refusals_dilute_every_share(self):
-        tally = tally_votes(sc_votes(["a", "a", None, "b"]), alpha=DEFAULT_ALPHA)
         # the refusal cannot vote but still sits in the denominator
-        assert tally.share("a") == 0.5
-        assert tally.refusal_weight == 1.0
+        assert vote(sc_votes(["a", "a", None, "b"])) == (True, "a", 0.5)
 
     def test_confidence_weights_applied(self):
         samples = [
             make_sample("a", True, 10, confidence=1.0),
             make_sample("b", False, 10, confidence=0.1),
         ]
-        tally = tally_votes(samples, alpha=0.5)
-        assert tally.share("a") == 0.775 / (0.775 + 0.325)
+        assert vote(samples, alpha=0.5) == (True, "a", 0.775 / (0.775 + 0.325))
 
     def test_best_breaks_ties_lexicographically(self):
-        tally = tally_votes(sc_votes(["b", "a"]), alpha=0.5)
-        answer, share = tally.best()
-        assert answer == "a"
-        assert share == 0.5
+        assert vote(sc_votes(["b", "a"])) == (True, "a", 0.5)
 
     def test_all_refusals(self):
-        tally = tally_votes(sc_votes([None, None]), alpha=0.5)
-        assert tally.best() == (None, 0.0)
-
-    def test_unknown_answer_share_is_zero(self):
-        tally = tally_votes(sc_votes(["a"]), alpha=0.5)
-        assert tally.share("z") == 0.0
+        assert vote(sc_votes([None, None])) == (True, None, 0.0)
 
 
 class TestDecide:
     def test_threshold_inclusive(self):
-        tally = tally_votes(sc_votes(["a", "a", "b", "c"]), alpha=0.5)
-        assert decide(tally, 0.5).accepted is True
-        assert decide(tally, 0.5000001).accepted is False
+        samples = sc_votes(["a", "a", "b", "c"])
+        assert vote(samples, 0.5)[0] is True
+        assert vote(samples, 0.5000001)[0] is False
 
     def test_accepted_answer(self):
-        tally = tally_votes(sc_votes(["a", "a", "b"]), alpha=0.5)
-        decision = decide(tally, 0.6)
-        assert decision.accepted is True
-        assert decision.answer == "a"
-        assert decision.share == 2.0 / 3.0
+        assert vote(sc_votes(["a", "a", "b"]), 0.6) == (True, "a", 2.0 / 3.0)
 
     def test_all_refusals_accept_only_at_tau_zero(self):
-        tally = tally_votes(sc_votes([None, None]), alpha=0.5)
-        assert decide(tally, 0.0).accepted is True
-        assert decide(tally, 0.0).answer is None
-        assert decide(tally, 0.1).accepted is False
+        samples = sc_votes([None, None])
+        assert vote(samples, 0.0) == (True, None, 0.0)
+        assert vote(samples, 0.1)[0] is False
 
 
 class TestSimulateParallel:
-    def test_matches_decide(self):
+    def test_matches_reference_vote(self):
         samples = sc_votes(["a", "a", "b", "c"], tokens=[10, 44, 20, 5])
-        decision, decision_latency_tokens, stopped = simulate_parallel(samples, 0.5, alpha=0.5)
-        full = decide(tally_votes(samples, 0.5), 0.5)
-        assert decision == full
-        assert decision_latency_tokens == 44
-        assert stopped is False
+        result = simulate_parallel(samples, 0.5, alpha=0.5)
+        assert result == (*reference_vote(samples, 0.5, 0.5), 44, False)
 
     def test_fcv_all_refuse_stops_at_first_completion(self):
         samples = [
             make_sample(tokens=t, confidence=1.0, refusal=True)
             for t in (9, 7, 12, 30, 8, 20, 11, 40, 15, 25)
         ]
-        decision, decision_latency_tokens, stopped = simulate_parallel(samples, 0.6, alpha=0.5)
-        assert decision.accepted is False
+        accepted, _, _, decision_latency_tokens, stopped = simulate_parallel(samples, 0.6, alpha=0.5)
+        assert accepted is False
         assert decision_latency_tokens == 7
         assert stopped is True
 
     def test_unanimous_stops_once_share_clears_tau(self):
         samples = sc_votes(["a", "a", "a"], tokens=[5, 9, 100])
-        decision, decision_latency_tokens, stopped = simulate_parallel(samples, 0.6, alpha=0.5)
-        assert decision.accepted is True
+        accepted, _, _, decision_latency_tokens, stopped = simulate_parallel(samples, 0.6, alpha=0.5)
+        assert accepted is True
         assert decision_latency_tokens == 9
         assert stopped is True
 
@@ -157,8 +140,10 @@ class TestSimulateParallel:
             )
         )
         samples = sc_votes(answers, tokens=tokens)
-        decision, decision_latency_tokens, stopped = simulate_parallel(samples, tau, alpha=0.5)
-        assert decision == decide(tally_votes(samples, 0.5), tau)
+        accepted, answer, share, decision_latency_tokens, stopped = simulate_parallel(
+            samples, tau, alpha=0.5
+        )
+        assert (accepted, answer, share) == reference_vote(samples, 0.5, tau)
         assert decision_latency_tokens <= max(tokens)
 
 

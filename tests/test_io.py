@@ -89,6 +89,12 @@ def with_field(line, name, value):
     return json.dumps(data)
 
 
+def with_sample_tokens(line, samples_field, index, tokens):
+    data = json.loads(line)
+    data[samples_field][index]["tokens"] = tokens
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "kind",
     [
@@ -99,6 +105,7 @@ def with_field(line, name, value):
         "missing_samples",
         "sample_not_an_object",
         "nested_list",
+        "bad_value",
         "not_utf8",
     ],
 )
@@ -124,6 +131,7 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         "missing_samples": without_field(make_line("q2"), samples_field),
         "sample_not_an_object": with_field(make_line("q2"), samples_field, [5]),
         "nested_list": with_field(make_line("q2"), *nested_list),
+        "bad_value": with_sample_tokens(make_line("q2"), samples_field, 1, 0),
         "not_utf8": make_line("q2").replace("q2", "q\xe9"),
     }[kind]
     path = tmp_path / "data.jsonl"
@@ -136,6 +144,8 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
     assert message.count(f"{path}:2") == 1
     if read is scan_dataset:
         assert message == first_problem(load_dataset, str(path))
+    if kind == "bad_value":
+        assert message == f"{path}:2: {samples_field}[1]: tokens must be >= 1, got 0"
 
 
 class TestLoadDataset:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routerlab import cascade
@@ -19,24 +19,29 @@ class TestVoteMasses:
         # two A votes (1.0 + 0.55), one B (0.775), one refusal (0.325)
         codes = [0, 0, 1, -1]
         weights = [1.0, 0.55, 0.775, 0.325]
-        masses, total = mod._vote_masses(codes, weights, 2)
-        assert list(masses) == [1.0 + 0.55, 0.775]
-        assert total == ((1.0 + 0.55) + 0.775) + 0.325
+        _, winner, share, _, _ = mod.cascade_vote(codes, weights, [1, 2, 3, 4], 0.0)
+        assert winner == 0
+        assert share == (1.0 + 0.55) / (((1.0 + 0.55) + 0.775) + 0.325)
+        # the B vote outweighs A once A's first vote becomes a refusal
+        _, winner, share, _, _ = mod.cascade_vote([-1, 0, 1, -1], weights, [1, 2, 3, 4], 0.0)
+        assert winner == 1
+        assert share == 0.775 / (((1.0 + 0.55) + 0.775) + 0.325)
 
     def test_refusal_inflates_denominator_only(self, mod):
-        masses, total = mod._vote_masses([0, -1], [1.0, 1.0], 1)
-        assert list(masses) == [1.0]
-        assert total == 2.0
+        _, winner, share, _, _ = mod.cascade_vote([0, -1], [1.0, 1.0], [1, 2], 0.0)
+        assert (winner, share) == (0, 0.5)
 
     def test_length_mismatch_rejected(self, mod):
         with pytest.raises(ValueError):
-            mod._vote_masses([0, 1], [1.0], 2)
+            mod.cascade_vote([0, 1], [1.0], [1, 2], 0.5)
+        with pytest.raises(ValueError):
+            mod.cascade_vote([0, 1], [1.0, 1.0], [1], 0.5)
 
     def test_code_out_of_range_rejected(self, mod):
         with pytest.raises(ValueError):
-            mod._vote_masses([2], [1.0], 2)
+            mod.cascade_vote([-2], [1.0], [1], 0.5)
         with pytest.raises(ValueError):
-            mod._vote_masses([-2], [1.0], 2)
+            mod.cascade_vote([0, -2], [1.0, 1.0], [1, 2], 0.5)
 
 
 @pytest.mark.parametrize("mod", IMPLEMENTATIONS)
@@ -119,6 +124,17 @@ class TestCascadeVote:
         with pytest.raises(ValueError):
             mod.cascade_vote([], [], [], 0.5)
 
+    def test_exact_tie_accept_waits_for_its_own_test(self, mod):
+        # The full tally gives candidate 1 exactly 2.2 / 5.5 = 0.4 = tau, an
+        # accept. In completion order, its observed plus pending mass after
+        # token 32 rounds just below 2.2, so the reject test would fire
+        # there; the walk must go on until the accept itself is certain.
+        weights = [cascade.vote_weight(level / 10, 1.0) for level in range(1, 11)]
+        codes = [0, 1, -1, -1, 1, 2, 1, 1, 3, 0]
+        tokens = [15, 3, 17, 8, 25, 24, 32, 34, 10, 14]
+        result = mod.cascade_vote(codes, weights, tokens, 0.4)
+        assert result == (True, 1, 0.4, 34, False)
+
 
 @st.composite
 def vote_configs(draw):
@@ -157,7 +173,13 @@ class TestWalkProperties:
     @settings(max_examples=300, deadline=None)
     def test_walk_never_changes_the_decision(self, config):
         codes, weights, tokens, n_candidates, tau = config
-        masses, total = cascade._vote_masses(codes, weights, n_candidates)
+        # the full tally, summed in sample order
+        masses = [0.0] * n_candidates
+        total = 0.0
+        for code, weight in zip(codes, weights):
+            total += weight
+            if code >= 0:
+                masses[code] += weight
         full_accept = max(masses) / total >= tau
         accepted, _, _, _, _ = cascade.cascade_vote(codes, weights, tokens, tau)
         assert accepted == full_accept
@@ -173,3 +195,53 @@ class TestWalkProperties:
             first = cascade.cascade_vote(codes, weights, tokens, tau)
             second = cascade.cascade_vote(codes, weights, tokens, tau)
             assert first == second
+
+
+# The sweep grid 0:1:0.05, as the CLI builds it.
+FINE_TAUS = [round(i * 0.05, 9) for i in range(21)]
+
+
+@st.composite
+def rcv_ladder_votes(draw):
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    codes = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=10, max_size=10))
+    # distinct lengths, so the completions up to the stop are exactly
+    # those no longer than the reported latency
+    tokens = draw(
+        st.lists(st.integers(min_value=1, max_value=60), min_size=10, max_size=10, unique=True)
+    )
+    tau = draw(st.sampled_from(FINE_TAUS))
+    return alpha, codes, tokens, tau
+
+
+class TestEarlyStopAgreesWithDecision:
+    """An early stop is only taken once the decision it times is certain."""
+
+    # Exact ties between a share and tau, where the completion-order sums
+    # round across tau: two accepts and a reject.
+    @example((0.5, [2, 0, 2, 2, 1, 2, 0, 2, -1, -1], [18, 22, 58, 53, 2, 55, 44, 11, 8, 3], 0.45))
+    @example((1.0, [3, 1, -1, 0, 3, 3, 2, 1, 2, 3], [60, 4, 27, 14, 7, 36, 28, 45, 39, 16], 0.4))
+    @example((0.5, [0, 1, -1, 1, 0, -1, 0, 1, 1, 1], [56, 40, 28, 3, 59, 57, 36, 58, 44, 32], 0.55))
+    @given(rcv_ladder_votes())
+    @settings(max_examples=1000, deadline=None)
+    def test_stop_test_matches_the_decision(self, config):
+        alpha, codes, tokens, tau = config
+        weights = [cascade.vote_weight(level / 10, alpha) for level in range(1, 11)]
+        accepted, _, _, latency, stopped = cascade.cascade_vote(codes, weights, tokens, tau)
+        if not stopped:
+            return
+        total = sum(weights)
+        observed = {}
+        pending = 0.0
+        for code, weight, length in zip(codes, weights, tokens):
+            if code < 0:
+                continue
+            if length <= latency:
+                observed[code] = observed.get(code, 0.0) + weight
+            else:
+                pending += weight
+        best = max(observed.values(), default=0.0)
+        if accepted:
+            assert best / total >= tau - 1e-12
+        else:
+            assert (best + pending) / total < tau + 1e-12
