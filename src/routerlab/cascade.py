@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .costs import _sweep_points, llm_quality, llm_question_cost, slm_question_cost
+from .costs import _sweep_result, llm_quality, llm_question_cost, slm_question_cost
 from .records import (
     DEFAULT_TAUS,
     SCHEMES,
     DatasetProfile,
-    OutcomesByTau,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
@@ -224,37 +223,9 @@ def route_cascade(
     assume_perfect: bool = False,
 ) -> RoutingOutcome:
     """Route one question through the cascade at threshold ``tau``."""
-    prepared = _prepare(question, scheme, k, alpha, profile, pricing, assume_perfect)
-    return _outcome_at(prepared, tau)
-
-
-# Everything a question contributes to a sweep at any threshold, as one
-# tuple: (id, codes, weights, tokens, answers, correct_by_code, slm_cost,
-# llm_cost, route_quality).
-def _prepare(
-    question: QuestionRecord,
-    scheme: str,
-    k: int,
-    alpha: float,
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    assume_perfect: bool,
-) -> tuple:
-    samples = select_samples(question, scheme, k)
-    answers, codes, weights, tokens = _encode(samples, alpha)
-    correct_of = {}
-    for sample in samples:
-        if sample.answer is not None:
-            correct_of.setdefault(sample.answer, sample.correct)
-    correct_by_code = tuple(correct_of[answer] for answer in answers)
-    slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
-    llm_cost = llm_question_cost(question, profile, pricing)
-    route_quality = llm_quality(question, assume_perfect)
-    return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality)
-
-
-def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
-    qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality = prepared
+    qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality = (
+        _prepare(question, scheme, k, alpha, profile, pricing, assume_perfect)
+    )
     accepted, winner, _share, latency, _stopped = cascade_vote(
         codes, weights, tokens, tau
     )
@@ -287,6 +258,31 @@ def _outcome_at(prepared: tuple, tau: float) -> RoutingOutcome:
     )
 
 
+# Everything a question contributes to a sweep at any threshold, as one
+# tuple: (id, codes, weights, tokens, answers, correct_by_code, slm_cost,
+# llm_cost, route_quality).
+def _prepare(
+    question: QuestionRecord,
+    scheme: str,
+    k: int,
+    alpha: float,
+    profile: DatasetProfile,
+    pricing: PricingSchedule,
+    assume_perfect: bool,
+) -> tuple:
+    samples = select_samples(question, scheme, k)
+    answers, codes, weights, tokens = _encode(samples, alpha)
+    correct_of = {}
+    for sample in samples:
+        if sample.answer is not None:
+            correct_of.setdefault(sample.answer, sample.correct)
+    correct_by_code = tuple(correct_of[answer] for answer in answers)
+    slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
+    llm_cost = llm_question_cost(question, profile, pricing)
+    route_quality = llm_quality(question, assume_perfect)
+    return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality)
+
+
 def _sweep_columns(prepared: tuple) -> tuple[float, str, float, float, float, float]:
     """Engine row of one prepared question, scored by its full-tally winner share.
 
@@ -314,23 +310,19 @@ def sweep_cascade(
     """Evaluate the cascade across a threshold grid.
 
     Returns the trade-off curve bracketed by the two reference points
-    (all-SLM first, all-LLM last) plus the outcomes per threshold, built
-    with their early-stop latencies on first read. The all-SLM point
-    accepts every vote (it equals the grid at tau=0); the all-LLM point
-    skips sampling entirely.
+    (all-SLM first, all-LLM last) and its assume-perfect twin, both read
+    off one row per question. The all-SLM point accepts every vote (it
+    equals the grid at tau=0); the all-LLM point skips sampling entirely.
+    A sweep carries no latencies; ``route_cascade`` gives them at one
+    threshold.
     """
     taus = normalize_taus(taus)
     questions = tuple(questions)
     if not questions:
         raise ValidationError("cannot sweep an empty dataset")
 
-    prepared = tuple(
-        _prepare(q, scheme, k, alpha, profile, pricing, assume_perfect)
+    rows = [
+        _sweep_columns(_prepare(q, scheme, k, alpha, profile, pricing, assume_perfect))
         for q in questions
-    )
-    points = _sweep_points(map(_sweep_columns, prepared), profile, pricing, taus)
-
-    def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
-        return tuple(_outcome_at(p, tau) for p in prepared)
-
-    return SweepResult(points=tuple(points), outcomes_by_tau=OutcomesByTau(taus, outcomes_at))
+    ]
+    return _sweep_result(rows, profile, pricing, taus, assume_perfect)

@@ -8,6 +8,8 @@ success, 1 when data fails validation or a computation is undefined,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .cascade import DEFAULT_ALPHA, DEFAULT_K, sweep_cascade
+from .cascade import DEFAULT_ALPHA, DEFAULT_K, route_cascade, sweep_cascade
 from .io import (
     SyntheticParams,
     generate_synthetic,
@@ -224,7 +226,16 @@ def _cmd_sweep(args) -> int:
     questions, profile = load_dataset(args.dataset)
     pricing = load_pricing(args.pricing) if args.pricing else PricingSchedule()
 
-    result = _run_sweep(args, questions, profile, pricing, args.assume_perfect)
+    if args.mode == "pre":
+        result = sweep_pre(
+            questions, profile, pricing, args.taus, args.score_source,
+            assume_perfect=args.assume_perfect,
+        )
+    else:
+        result = sweep_cascade(
+            questions, profile, pricing, args.taus, args.scheme, args.k, args.alpha,
+            assume_perfect=args.assume_perfect,
+        )
     curves = {"curve.csv": result.points}
     toa_value = toa_from_points(result.points)
     toa100_value = toa_value if args.assume_perfect else None
@@ -233,18 +244,21 @@ def _cmd_sweep(args) -> int:
     if args.golden:
         golden_points = golden_curve(questions, profile, pricing)
         curves["golden.csv"] = golden_points
-        perfect_points = result.points
         if not args.assume_perfect:
-            perfect_points = _run_sweep(args, questions, profile, pricing, True).points
-            curves["curve_perfect.csv"] = perfect_points
-            toa100_value = toa_from_points(perfect_points)
-        togr_value = togr(perfect_points, golden_points)
+            curves["curve_perfect.csv"] = result.perfect_points
+            toa100_value = toa_from_points(result.perfect_points)
+        togr_value = togr(result.perfect_points, golden_points)
 
+    agl_value = arol_value = 0.0
     if latency_tau is not None:
-        latencies = latency_report(result.outcomes_by_tau[latency_tau])
+        latencies = latency_report(
+            route_cascade(
+                q, latency_tau, profile, pricing, args.scheme, args.k, args.alpha,
+                assume_perfect=args.assume_perfect,
+            )
+            for q in questions
+        )
         agl_value, arol_value = latencies.agl, latencies.arol
-    else:
-        agl_value, arol_value = 0.0, 0.0
 
     report = MetricsReport(
         toa=toa_value,
@@ -254,12 +268,11 @@ def _cmd_sweep(args) -> int:
         toa100=toa100_value,
         togr=togr_value,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, points in curves.items():
-        write_curve(points, os.path.join(args.out_dir, name))
+    artifacts = {name: (write_curve, points) for name, points in curves.items()}
+    artifacts["metrics.json"] = (write_metrics, report)
+    _write_artifacts(args.out_dir, artifacts)
     curve_path = os.path.join(args.out_dir, "curve.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.json")
-    write_metrics(report, metrics_path)
 
     print(
         f"swept {len(questions)} questions, mode={args.mode}, "
@@ -275,27 +288,31 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _run_sweep(args, questions, profile, pricing, assume_perfect: bool):
-    """The policy sweep ``args`` selects, in actual or assume-perfect mode."""
-    if args.mode == "pre":
-        return sweep_pre(
-            questions,
-            profile,
-            pricing,
-            taus=args.taus,
-            score_source=args.score_source,
-            assume_perfect=assume_perfect,
-        )
-    return sweep_cascade(
-        questions,
-        profile,
-        pricing,
-        taus=args.taus,
-        scheme=args.scheme,
-        k=args.k,
-        alpha=args.alpha,
-        assume_perfect=assume_perfect,
-    )
+def _write_artifacts(out_dir: str, artifacts: dict) -> None:
+    """Write every artifact into ``out_dir``, or none of them.
+
+    ``artifacts`` maps a file name to ``(write, content)``. Each is written
+    to a temporary name in ``out_dir`` with ``write(content, path)``; all
+    are renamed into place once every write has succeeded, and removed if
+    one fails. A target that is a directory fails before any write.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for path in (os.path.join(out_dir, name) for name in artifacts):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    renames = []
+    try:
+        for name, (write, content) in artifacts.items():
+            temporary = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            renames.append((temporary, os.path.join(out_dir, name)))
+            write(content, temporary)
+        for temporary, path in renames:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in renames:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+        raise
 
 
 def _grid_tau(taus, requested: float) -> float:
@@ -335,11 +352,12 @@ def _cmd_build(args) -> int:
         for example in build_refusal_examples(question, seed)
     ]
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    _write_artifacts(
+        args.out_dir,
+        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (write_refusal_examples, refusals)},
+    )
     pairs_path = os.path.join(args.out_dir, "pairs.jsonl")
     refusal_path = os.path.join(args.out_dir, "refusal.jsonl")
-    write_pairs(pairs, pairs_path)
-    write_refusal_examples(refusals, refusal_path)
     print(
         f"built {len(pairs)} preference pair(s) from {len(corpus)} question(s) "
         f"({len(corpus) - len(pairs)} without a qualifying pair)"

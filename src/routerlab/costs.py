@@ -18,6 +18,7 @@ from .records import (
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
+    SweepResult,
     ValidationError,
 )
 
@@ -147,6 +148,7 @@ def _sweep_points(
     profile: DatasetProfile,
     pricing: PricingSchedule,
     taus: Sequence[float] | None = None,
+    perfect: bool = False,
 ) -> list[CurvePoint]:
     """Curve points of a policy that routes exactly the questions scoring below tau.
 
@@ -164,6 +166,10 @@ def _sweep_points(
     lowest scores. The last point, labelled ``llm_only``, routes every
     question without a small-model pass, so its cost is the denominator
     itself, 1.0, and its performance is the mean route quality.
+
+    With ``perfect``, every routed question scores 1.0 whatever its row
+    says: the assume-perfect curve of the same rows. ``range(n + 1)``
+    holds exactly the prefix sums of n 1.0s.
     """
     rows = sorted(columns)
     ids = tuple(sorted(row[1] for row in rows))
@@ -175,7 +181,7 @@ def _sweep_points(
     n = len(rows)
     _, _, keep_costs, keep_qualities, route_costs, route_qualities = zip(*rows)
     route_cost = list(accumulate(route_costs, initial=0.0))
-    route_quality = list(accumulate(route_qualities, initial=0.0))
+    route_quality = range(n + 1) if perfect else list(accumulate(route_qualities, initial=0.0))
     keep_cost = list(accumulate(reversed(keep_costs), initial=0.0))[::-1]
     keep_quality = list(accumulate(reversed(keep_qualities), initial=0.0))[::-1]
     denominator = total_llm_cost(profile, pricing)
@@ -199,6 +205,21 @@ def _sweep_points(
         CurvePoint(cost=1.0, performance=route_quality[n] / n, label="llm_only", n_routed=n)
     )
     return points
+
+
+def _sweep_result(
+    rows: list[tuple[float, str, float, float, float, float]],
+    profile: DatasetProfile,
+    pricing: PricingSchedule,
+    taus: Sequence[float],
+    assume_perfect: bool,
+) -> SweepResult:
+    """A policy's curve and its assume-perfect twin, both from ``rows``;
+    rows built under ``assume_perfect`` give one curve for both."""
+    points = tuple(_sweep_points(rows, profile, pricing, taus))
+    if assume_perfect:
+        return SweepResult(points, points)
+    return SweepResult(points, tuple(_sweep_points(rows, profile, pricing, taus, perfect=True)))
 
 
 def _check_coverage(

@@ -240,9 +240,12 @@ def read_curve(path: str) -> tuple[CurvePoint, ...]:
     """Read a curve CSV back into points (at the file's precision)."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DatasetError(f"{path}:{reader.line_num}: {exc}") from exc
     header = rows[0] if rows else None
     if header is None or tuple(header) != CURVE_HEADER:
         raise DatasetError(

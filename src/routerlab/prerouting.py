@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .costs import (
-    _sweep_points,
+    _sweep_result,
     llm_quality,
     llm_question_cost,
     mean_sample_correct,
@@ -24,7 +24,6 @@ from .records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
     DatasetProfile,
-    OutcomesByTau,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
@@ -84,18 +83,23 @@ def route_pre(
     score_source: str = "pre",
     assume_perfect: bool = False,
 ) -> RoutingOutcome:
-    """Route one question at threshold ``tau``."""
-    if question_score(question, score_source) < tau:
-        return _escalated(question, profile, pricing, assume_perfect)
-    return _kept(question, pricing)
+    """Route one question at threshold ``tau``.
 
-
-def _kept(question: QuestionRecord, pricing: PricingSchedule) -> RoutingOutcome:
-    """Outcome when the question stays on the small model.
-
-    Quality and cost average over all stored samples, so the simulated
-    deployment answers with a typical single draw.
+    A routed question goes to the large model before sampling. A kept
+    one is scored and charged as the mean over all stored samples, so the
+    simulated deployment answers with a typical single draw.
     """
+    if question_score(question, score_source) < tau:
+        return RoutingOutcome(
+            question_id=question.id,
+            mode="pre",
+            routed=True,
+            quality=llm_quality(question, assume_perfect),
+            slm_cost=0.0,
+            llm_cost=llm_question_cost(question, profile, pricing),
+            decision_latency_tokens=0,
+            accepted_answer=None,
+        )
     return RoutingOutcome(
         question_id=question.id,
         mode="pre",
@@ -105,25 +109,6 @@ def _kept(question: QuestionRecord, pricing: PricingSchedule) -> RoutingOutcome:
         llm_cost=0.0,
         decision_latency_tokens=0,
         accepted_answer=majority_answer(question.slm_samples),
-    )
-
-
-def _escalated(
-    question: QuestionRecord,
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    assume_perfect: bool,
-) -> RoutingOutcome:
-    """Outcome when the question goes to the large model before sampling."""
-    return RoutingOutcome(
-        question_id=question.id,
-        mode="pre",
-        routed=True,
-        quality=llm_quality(question, assume_perfect),
-        slm_cost=0.0,
-        llm_cost=llm_question_cost(question, profile, pricing),
-        decision_latency_tokens=0,
-        accepted_answer=None,
     )
 
 
@@ -137,8 +122,8 @@ def _pre_row(
     """Engine row of one question under pre-generation routing.
 
     Kept, it costs a mean-length SLM pass and scores its mean sample
-    accuracy, as ``_kept``; routed, it costs and scores what the large
-    model gives it, as ``_escalated``.
+    accuracy; routed, it costs and scores what the large model gives it;
+    both as in ``route_pre``.
     """
     return (
         score,
@@ -161,8 +146,8 @@ def sweep_pre(
     """Evaluate pre-generation routing across a threshold grid.
 
     Returns the trade-off curve bracketed by the two reference points
-    (all-SLM first, all-LLM last) plus the outcomes per threshold, built
-    on first read.
+    (all-SLM first, all-LLM last) and its assume-perfect twin, both read
+    off one row per question.
     """
     taus = normalize_taus(taus)
     questions = tuple(questions)
@@ -170,20 +155,8 @@ def sweep_pre(
         raise ValidationError("cannot sweep an empty dataset")
 
     scores = [question_score(q, score_source) for q in questions]
-    points = _sweep_points(
-        (
-            _pre_row(q, score, profile, pricing, assume_perfect)
-            for q, score in zip(questions, scores)
-        ),
-        profile,
-        pricing,
-        taus,
-    )
-
-    def outcomes_at(tau: float) -> tuple[RoutingOutcome, ...]:
-        return tuple(
-            _escalated(q, profile, pricing, assume_perfect) if score < tau else _kept(q, pricing)
-            for q, score in zip(questions, scores)
-        )
-
-    return SweepResult(points=tuple(points), outcomes_by_tau=OutcomesByTau(taus, outcomes_at))
+    rows = [
+        _pre_row(q, score, profile, pricing, assume_perfect)
+        for q, score in zip(questions, scores)
+    ]
+    return _sweep_result(rows, profile, pricing, taus, assume_perfect)

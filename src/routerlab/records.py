@@ -8,8 +8,8 @@ record instance it holds is well formed. All records are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 
 class ValidationError(ValueError):
@@ -79,7 +79,7 @@ def refusal_prompt_prefix(threshold: float) -> str:
 def _as_float(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    number = float(value)
+    number = _to_float(value, name)
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return number
@@ -88,7 +88,17 @@ def _as_float(value: Any, name: str) -> float:
 def _as_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    _to_float(value, name)  # costs and means are float arithmetic
     return value
+
+
+def _to_float(value: int | float, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} is too large for a float, got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 def _as_bool(value: Any, name: str) -> bool:
@@ -432,7 +442,7 @@ class MetricsReport:
     """Scalar evaluation results for one routing configuration.
 
     ``toa100`` and ``togr`` are None when the run did not include the
-    assume-perfect rerun or the golden reference. The derived gains are
+    assume-perfect curve or the golden reference. The derived gains are
     exposed as properties so they can never drift from their areas.
     """
 
@@ -553,40 +563,13 @@ class RefusalExample:
         }
 
 
-class OutcomesByTau(Mapping):
-    """Read-only ``tau -> outcomes`` mapping over a sweep's grid.
-
-    ``build(tau)`` makes one threshold's per-question outcomes; it runs
-    on the first read of that threshold, and the result is kept, so a
-    caller pays only for the thresholds it reads.
-    """
-
-    def __init__(
-        self,
-        taus: Iterable[float],
-        build: Callable[[float], tuple[RoutingOutcome, ...]],
-    ) -> None:
-        self._taus = tuple(taus)
-        self._build = build
-        self._built: dict[float, tuple[RoutingOutcome, ...]] = {}
-
-    def __getitem__(self, tau: float) -> tuple[RoutingOutcome, ...]:
-        if tau not in self._built:
-            if tau not in self._taus:
-                raise KeyError(tau)
-            self._built[tau] = self._build(tau)
-        return self._built[tau]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._taus)
-
-    def __len__(self) -> int:
-        return len(self._taus)
-
-
 @dataclass(frozen=True)
 class SweepResult:
-    """Curve points plus the per-threshold outcomes that produced them."""
+    """A sweep's curve and its assume-perfect twin.
+
+    ``perfect_points`` is the same sweep with every routed question
+    scoring 1.0; it is ``points`` itself when the sweep assumed that.
+    """
 
     points: tuple[CurvePoint, ...]
-    outcomes_by_tau: Mapping[float, tuple[RoutingOutcome, ...]] = field(default_factory=dict)
+    perfect_points: tuple[CurvePoint, ...]

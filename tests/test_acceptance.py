@@ -451,22 +451,22 @@ def test_criterion_10_end_to_end_sanity(acceptance_log):
         400, seed=777, params=SyntheticParams(scheme="fcv", easy_fraction=0.25)
     )
     fcv_profile = DatasetProfile.from_questions(fcv_questions)
-    fcv_sweep = sweep_cascade(
-        fcv_questions, fcv_profile, PRICING, scheme="fcv", taus=[0.6]
-    )
-    fcv_arol = latency_report(fcv_sweep.outcomes_by_tau[0.6]).arol
+    fcv_outcomes = [
+        route_cascade(q, 0.6, fcv_profile, PRICING, scheme="fcv") for q in fcv_questions
+    ]
+    fcv_arol = latency_report(fcv_outcomes).arol
 
     sc_questions = generate_synthetic(
         400, seed=777, params=SyntheticParams(scheme="sc", easy_fraction=0.25)
     )
     sc_profile = DatasetProfile.from_questions(sc_questions)
-    sc_sweep = sweep_cascade(
-        sc_questions, sc_profile, PRICING, scheme="sc", taus=[0.6]
-    )
-    sc_arol = latency_report(sc_sweep.outcomes_by_tau[0.6]).arol
+    sc_outcomes = [
+        route_cascade(q, 0.6, sc_profile, PRICING, scheme="sc") for q in sc_questions
+    ]
+    sc_arol = latency_report(sc_outcomes).arol
 
-    fcv_rejected = sum(1 for o in fcv_sweep.outcomes_by_tau[0.6] if o.routed)
-    sc_rejected = sum(1 for o in sc_sweep.outcomes_by_tau[0.6] if o.routed)
+    fcv_rejected = sum(1 for o in fcv_outcomes if o.routed)
+    sc_rejected = sum(1 for o in sc_outcomes if o.routed)
     elapsed = time.perf_counter() - start
 
     ok = (

@@ -297,5 +297,5 @@ class TestSweepCascade:
 
     def test_latencies_positive(self, synth_rcv, pricing):
         questions, profile = synth_rcv
-        sweep = sweep_cascade(questions, profile, pricing, taus=[0.6])
-        assert all(o.decision_latency_tokens >= 1 for o in sweep.outcomes_by_tau[0.6])
+        outcomes = [route_cascade(q, 0.6, profile, pricing) for q in questions]
+        assert all(o.decision_latency_tokens >= 1 for o in outcomes)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from routerlab import __version__
+from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import load_dataset
 
@@ -39,6 +39,13 @@ def corpus(tmp_path):
         rows.append({"id": f"t{i}", "question": f"Question {i}?", "samples": samples})
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     return path
+
+
+def fail_write(content, path):
+    """A writer that fails halfway, leaving a partial file behind."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("partial")
+    raise OSError(f"disk full while writing {path}")
 
 
 class TestValidate:
@@ -248,7 +255,80 @@ class TestSweep:
         assert code == 0
 
 
+    @pytest.mark.parametrize("where", ["dataset", "pricing"])
+    def test_huge_integer_rejected(self, dataset, tmp_path, capsys, where):
+        huge = 10**400
+        prices = {"slm_in": 0.02, "slm_out": 0.08, "llm_in": 0.275, "llm_out": 1.1}
+        if where == "dataset":
+            lines = dataset.read_text().splitlines()
+            first = json.loads(lines[0])
+            first["input_tokens"] = huge
+            lines[0] = json.dumps(first)
+            dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = f"{dataset}:1: input_tokens is too large for a float"
+        else:
+            prices["slm_in"] = huge
+            expected = "slm_in is too large for a float"
+        pricing = tmp_path / "pricing.json"
+        pricing.write_text(json.dumps(prices), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        code, out, err = run(
+            ["sweep", str(dataset), "--mode", "pre", "--pricing", str(pricing),
+             "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert expected in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_assume_perfect_needs_no_llm_record(self, dataset, tmp_path, capsys):
+        lines = dataset.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["llm"] = None
+        lines[0] = json.dumps(first)
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["sweep", str(dataset), "--mode", "cascade", "--golden"]
+        code, out, err = run(argv + ["--assume-perfect", "--out-dir", str(tmp_path / "p")], capsys)
+        assert code == 0
+        assert (tmp_path / "p" / "golden.csv").is_file()
+        code, out, err = run(argv + ["--out-dir", str(tmp_path / "a")], capsys)
+        assert code == 1
+        assert f"question {first['id']!r} has no llm record" in err
+
+    @pytest.mark.parametrize("failure", ["write_error", "target_is_a_directory"])
+    def test_failed_write_leaves_no_artifact(self, dataset, tmp_path, capsys, monkeypatch, failure):
+        out_dir = tmp_path / "run"
+        if failure == "write_error":
+            monkeypatch.setattr(cli, "write_metrics", fail_write)
+            left = []
+        else:
+            (out_dir / "metrics.json").mkdir(parents=True)
+            left = ["metrics.json"]
+        code, out, err = run(
+            ["sweep", str(dataset), "--mode", "cascade", "--golden", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert "error: " in err
+        assert sorted(p.name for p in out_dir.iterdir()) == left
+
+
 class TestBuild:
+    @pytest.mark.parametrize("failure", ["write_error", "target_is_a_directory"])
+    def test_failed_write_leaves_no_artifact(self, corpus, tmp_path, capsys, monkeypatch, failure):
+        out_dir = tmp_path / "train"
+        if failure == "write_error":
+            monkeypatch.setattr(cli, "write_refusal_examples", fail_write)
+            left = []
+        else:
+            (out_dir / "refusal.jsonl").mkdir(parents=True)
+            left = ["refusal.jsonl"]
+        code, out, err = run(["build", str(corpus), "--out-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert "error: " in err
+        assert sorted(p.name for p in out_dir.iterdir()) == left
+
     def test_outputs(self, corpus, tmp_path, capsys):
         out_dir = tmp_path / "train"
         code, out, err = run(

@@ -89,6 +89,9 @@ def with_field(line, name, value):
     return json.dumps(data)
 
 
+HUGE = 10**400  # float() overflows on it
+
+
 def with_sample_tokens(line, samples_field, index, tokens):
     data = json.loads(line)
     data[samples_field][index]["tokens"] = tokens
@@ -106,6 +109,7 @@ def with_sample_tokens(line, samples_field, index, tokens):
         "sample_not_an_object",
         "nested_list",
         "bad_value",
+        "huge_int",
         "not_utf8",
     ],
 )
@@ -132,6 +136,13 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         "sample_not_an_object": with_field(make_line("q2"), samples_field, [5]),
         "nested_list": with_field(make_line("q2"), *nested_list),
         "bad_value": with_sample_tokens(make_line("q2"), samples_field, 1, 0),
+        # A 400-digit integer: in input_tokens for load_dataset, in a
+        # sample's tokens for the other two readers.
+        "huge_int": (
+            with_field(make_line("q2"), "input_tokens", HUGE)
+            if read is load_dataset
+            else with_sample_tokens(make_line("q2"), samples_field, 1, HUGE)
+        ),
         "not_utf8": make_line("q2").replace("q2", "q\xe9"),
     }[kind]
     path = tmp_path / "data.jsonl"
@@ -146,6 +157,9 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         assert message == first_problem(load_dataset, str(path))
     if kind == "bad_value":
         assert message == f"{path}:2: {samples_field}[1]: tokens must be >= 1, got 0"
+    if kind == "huge_int":
+        field = "input_tokens" if read is load_dataset else f"{samples_field}[1]: tokens"
+        assert message == f"{path}:2: {field} is too large for a float, got an integer of 1329 bits"
 
 
 class TestLoadDataset:
@@ -247,6 +261,13 @@ class TestPricingFile:
         with pytest.raises(DatasetError, match="slm_out"):
             load_pricing(str(path))
 
+    def test_huge_integer_rejected(self, tmp_path):
+        path = tmp_path / "pricing.json"
+        prices = {"slm_in": HUGE, "slm_out": 0.08, "llm_in": 0.275, "llm_out": 1.1}
+        path.write_text(json.dumps(prices), encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"pricing\.json: slm_in is too large for a float"):
+            load_pricing(str(path))
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "pricing.json"
         path.write_bytes(b'{"slm_in": 0.02, "note": "caf\xe9"}')
@@ -298,6 +319,16 @@ class TestCurveCsv:
             "tau,cost,performance,n_routed\n0.5,-1.0,0.5,0\n", encoding="utf-8"
         )
         with pytest.raises(DatasetError, match=r"curve\.csv:2"):
+            read_curve(str(path))
+
+    def test_cell_over_the_csv_field_limit_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(
+            "tau,cost,performance,n_routed\nslm_only,0.1,0.5,0\n"
+            f"0.5,{'1' * 131073},0.5,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"curve\.csv:3: field larger than field limit"):
             read_curve(str(path))
 
     def test_non_utf8_rejected(self, tmp_path):

@@ -167,12 +167,6 @@ class TestSweepPre:
         counts = [p.n_routed for p in sweep.points[1:-1]]
         assert counts == sorted(counts)
 
-    def test_outcomes_keyed_by_tau(self, synth_rcv, pricing):
-        questions, profile = synth_rcv
-        sweep = sweep_pre(questions, profile, pricing, taus=[0.3, 0.7])
-        assert set(sweep.outcomes_by_tau) == {0.3, 0.7}
-        assert len(sweep.outcomes_by_tau[0.3]) == len(questions)
-
     def test_refusal_source(self, synth_rcv, pricing):
         questions, profile = synth_rcv
         sweep = sweep_pre(questions, profile, pricing, score_source="refusal")

@@ -87,18 +87,29 @@ def assert_ends_at_llm_only(points, questions, assume_perfect):
         assert end.performance == sum(q.llm.correct for q in questions) / len(questions)
 
 
-def assert_matches_oracle(sweep, questions, profile, route, normalize, assume_perfect):
+def assert_curve_matches_oracle(points, questions, profile, route, normalize, assume_perfect):
     """Every grid point, and the slm_only point (nothing routes at tau=0),
-    equals the per-question oracle; every threshold's outcomes too."""
-    assert_ends_at_llm_only(sweep.points, questions, assume_perfect)
-    for point in sweep.points[:-1]:
+    equals the per-question oracle."""
+    assert_ends_at_llm_only(points, questions, assume_perfect)
+    for point in points[:-1]:
         tau = 0.0 if point.label == "slm_only" else point.tau
-        outcomes = [route(q, tau) for q in questions]
+        outcomes = [route(q, tau, assume_perfect) for q in questions]
         assert point.n_routed == sum(1 for o in outcomes if o.routed)
         assert close(point.cost, normalize(outcomes, profile, PRICING))
         assert close(point.performance, average_quality(outcomes))
-    for tau, outcomes in sweep.outcomes_by_tau.items():
-        assert outcomes == tuple(route(q, tau) for q in questions)
+
+
+def assert_matches_oracle(sweep, perfect_sweep, questions, profile, route, normalize, assume_perfect):
+    """Both curves of ``sweep`` equal the oracle, and its assume-perfect
+    twin is exactly the curve of ``perfect_sweep``, the same sweep run
+    with ``assume_perfect=True``."""
+    assert_curve_matches_oracle(
+        sweep.points, questions, profile, route, normalize, assume_perfect
+    )
+    assert_curve_matches_oracle(
+        sweep.perfect_points, questions, profile, route, normalize, True
+    )
+    assert perfect_sweep.points == sweep.perfect_points
 
 
 def assert_same_curve(a, b):
@@ -114,17 +125,20 @@ def assert_same_curve(a, b):
 def test_cascade_sweep_matches_route_cascade(data, assume_perfect):
     scheme, k, questions = data
     profile = DatasetProfile.from_questions(questions)
-    sweep = sweep_cascade(
-        questions, profile, PRICING, scheme=scheme, k=k, assume_perfect=assume_perfect
-    )
 
-    def route(question, tau):
+    def sweep(perfect):
+        return sweep_cascade(
+            questions, profile, PRICING, scheme=scheme, k=k, assume_perfect=perfect
+        )
+
+    def route(question, tau, perfect):
         return route_cascade(
-            question, tau, profile, PRICING, scheme=scheme, k=k, assume_perfect=assume_perfect
+            question, tau, profile, PRICING, scheme=scheme, k=k, assume_perfect=perfect
         )
 
     assert_matches_oracle(
-        sweep, questions, profile, route, normalized_cascade_cost, assume_perfect
+        sweep(assume_perfect), sweep(True), questions, profile, route,
+        normalized_cascade_cost, assume_perfect,
     )
 
 
@@ -133,14 +147,19 @@ def test_cascade_sweep_matches_route_cascade(data, assume_perfect):
 def test_pre_sweep_matches_route_pre(data, score_source, assume_perfect):
     _, _, questions = data
     profile = DatasetProfile.from_questions(questions)
-    sweep = sweep_pre(
-        questions, profile, PRICING, score_source=score_source, assume_perfect=assume_perfect
+
+    def sweep(perfect):
+        return sweep_pre(
+            questions, profile, PRICING, score_source=score_source, assume_perfect=perfect
+        )
+
+    def route(question, tau, perfect):
+        return route_pre(question, tau, profile, PRICING, score_source, perfect)
+
+    assert_matches_oracle(
+        sweep(assume_perfect), sweep(True), questions, profile, route,
+        normalized_pre_cost, assume_perfect,
     )
-
-    def route(question, tau):
-        return route_pre(question, tau, profile, PRICING, score_source, assume_perfect)
-
-    assert_matches_oracle(sweep, questions, profile, route, normalized_pre_cost, assume_perfect)
 
 
 @DETERMINISTIC
