@@ -3,15 +3,15 @@
 Datasets, training corpora, preference pairs and refusal examples are
 JSON Lines; curves are CSV; pricing and metrics are single JSON objects.
 This module is the only reader of these formats: ``_object`` checks one
-decoded object against its record class. Parsers are strict about
-required fields and value ranges but tolerate unknown fields with a
-warning, so newer files keep loading.
+decoded object's keys against its record class, and ``_record`` builds
+the record after the class's own field check. Parsers are strict about
+required fields, repeated keys and value ranges but tolerate unknown
+fields with a warning, so newer files keep loading.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -34,11 +34,40 @@ from .records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
+    _check_llm,
+    _check_question,
+    _check_sample,
     canonical_answer,
 )
-from .trainset import ResponseSample, TrainingQuestion
+from .trainset import ResponseSample, TrainingQuestion, _check_response, _check_training
 
 CURVE_HEADER = ("tau", "cost", "performance", "n_routed")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One decoded JSON object; a key given twice is an error."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r}")
+            seen.add(key)
+    return data
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _decode(raw: bytes) -> Any:
+    """``json.loads(raw)`` that rejects a repeated key at any depth.
+
+    Raises ValidationError for a repeated key, and otherwise what
+    ``json.loads`` raises for bytes: JSONDecodeError or
+    UnicodeDecodeError.
+    """
+    return _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
 
 
 class DatasetError(ValidationError):
@@ -51,9 +80,9 @@ def _read_jsonl(
     """Parse each non-blank line; yield ``(record, None)`` or ``(None, problem)``.
 
     A problem is the line's ``path:line`` followed by what is wrong with
-    it: invalid JSON or UTF-8, a record ``parse`` rejects, or an id
-    already seen on an earlier line. Callers decide whether to stop or
-    collect.
+    it: invalid JSON or UTF-8, a key repeated in one object, a record
+    ``parse`` rejects, or an id already seen on an earlier line. Callers
+    decide whether to stop or collect.
     """
     seen: dict[str, int] = {}
     with open(path, "rb") as handle:
@@ -62,7 +91,10 @@ def _read_jsonl(
                 continue
             where = f"{path}:{lineno}"
             try:
-                data = json.loads(line)
+                data = _decode(line)
+            except ValidationError as exc:  # a repeated key
+                yield None, f"{where}: {exc}"
+                continue
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 yield None, f"{where}: invalid JSON: {exc}"
                 continue
@@ -81,53 +113,93 @@ def _read_jsonl(
             yield record, None
 
 
-@functools.cache
-def _shape(
-    cls: type, required: tuple[str, ...]
-) -> tuple[frozenset[str], frozenset[str], dict[str, Any]]:
-    """``cls``'s field names, ``required`` as a set, and each field's
-    default (None when it has none); read from the dataclass once."""
-    return (
-        frozenset(f.name for f in fields(cls)),
-        frozenset(required),
-        {f.name: None if f.default is MISSING else f.default for f in fields(cls)},
-    )
+class _Kind:
+    """How ``io`` reads one record class from a JSON object: the keys it
+    must carry, the defaults of the rest, and the class's check of its
+    field values (None for a class built through its constructor)."""
+
+    __slots__ = ("cls", "required", "needed", "known", "defaults", "check")
+
+    def __init__(
+        self,
+        cls: type,
+        required: tuple[str, ...],
+        check: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
+    ):
+        self.cls = cls
+        self.required = required
+        self.needed = frozenset(required)
+        self.known = frozenset(f.name for f in fields(cls))
+        self.defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+        self.check = check
+
+
+_SAMPLE = _Kind(SampleRecord, ("correct", "tokens"), _check_sample)
+_LLM = _Kind(LlmOutcome, ("correct", "tokens"), _check_llm)
+_QUESTION = _Kind(QuestionRecord, ("id", "input_tokens", "slm_samples"), _check_question)
+_RESPONSE = _Kind(ResponseSample, ("text", "correct", "tokens"), _check_response)
+_TRAINING = _Kind(TrainingQuestion, ("id", "question", "samples"), _check_training)
+_PRICING = _Kind(PricingSchedule, ("slm_in", "slm_out", "llm_in", "llm_out"))
+
+
+def _place(name: str, index: int | None) -> str:
+    """The prefix that names a nested object: '', 'llm: ' or 'slm_samples[3]: '."""
+    if not name:
+        return ""
+    return f"{name}: " if index is None else f"{name}[{index}]: "
 
 
 def _object(
-    data: Any, cls: type, required: tuple[str, ...], source: str, name: str = ""
+    data: Any, kind: _Kind, source: str, name: str = "", index: int | None = None
 ) -> dict[str, Any]:
-    """Keyword arguments for ``cls`` from one decoded JSON object.
+    """Field values for ``kind.cls`` from one decoded JSON object.
 
-    ``name`` places a nested object inside its record (``llm``,
-    ``slm_samples[3]``) and prefixes what is raised or warned about it.
-    Keys ``cls`` has no field for are ignored with a warning naming
-    ``source``; a missing ``required`` key is an error, and any other
+    ``name`` and ``index`` place a nested object inside its record
+    (``llm``, ``slm_samples[3]``) and prefix what is raised or warned
+    about it. Keys the class has no field for are ignored with a warning
+    naming ``source``; a missing required key is an error, and any other
     absent key takes the field's default.
     """
-    prefix = f"{name}: " if name else ""
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"{prefix}expected a JSON object, got {type(data).__name__}")
-    known, needed, defaults = _shape(cls, required)
-    if data.keys() <= known:
-        kwargs = {**defaults, **data}
+    if type(data) is not dict and not isinstance(data, Mapping):
+        raise ValidationError(
+            f"{_place(name, index)}expected a JSON object, got {type(data).__name__}"
+        )
+    keys = data.keys()
+    if keys <= kind.known:
+        values = {**kind.defaults, **data}
     else:
-        extras = sorted(set(data) - known)
-        warnings.warn(f"{source}: {prefix}ignoring unknown field(s) {', '.join(extras)}")
-        kwargs = {**defaults, **{key: value for key, value in data.items() if key in known}}
-    if not data.keys() >= needed:
-        missing = [key for key in required if key not in data]
+        extras = sorted(set(data) - kind.known)
+        warnings.warn(
+            f"{source}: {_place(name, index)}ignoring unknown field(s) {', '.join(extras)}"
+        )
+        known = {key: value for key, value in data.items() if key in kind.known}
+        values = {**kind.defaults, **known}
+    if not keys >= kind.needed:
+        missing = [key for key in kind.required if key not in data]
         noun = "field" if len(missing) == 1 else "fields"
         raise ValidationError(
-            f"{prefix}missing required {noun} {', '.join(repr(key) for key in missing)}"
+            f"{_place(name, index)}missing required {noun} "
+            f"{', '.join(repr(key) for key in missing)}"
         )
-    return kwargs
+    return values
 
 
-def _objects(
-    value: Any, cls: type, required: tuple[str, ...], source: str, name: str
-) -> tuple[Any, ...]:
-    """One ``cls`` record per object of the JSON list in field ``name``.
+def _record(kind: _Kind, values: dict[str, Any]) -> Any:
+    """A ``kind.cls`` record from raw field values.
+
+    The class's check, the one its ``__post_init__`` runs, checks the
+    values and makes them canonical; the record is then filled in
+    without its constructor, so nothing is checked twice.
+    """
+    values = kind.check(values)
+    record = object.__new__(kind.cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
+    """One ``kind.cls`` record per object of the JSON list in field ``name``.
 
     Every error about an element, its shape or its values, starts with
     the element's place, as in ``slm_samples[3]: ``.
@@ -136,12 +208,11 @@ def _objects(
         raise ValidationError(f"{name} must be a list")
     records = []
     for index, raw in enumerate(value):
-        place = f"{name}[{index}]"
-        kwargs = _object(raw, cls, required, source, place)
+        values = _object(raw, kind, source, name, index)
         try:
-            records.append(cls(**kwargs))
+            records.append(_record(kind, values))
         except ValidationError as exc:
-            raise ValidationError(f"{place}: {exc}") from exc
+            raise ValidationError(f"{_place(name, index)}{exc}") from exc
     return tuple(records)
 
 
@@ -151,15 +222,11 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
     ``source`` names the record in unknown-field warnings only; the
     reader puts the location in front of a raised error.
     """
-    kwargs = _object(data, QuestionRecord, ("id", "input_tokens", "slm_samples"), source)
-    kwargs["slm_samples"] = _objects(
-        kwargs["slm_samples"], SampleRecord, ("correct", "tokens"), source, "slm_samples"
-    )
-    if kwargs["llm"] is not None:
-        kwargs["llm"] = LlmOutcome(
-            **_object(kwargs["llm"], LlmOutcome, ("correct", "tokens"), source, "llm")
-        )
-    return QuestionRecord(**kwargs)
+    values = _object(data, _QUESTION, source)
+    values["slm_samples"] = _objects(values["slm_samples"], _SAMPLE, source, "slm_samples")
+    if values["llm"] is not None:
+        values["llm"] = _record(_LLM, _object(values["llm"], _LLM, source, "llm"))
+    return _record(_QUESTION, values)
 
 
 def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
@@ -196,22 +263,20 @@ def write_dataset(questions: Iterable[QuestionRecord], path: str) -> None:
 def _write_jsonl(rows: Iterable[Mapping[str, Any]], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False))
+            handle.write(_ENCODE(row))
             handle.write("\n")
 
 
 def load_pricing(path: str) -> PricingSchedule:
     """Read a pricing JSON object."""
     with open(path, "rb") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
-    prices = ("slm_in", "slm_out", "llm_in", "llm_out")
+        raw = handle.read()
     try:
-        return PricingSchedule(**_object(data, PricingSchedule, prices, path))
-    except ValidationError as exc:
+        return PricingSchedule(**_object(_decode(raw), _PRICING, path))
+    except ValidationError as exc:  # a repeated key or a bad value
         raise DatasetError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_curve(points: Iterable[CurvePoint], path: str) -> None:
@@ -241,44 +306,46 @@ def read_curve(path: str) -> tuple[CurvePoint, ...]:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            rows = list(reader)
+            # Each record with the file line it ends on, which a quoted
+            # cell holding a newline puts past the record's count.
+            rows = [(reader.line_num, row) for row in reader]
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
         raise DatasetError(f"{path}:{reader.line_num}: {exc}") from exc
-    header = rows[0] if rows else None
+    header = rows[0][1] if rows else None
     if header is None or tuple(header) != CURVE_HEADER:
         raise DatasetError(
             f"{path}: expected header {','.join(CURVE_HEADER)}, "
             f"got {','.join(header) if header else 'an empty file'}"
         )
     points: list[CurvePoint] = []
-    for row_index, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(CURVE_HEADER):
-            raise DatasetError(f"{path}:{row_index}: expected {len(CURVE_HEADER)} columns")
+            raise DatasetError(f"{path}:{lineno}: expected {len(CURVE_HEADER)} columns")
         tau_cell, cost_cell, perf_cell, routed_cell = row
         label = None
         tau = None
         if tau_cell in ("slm_only", "llm_only"):
             label = tau_cell
         elif tau_cell:
-            tau = _parse_float(tau_cell, path, row_index, "tau")
+            tau = _parse_float(tau_cell, path, lineno, "tau")
         try:
             points.append(
                 CurvePoint(
-                    cost=_parse_float(cost_cell, path, row_index, "cost"),
-                    performance=_parse_float(perf_cell, path, row_index, "performance"),
+                    cost=_parse_float(cost_cell, path, lineno, "cost"),
+                    performance=_parse_float(perf_cell, path, lineno, "performance"),
                     tau=tau,
                     label=label,
-                    n_routed=_parse_int(routed_cell, path, row_index, "n_routed"),
+                    n_routed=_parse_int(routed_cell, path, lineno, "n_routed"),
                 )
             )
         except DatasetError:
             raise
         except ValidationError as exc:
-            raise DatasetError(f"{path}:{row_index}: {exc}") from exc
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not points:
         raise DatasetError(f"{path}: no curve points found")
     return tuple(points)
@@ -306,11 +373,9 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
-    kwargs = _object(data, TrainingQuestion, ("id", "question", "samples"), source)
-    kwargs["samples"] = _objects(
-        kwargs["samples"], ResponseSample, ("text", "correct", "tokens"), source, "samples"
-    )
-    return TrainingQuestion(**kwargs)
+    values = _object(data, _TRAINING, source)
+    values["samples"] = _objects(values["samples"], _RESPONSE, source, "samples")
+    return _record(_TRAINING, values)
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:

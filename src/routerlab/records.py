@@ -3,13 +3,19 @@
 Every type validates its invariants at construction and raises
 :class:`ValidationError` on bad input, so downstream code can assume any
 record instance it holds is well formed. All records are immutable.
+
+The input records (``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``)
+keep their rules in one private ``_check_*`` function each. The
+constructor runs it, and ``io`` runs it on the values it decoded before
+it fills in a record without the constructor, so every value is checked
+once either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class ValidationError(ValueError):
@@ -33,6 +39,12 @@ REJECTION_TEXT = "Sorry, I can't answer that."
 
 _GRID_TOLERANCE = 1e-9
 
+# Each grid level by its own value: an exact level snaps without the scan.
+_ON_GRID = {level: level for level in CONFIDENCE_LEVELS}
+
+# Every integer smaller than this in magnitude converts to a float.
+_FLOAT_SAFE_INT = 2**1023
+
 
 def canonical_answer(text: str) -> str:
     """Normalise an answer string for comparison: strip edges, casefold."""
@@ -48,6 +60,9 @@ def snap_confidence(value: float) -> float:
     Values further than 1e-9 from every grid point are rejected; this
     catches data written with the wrong scale (percentages, logits).
     """
+    level = _ON_GRID.get(value)
+    if level is not None:
+        return level
     for level in CONFIDENCE_LEVELS:
         if abs(value - level) <= _GRID_TOLERANCE:
             return level
@@ -77,6 +92,8 @@ def refusal_prompt_prefix(threshold: float) -> str:
 
 
 def _as_float(value: Any, name: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     number = _to_float(value, name)
@@ -86,10 +103,20 @@ def _as_float(value: Any, name: str) -> float:
 
 
 def _as_int(value: Any, name: str) -> int:
+    if type(value) is int and -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     _to_float(value, name)  # costs and means are float arithmetic
     return value
+
+
+def _as_count(value: Any, name: str) -> int:
+    """A token count: an integer >= 1."""
+    count = _as_int(value, name)
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def _to_float(value: int | float, name: str) -> float:
@@ -102,12 +129,14 @@ def _to_float(value: int | float, name: str) -> float:
 
 
 def _as_bool(value: Any, name: str) -> bool:
-    if not isinstance(value, bool):
+    if value is not True and value is not False:  # bool has no subclasses
         raise ValidationError(f"{name} must be a boolean, got {value!r}")
     return value
 
 
 def _as_str(value: Any, name: str) -> str:
+    if type(value) is str and value:
+        return value
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
     return value
@@ -143,7 +172,37 @@ class PricingSchedule:
         }
 
 
-@dataclass(frozen=True)
+def _settle(record: Any, check: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
+    """Check a just-built record's field values (its slots) with its
+    class's ``check`` and store the canonical values it returns."""
+    values = check({name: getattr(record, name) for name in record.__slots__})
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
+def _check_sample(values: dict[str, Any]) -> dict[str, Any]:
+    """Check a SampleRecord's field values; return them, with ``answer``
+    and ``confidence_level`` made canonical in place."""
+    refusal = _as_bool(values["refusal"], "refusal")
+    correct = _as_bool(values["correct"], "correct")
+    _as_count(values["tokens"], "tokens")
+    answer = values["answer"]
+    if refusal:
+        if answer is not None:
+            raise ValidationError("a refusal sample must have answer=None")
+        if correct:
+            raise ValidationError("a refusal sample cannot be correct")
+    else:
+        if answer is None:
+            raise ValidationError("a non-refusal sample must carry an answer")
+        values["answer"] = canonical_answer(_as_str(answer, "answer"))
+    level = values["confidence_level"]
+    if level is not None:
+        values["confidence_level"] = snap_confidence(_as_float(level, "confidence_level"))
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     """One recorded SLM completion for a question.
 
@@ -160,25 +219,7 @@ class SampleRecord:
     refusal: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "refusal", _as_bool(self.refusal, "refusal"))
-        object.__setattr__(self, "correct", _as_bool(self.correct, "correct"))
-        tokens = _as_int(self.tokens, "tokens")
-        if tokens < 1:
-            raise ValidationError(f"tokens must be >= 1, got {tokens}")
-        object.__setattr__(self, "tokens", tokens)
-        if self.refusal:
-            if self.answer is not None:
-                raise ValidationError("a refusal sample must have answer=None")
-            if self.correct:
-                raise ValidationError("a refusal sample cannot be correct")
-        else:
-            if self.answer is None:
-                raise ValidationError("a non-refusal sample must carry an answer")
-            answer = canonical_answer(_as_str(self.answer, "answer"))
-            object.__setattr__(self, "answer", answer)
-        if self.confidence_level is not None:
-            level = snap_confidence(_as_float(self.confidence_level, "confidence_level"))
-            object.__setattr__(self, "confidence_level", level)
+        _settle(self, _check_sample)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -190,7 +231,14 @@ class SampleRecord:
         }
 
 
-@dataclass(frozen=True)
+def _check_llm(values: dict[str, Any]) -> dict[str, Any]:
+    """Check an LlmOutcome's field values; return them unchanged."""
+    _as_bool(values["correct"], "llm.correct")
+    _as_count(values["tokens"], "llm.tokens")
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class LlmOutcome:
     """The recorded large-model result for a question."""
 
@@ -198,17 +246,54 @@ class LlmOutcome:
     tokens: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "correct", _as_bool(self.correct, "llm.correct"))
-        tokens = _as_int(self.tokens, "llm.tokens")
-        if tokens < 1:
-            raise ValidationError(f"llm.tokens must be >= 1, got {tokens}")
-        object.__setattr__(self, "tokens", tokens)
+        _settle(self, _check_llm)
 
     def to_dict(self) -> dict[str, Any]:
         return {"correct": self.correct, "tokens": self.tokens}
 
 
-@dataclass(frozen=True)
+def _check_question(values: dict[str, Any]) -> dict[str, Any]:
+    """Check a QuestionRecord's field values, its samples' agreement on
+    each answer's correctness included; return them, with ``slm_samples``
+    a tuple and ``pre_score`` a float."""
+    qid = _as_str(values["id"], "id")
+    input_tokens = _as_int(values["input_tokens"], "input_tokens")
+    if input_tokens < 1:
+        raise ValidationError(
+            f"question {qid!r}: input_tokens must be >= 1, got {input_tokens}"
+        )
+    samples = values["slm_samples"] = tuple(values["slm_samples"])
+    if not samples:
+        raise ValidationError(f"question {qid!r} has no SLM samples")
+    for sample in samples:
+        if not isinstance(sample, SampleRecord):
+            raise ValidationError(
+                f"question {qid!r}: slm_samples must hold SampleRecord values"
+            )
+    score = values["pre_score"]
+    if score is not None:
+        score = values["pre_score"] = _as_float(score, "pre_score")
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(
+                f"question {qid!r}: pre_score must lie in [0, 1], got {score}"
+            )
+    llm = values["llm"]
+    if llm is not None and not isinstance(llm, LlmOutcome):
+        raise ValidationError(f"question {qid!r}: llm must be an LlmOutcome")
+    verdict: dict[str, bool] = {}
+    for sample in samples:
+        if sample.answer is None:
+            continue
+        seen = verdict.setdefault(sample.answer, sample.correct)
+        if seen != sample.correct:
+            raise ValidationError(
+                f"question {qid!r}: answer {sample.answer!r} is marked both "
+                "correct and incorrect across samples"
+            )
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class QuestionRecord:
     """All recorded behaviour for one benchmark question.
 
@@ -227,41 +312,7 @@ class QuestionRecord:
     llm: LlmOutcome | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "id", _as_str(self.id, "id"))
-        input_tokens = _as_int(self.input_tokens, "input_tokens")
-        if input_tokens < 1:
-            raise ValidationError(
-                f"question {self.id!r}: input_tokens must be >= 1, got {input_tokens}"
-            )
-        object.__setattr__(self, "input_tokens", input_tokens)
-        samples = tuple(self.slm_samples)
-        if not samples:
-            raise ValidationError(f"question {self.id!r} has no SLM samples")
-        for sample in samples:
-            if not isinstance(sample, SampleRecord):
-                raise ValidationError(
-                    f"question {self.id!r}: slm_samples must hold SampleRecord values"
-                )
-        object.__setattr__(self, "slm_samples", samples)
-        if self.pre_score is not None:
-            score = _as_float(self.pre_score, "pre_score")
-            if not 0.0 <= score <= 1.0:
-                raise ValidationError(
-                    f"question {self.id!r}: pre_score must lie in [0, 1], got {score}"
-                )
-            object.__setattr__(self, "pre_score", score)
-        if self.llm is not None and not isinstance(self.llm, LlmOutcome):
-            raise ValidationError(f"question {self.id!r}: llm must be an LlmOutcome")
-        verdict: dict[str, bool] = {}
-        for sample in samples:
-            if sample.answer is None:
-                continue
-            seen = verdict.setdefault(sample.answer, sample.correct)
-            if seen != sample.correct:
-                raise ValidationError(
-                    f"question {self.id!r}: answer {sample.answer!r} is marked both "
-                    "correct and incorrect across samples"
-                )
+        _settle(self, _check_question)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -508,10 +559,7 @@ class PreferencePair:
         object.__setattr__(self, "chosen", _as_str(self.chosen, "chosen"))
         object.__setattr__(self, "rejected", _as_str(self.rejected, "rejected"))
         for name in ("chosen_tokens", "rejected_tokens"):
-            tokens = _as_int(getattr(self, name), name)
-            if tokens < 1:
-                raise ValidationError(f"{name} must be >= 1, got {tokens}")
-            object.__setattr__(self, name, tokens)
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         if not self.rejected_tokens > REJECTED_TOKEN_RATIO * self.chosen_tokens:
             raise ValidationError(
                 f"rejected completion must exceed {REJECTED_TOKEN_RATIO}x the chosen "

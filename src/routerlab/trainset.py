@@ -30,8 +30,9 @@ from .records import (
     RefusalExample,
     ValidationError,
     _as_bool,
-    _as_int,
+    _as_count,
     _as_str,
+    _settle,
     refusal_prompt,
 )
 
@@ -43,7 +44,15 @@ SFT_WEIGHT = 0.2
 ESTIMATE_SAMPLES = 10
 
 
-@dataclass(frozen=True)
+def _check_response(values: dict[str, Any]) -> dict[str, Any]:
+    """Check a ResponseSample's field values; return them unchanged."""
+    _as_str(values["text"], "text")
+    _as_bool(values["correct"], "correct")
+    _as_count(values["tokens"], "tokens")
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class ResponseSample:
     """One free-text completion with its grading and token length."""
 
@@ -52,13 +61,26 @@ class ResponseSample:
     tokens: int
 
     def __post_init__(self) -> None:
-        _as_str(self.text, "text")
-        _as_bool(self.correct, "correct")
-        if _as_int(self.tokens, "tokens") < 1:
-            raise ValidationError(f"tokens must be >= 1, got {self.tokens}")
+        _settle(self, _check_response)
 
 
-@dataclass(frozen=True)
+def _check_training(values: dict[str, Any]) -> dict[str, Any]:
+    """Check a TrainingQuestion's field values; return them, with
+    ``samples`` a tuple."""
+    qid = _as_str(values["id"], "id")
+    _as_str(values["question"], "question")
+    samples = values["samples"] = tuple(values["samples"])
+    if not samples:
+        raise ValidationError(f"question {qid!r} has no samples")
+    for sample in samples:
+        if not isinstance(sample, ResponseSample):
+            raise ValidationError(
+                f"question {qid!r}: samples must hold ResponseSample values"
+            )
+    return values
+
+
+@dataclass(frozen=True, slots=True)
 class TrainingQuestion:
     """A question with the graded completions recorded for it."""
 
@@ -67,17 +89,7 @@ class TrainingQuestion:
     samples: tuple[ResponseSample, ...]
 
     def __post_init__(self) -> None:
-        _as_str(self.id, "id")
-        _as_str(self.question, "question")
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValidationError(f"question {self.id!r} has no samples")
-        for sample in samples:
-            if not isinstance(sample, ResponseSample):
-                raise ValidationError(
-                    f"question {self.id!r}: samples must hold ResponseSample values"
-                )
-        object.__setattr__(self, "samples", samples)
+        _settle(self, _check_training)
 
 
 def build_dpo_pair(

@@ -2,9 +2,13 @@
 
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from routerlab import io
 from routerlab.io import (
     DatasetError,
     SyntheticParams,
@@ -12,6 +16,8 @@ from routerlab.io import (
     load_dataset,
     load_pricing,
     load_training_questions,
+    parse_question,
+    parse_training_question,
     read_curve,
     scan_dataset,
     write_curve,
@@ -22,14 +28,19 @@ from routerlab.io import (
 )
 from routerlab.prerouting import derive_refusal_score
 from routerlab.records import (
+    CONFIDENCE_LEVELS,
     CurvePoint,
+    LlmOutcome,
     MetricsReport,
     PreferencePair,
     PricingSchedule,
+    QuestionRecord,
     RefusalExample,
+    SampleRecord,
+    ValidationError,
     refusal_prompt,
 )
-from routerlab.trainset import build_refusal_examples
+from routerlab.trainset import ResponseSample, TrainingQuestion, build_refusal_examples
 
 from conftest import make_question
 
@@ -98,6 +109,14 @@ def with_sample_tokens(line, samples_field, index, tokens):
     return json.dumps(data)
 
 
+def with_repeated_key(line, key, value):
+    """``line`` with ``key`` given twice in the first object that has it:
+    first as ``value``, then as it was."""
+    head = f'"{key}": '
+    assert head in line
+    return line.replace(head, f"{head}{json.dumps(value)}, {head}", 1)
+
+
 @pytest.mark.parametrize(
     "kind",
     [
@@ -111,6 +130,8 @@ def with_sample_tokens(line, samples_field, index, tokens):
         "bad_value",
         "huge_int",
         "not_utf8",
+        "duplicate_key",
+        "duplicate_sample_key",
     ],
 )
 @pytest.mark.parametrize(
@@ -144,6 +165,9 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
             else with_sample_tokens(make_line("q2"), samples_field, 1, HUGE)
         ),
         "not_utf8": make_line("q2").replace("q2", "q\xe9"),
+        # The same key twice in the record, or in its first sample.
+        "duplicate_key": with_repeated_key(make_line("q2"), "id", "q3"),
+        "duplicate_sample_key": with_repeated_key(make_line("q2"), "correct", False),
     }[kind]
     path = tmp_path / "data.jsonl"
     if kind == "not_utf8":  # line 2 holds the byte 0xE9, which is not UTF-8
@@ -160,6 +184,155 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
     if kind == "huge_int":
         field = "input_tokens" if read is load_dataset else f"{samples_field}[1]: tokens"
         assert message == f"{path}:2: {field} is too large for a float, got an integer of 1329 bits"
+    if kind == "duplicate_key":
+        assert message == f"{path}:2: duplicate key 'id'"
+    if kind == "duplicate_sample_key":
+        assert message == f"{path}:2: duplicate key 'correct'"
+
+
+# ---------------------------------------------------------------------------
+# The parsers build records without their constructors; each must give
+# what the constructors give, record for record and error for error.
+
+# Values a field may wrongly hold: wrong types, a bool where an int is
+# expected, NaN and infinities, integers too large for a float, and
+# confidence levels off the grid.
+BAD_VALUES = st.one_of(
+    st.sampled_from(["7", "", " ", [1], {"x": 1}, None, 1.5, -3, 0]),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([HUGE, -HUGE]),
+    st.sampled_from([0.05, 0.35, 1.1, 0.30000000000000004, 0.3 + 2e-9, 50]),
+)
+TOKENS = st.integers(1, 10**6)
+LEVELS = st.sampled_from((None, *CONFIDENCE_LEVELS, 1, 0.1 + 1e-10))
+
+
+@st.composite
+def broken(draw, valid):
+    """A dict from ``valid``, with one field (or none) replaced by a bad value."""
+    data = draw(valid)
+    field = draw(st.sampled_from([None, *data]))
+    if field is not None:
+        data[field] = draw(BAD_VALUES)
+    return data
+
+
+ANSWERED = st.fixed_dictionaries(
+    {"answer": st.sampled_from(["a", " A ", "b", "c\n"]), "correct": st.booleans(), "tokens": TOKENS},
+    optional={"confidence_level": LEVELS, "refusal": st.just(False)},
+)
+# Refusals, and sometimes one that carries an answer or is marked correct.
+REFUSED = st.fixed_dictionaries(
+    {
+        "answer": st.sampled_from([None, None, "a"]),
+        "correct": st.sampled_from([False, False, True]),
+        "tokens": TOKENS,
+        "refusal": st.just(True),
+    },
+    optional={"confidence_level": LEVELS},
+)
+SAMPLES = st.lists(broken(ANSWERED | REFUSED), max_size=4)
+LLM = st.none() | broken(st.fixed_dictionaries({"correct": st.booleans(), "tokens": TOKENS}))
+QUESTIONS = broken(
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(["q1", "Q 2"]), "input_tokens": TOKENS, "slm_samples": SAMPLES},
+        optional={
+            "pre_score": st.none() | st.floats(0, 1) | st.sampled_from([0, 1]),
+            "llm": LLM,
+        },
+    )
+)
+TRAINING = broken(
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(["t1", "t 2"]),
+            "question": st.sampled_from(["Why?", "How"]),
+            "samples": st.lists(
+                broken(
+                    st.fixed_dictionaries(
+                        {"text": st.sampled_from(["x", " y "]), "correct": st.booleans(), "tokens": TOKENS}
+                    )
+                ),
+                max_size=3,
+            ),
+        }
+    )
+)
+
+
+def by_constructors(data, kind, nested):
+    """``data`` read as the parsers read it, but with every record built
+    by ``cls(**fields)``; ``nested`` maps a field to the kind of the
+    records it holds, ``(kind, True)`` for a list of them."""
+    values = io._object(data, kind, "q")
+    for name, (inner, is_list) in nested.items():
+        if not is_list:
+            if values[name] is not None:
+                values[name] = inner.cls(**io._object(values[name], inner, "q", name))
+            continue
+        if not isinstance(values[name], (list, tuple)):
+            raise ValidationError(f"{name} must be a list")
+        records = []
+        for index, raw in enumerate(values[name]):
+            fields = io._object(raw, inner, "q", name, index)
+            try:
+                records.append(inner.cls(**fields))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}[{index}]: {exc}") from None
+        values[name] = tuple(records)
+    return kind.cls(**values)
+
+
+def outcome(build, *args):
+    """A built record's repr, or the type and text of what building raised."""
+    try:
+        return repr(build(*args)), None
+    except Exception as exc:  # compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+class TestTrustedRecords:
+    @given(QUESTIONS)
+    @settings(max_examples=400, deadline=None)
+    def test_question_matches_constructors(self, data):
+        nested = {"slm_samples": (io._SAMPLE, True), "llm": (io._LLM, False)}
+        parsed = outcome(parse_question, data, "q")
+        assert parsed == outcome(by_constructors, data, io._QUESTION, nested)
+        if parsed[1] is None:
+            assert parse_question(data) == by_constructors(data, io._QUESTION, nested)
+
+    @given(TRAINING)
+    @settings(max_examples=200, deadline=None)
+    def test_training_question_matches_constructors(self, data):
+        nested = {"samples": (io._RESPONSE, True)}
+        parsed = outcome(parse_training_question, data, "q")
+        assert parsed == outcome(by_constructors, data, io._TRAINING, nested)
+        if parsed[1] is None:
+            assert parse_training_question(data) == by_constructors(data, io._TRAINING, nested)
+
+    def test_records_are_the_constructors_records(self):
+        data = json.loads(question_line(pre_score=1))
+        question = parse_question(data)
+        assert type(question) is QuestionRecord and type(question.llm) is LlmOutcome
+        assert all(type(sample) is SampleRecord for sample in question.slm_samples)
+        assert question.pre_score == 1.0 and type(question.pre_score) is float
+        training = parse_training_question(json.loads(training_line()))
+        assert type(training) is TrainingQuestion
+        assert all(type(sample) is ResponseSample for sample in training.samples)
+
+    def test_unknown_fields_warn_once_per_record(self):
+        data = json.loads(question_line())
+        data["note"] = "x"
+        data["slm_samples"][1]["vibe"] = "y"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            question = parse_question(data, source="q.jsonl:4")
+        assert [str(w.message) for w in caught] == [
+            "q.jsonl:4: ignoring unknown field(s) note",
+            "q.jsonl:4: slm_samples[1]: ignoring unknown field(s) vibe",
+        ]
+        assert question == parse_question(json.loads(question_line()))
 
 
 class TestLoadDataset:
@@ -268,6 +441,15 @@ class TestPricingFile:
         with pytest.raises(DatasetError, match=r"pricing\.json: slm_in is too large for a float"):
             load_pricing(str(path))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "pricing.json"
+        path.write_text(
+            '{"slm_in": 0.02, "slm_out": 0.08, "llm_in": 0.275, "llm_out": 1.1, "slm_in": 9}',
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"pricing\.json: duplicate key 'slm_in'$"):
+            load_pricing(str(path))
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "pricing.json"
         path.write_bytes(b'{"slm_in": 0.02, "note": "caf\xe9"}')
@@ -319,6 +501,18 @@ class TestCurveCsv:
             "tau,cost,performance,n_routed\n0.5,-1.0,0.5,0\n", encoding="utf-8"
         )
         with pytest.raises(DatasetError, match=r"curve\.csv:2"):
+            read_curve(str(path))
+
+    def test_bad_row_after_a_multiline_cell_carries_its_file_line(self, tmp_path):
+        # The quoted tau cell spans lines 3-4, so the bad cost cell is on
+        # line 5 although it is the curve's fourth record.
+        path = tmp_path / "curve.csv"
+        path.write_text(
+            'tau,cost,performance,n_routed\nslm_only,0.1,0.5,0\n"0.5\n",0.2,0.6,1\n'
+            "0.7,x,0.7,2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"curve\.csv:5: cost is not a number: 'x'$"):
             read_curve(str(path))
 
     def test_cell_over_the_csv_field_limit_rejected(self, tmp_path):
