@@ -59,6 +59,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
+# The values of a JSON row as ``_ENCODE`` writes them: the string
+# escaper of ``JSONEncoder(ensure_ascii=False)``, and the ``repr`` of
+# the number's base type, so that int and float subclasses write the
+# digits ``_ENCODE`` writes for them.
+_STR = json.encoder.encode_basestring
+_INT = int.__repr__
+_FLOAT = float.__repr__
+
 
 def _decode(raw: bytes) -> Any:
     """``json.loads(raw)`` that rejects a repeated key at any depth.
@@ -257,14 +265,12 @@ def scan_dataset(path: str) -> tuple[int, list[str]]:
 
 
 def write_dataset(questions: Iterable[QuestionRecord], path: str) -> None:
-    _write_jsonl((q.to_dict() for q in questions), path)
+    _write_jsonl((_ENCODE(q.to_dict()) + "\n" for q in questions), path)
 
 
-def _write_jsonl(rows: Iterable[Mapping[str, Any]], path: str) -> None:
+def _write_jsonl(lines: Iterable[str], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(_ENCODE(row))
-            handle.write("\n")
+        handle.writelines(lines)
 
 
 def load_pricing(path: str) -> PricingSchedule:
@@ -391,11 +397,28 @@ def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:
 
 
 def write_pairs(pairs: Iterable[PreferencePair], path: str) -> None:
-    _write_jsonl((p.to_dict() for p in pairs), path)
+    """One line per pair, byte for byte ``_ENCODE(pair.to_dict())``."""
+    _write_jsonl(
+        (
+            f'{{"id": {_STR(p.question_id)}, "chosen": {_STR(p.chosen)}, '
+            f'"rejected": {_STR(p.rejected)}, "chosen_tokens": {_INT(p.chosen_tokens)}, '
+            f'"rejected_tokens": {_INT(p.rejected_tokens)}}}\n'
+            for p in pairs
+        ),
+        path,
+    )
 
 
 def write_refusal_examples(examples: Iterable[RefusalExample], path: str) -> None:
-    _write_jsonl((e.to_dict() for e in examples), path)
+    """One line per example, byte for byte ``_ENCODE(example.to_dict())``."""
+    _write_jsonl(
+        (
+            f'{{"id": {_STR(e.question_id)}, "threshold": {_FLOAT(e.threshold)}, '
+            f'"prompt": {_STR(e.prompt)}, "target": {_STR(e.target)}}}\n'
+            for e in examples
+        ),
+        path,
+    )
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ _GRID_TOLERANCE = 1e-9
 # Each grid level by its own value: an exact level snaps without the scan.
 _ON_GRID = {level: level for level in CONFIDENCE_LEVELS}
 
+# The refusal prompt prefix, and the prefix of each grid level made once.
+_PREFIX = "Please respond with a confidence level of {:.1f}:"
+_PREFIXES = {level: _PREFIX.format(level) for level in CONFIDENCE_LEVELS}
+
 # Every integer smaller than this in magnitude converts to a float.
 _FLOAT_SAFE_INT = 2**1023
 
@@ -88,7 +92,8 @@ def refusal_prompt(threshold: float, question: str) -> str:
 
 
 def refusal_prompt_prefix(threshold: float) -> str:
-    return f"Please respond with a confidence level of {threshold:.1f}:"
+    prefix = _PREFIXES.get(threshold)
+    return _PREFIX.format(threshold) if prefix is None else prefix
 
 
 def _as_float(value: Any, name: str) -> float:
@@ -135,10 +140,18 @@ def _as_bool(value: Any, name: str) -> bool:
 
 
 def _as_str(value: Any, name: str) -> str:
-    if type(value) is str and value:
+    """A non-empty string that UTF-8 can encode: no lone surrogate."""
+    if type(value) is str and value.isascii() and value:
         return value
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{name} holds a lone surrogate U+{ord(value[exc.start]):04X} "
+            f"at index {exc.start}, which UTF-8 cannot encode"
+        ) from None
     return value
 
 
@@ -539,7 +552,7 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferencePair:
     """A DPO training pair built from one question's completions.
 
@@ -555,11 +568,11 @@ class PreferencePair:
     rejected_tokens: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "question_id", _as_str(self.question_id, "question_id"))
-        object.__setattr__(self, "chosen", _as_str(self.chosen, "chosen"))
-        object.__setattr__(self, "rejected", _as_str(self.rejected, "rejected"))
-        for name in ("chosen_tokens", "rejected_tokens"):
-            object.__setattr__(self, name, _as_count(getattr(self, name), name))
+        _as_str(self.question_id, "question_id")
+        _as_str(self.chosen, "chosen")
+        _as_str(self.rejected, "rejected")
+        _as_count(self.chosen_tokens, "chosen_tokens")
+        _as_count(self.rejected_tokens, "rejected_tokens")
         if not self.rejected_tokens > REJECTED_TOKEN_RATIO * self.chosen_tokens:
             raise ValidationError(
                 f"rejected completion must exceed {REJECTED_TOKEN_RATIO}x the chosen "
@@ -576,7 +589,7 @@ class PreferencePair:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefusalExample:
     """A confidence-conditioned training example.
 
@@ -591,7 +604,7 @@ class RefusalExample:
     target: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "question_id", _as_str(self.question_id, "question_id"))
+        _as_str(self.question_id, "question_id")
         threshold = snap_confidence(_as_float(self.threshold, "threshold"))
         object.__setattr__(self, "threshold", threshold)
         prompt = _as_str(self.prompt, "prompt")
@@ -600,7 +613,7 @@ class RefusalExample:
             raise ValidationError(
                 f"prompt for threshold {threshold:.1f} must start with {prefix!r}"
             )
-        object.__setattr__(self, "target", _as_str(self.target, "target"))
+        _as_str(self.target, "target")
 
     def to_dict(self) -> dict[str, Any]:
         return {

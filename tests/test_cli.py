@@ -1,12 +1,15 @@
 """Command-line entry points, exercised in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import load_dataset
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 
 
 def run(argv, capsys):
@@ -340,6 +343,35 @@ class TestBuild:
         refusal_lines = (out_dir / "refusal.jsonl").read_text().strip().splitlines()
         assert len(refusal_lines) == 60  # ten per question
         assert all(json.loads(l)["rejected_tokens"] > 0 for l in pair_lines)
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        # A corpus whose texts hold quotes, a backslash, a tab, a newline,
+        # non-ASCII letters, emoji, U+2028, U+2029 and DEL; the expected
+        # files are the bytes the JSON encoder wrote for it.
+        code, out, err = run(
+            ["build", str(GOLDEN / "corpus.jsonl"), "--out-dir", str(tmp_path), "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        for name in ("pairs.jsonl", "refusal.jsonl"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_lone_surrogate_reported_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        samples = [{"text": "a", "correct": True, "tokens": 5}] * 10
+        path.write_text(
+            json.dumps({"id": "t0", "question": "bad \ud800 text", "samples": samples}) + "\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "x"
+        code, out, err = run(["build", str(path), "--out-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert (
+            f"{path}:1: question holds a lone surrogate U+D800 at index 4, "
+            "which UTF-8 cannot encode"
+        ) in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_deterministic_given_seed(self, corpus, tmp_path, capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,10 @@
 """Serialization, diagnostics, CSV curves, and the synthetic generator."""
 
+import enum
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import pytest
@@ -29,6 +32,7 @@ from routerlab.io import (
 from routerlab.prerouting import derive_refusal_score
 from routerlab.records import (
     CONFIDENCE_LEVELS,
+    REJECTED_TOKEN_RATIO,
     CurvePoint,
     LlmOutcome,
     MetricsReport,
@@ -109,6 +113,14 @@ def with_sample_tokens(line, samples_field, index, tokens):
     return json.dumps(data)
 
 
+def with_sample_field(line, samples_field, index, value):
+    """``line`` with the text of sample ``index`` (its answer or text) set to ``value``."""
+    data = json.loads(line)
+    sample = data[samples_field][index]
+    sample["text" if "text" in sample else "answer"] = value
+    return json.dumps(data)
+
+
 def with_repeated_key(line, key, value):
     """``line`` with ``key`` given twice in the first object that has it:
     first as ``value``, then as it was."""
@@ -132,6 +144,7 @@ def with_repeated_key(line, key, value):
         "not_utf8",
         "duplicate_key",
         "duplicate_sample_key",
+        "lone_surrogate",
     ],
 )
 @pytest.mark.parametrize(
@@ -168,6 +181,8 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         # The same key twice in the record, or in its first sample.
         "duplicate_key": with_repeated_key(make_line("q2"), "id", "q3"),
         "duplicate_sample_key": with_repeated_key(make_line("q2"), "correct", False),
+        # The first sample's answer or text, written as JSON escapes.
+        "lone_surrogate": with_sample_field(make_line("q2"), samples_field, 0, "x\ud800"),
     }[kind]
     path = tmp_path / "data.jsonl"
     if kind == "not_utf8":  # line 2 holds the byte 0xE9, which is not UTF-8
@@ -188,6 +203,12 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         assert message == f"{path}:2: duplicate key 'id'"
     if kind == "duplicate_sample_key":
         assert message == f"{path}:2: duplicate key 'correct'"
+    if kind == "lone_surrogate":
+        field = "text" if training else "answer"
+        assert message == (
+            f"{path}:2: {samples_field}[0]: {field} holds a lone surrogate U+D800 "
+            "at index 1, which UTF-8 cannot encode"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +216,10 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
 # what the constructors give, record for record and error for error.
 
 # Values a field may wrongly hold: wrong types, a bool where an int is
-# expected, NaN and infinities, integers too large for a float, and
-# confidence levels off the grid.
+# expected, a string with a lone surrogate, NaN and infinities, integers
+# too large for a float, and confidence levels off the grid.
 BAD_VALUES = st.one_of(
-    st.sampled_from(["7", "", " ", [1], {"x": 1}, None, 1.5, -3, 0]),
+    st.sampled_from(["7", "", " ", "x\ud800", [1], {"x": 1}, None, 1.5, -3, 0]),
     st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([HUGE, -HUGE]),
@@ -545,6 +566,73 @@ class TestMetricsJson:
         assert data["mode"] == "actual"
 
 
+# Output records for the writers' property.
+
+
+class Tokens(enum.IntEnum):
+    """Token counts given as an IntEnum, whose repr is not its digits."""
+
+    ONE = 1
+    THREE = 3
+    FORTY = 40
+    HUGE = 2**70
+
+
+class Level(float):
+    """A threshold given as a float subclass with its own repr."""
+
+    def __repr__(self):
+        return f"Level({float(self)!r})"
+
+
+class Text(str):
+    """A string subclass."""
+
+
+# Arbitrary text: every code point but the surrogates, and a str subclass.
+TEXT = st.text(min_size=1) | st.text(min_size=1).map(Text)
+
+
+@st.composite
+def token_counts(draw, above=0):
+    """A token count greater than ``REJECTED_TOKEN_RATIO * above``: an
+    int or a Tokens member."""
+    floor = REJECTED_TOKEN_RATIO * above
+    members = [t for t in Tokens if t > floor]
+    plain = st.integers(int(floor) + 1, int(floor) + 2**80)
+    return draw(plain | st.sampled_from(members)) if members else draw(plain)
+
+
+@st.composite
+def preference_pairs(draw):
+    chosen_tokens = draw(token_counts())
+    return PreferencePair(
+        question_id=draw(TEXT),
+        chosen=draw(TEXT),
+        rejected=draw(TEXT),
+        chosen_tokens=chosen_tokens,
+        rejected_tokens=draw(token_counts(chosen_tokens)),
+    )
+
+
+@st.composite
+def refusal_examples(draw):
+    level = draw(st.sampled_from(CONFIDENCE_LEVELS))
+    # The level, a float subclass of it, a float within the grid
+    # tolerance of it, or for 1.0 also the int 1.
+    threshold = draw(st.sampled_from([level, Level(level), level + 1e-10, int(level) or level]))
+    return RefusalExample(
+        question_id=draw(TEXT),
+        threshold=threshold,
+        prompt=refusal_prompt(level, draw(TEXT)),
+        target=draw(TEXT),
+    )
+
+
+PAIRS = preference_pairs()
+REFUSALS = refusal_examples()
+
+
 class TestTrainingCorpus:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -561,26 +649,20 @@ class TestTrainingCorpus:
         with pytest.warns(UserWarning, match="unknown field"):
             load_training_questions(str(path))
 
-    def test_write_pairs_and_refusals(self, tmp_path):
-        pair = PreferencePair(
-            question_id="q",
-            chosen="t",
-            chosen_tokens=10,
-            rejected="u",
-            rejected_tokens=16,
-        )
-        example = RefusalExample(
-            question_id="q",
-            threshold=0.4,
-            prompt=refusal_prompt(0.4, "Why?"),
-            target="because",
-        )
-        pair_path = tmp_path / "pairs.jsonl"
-        ref_path = tmp_path / "refusals.jsonl"
-        write_pairs([pair], str(pair_path))
-        write_refusal_examples([example], str(ref_path))
-        assert json.loads(pair_path.read_text())["id"] == "q"
-        assert json.loads(ref_path.read_text())["threshold"] == 0.4
+    @given(st.lists(PAIRS, max_size=4), st.lists(REFUSALS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_write_pairs_and_refusals(self, pairs, examples):
+        # Each line is what json.dumps writes for the record's dict.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.jsonl")
+            for write, records in ((write_pairs, pairs), (write_refusal_examples, examples)):
+                write(records, path)
+                with open(path, "rb") as handle:
+                    written = handle.read()
+                expected = "".join(
+                    json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records
+                )
+                assert written == expected.encode("utf-8")
 
 
 class TestSyntheticGenerator:

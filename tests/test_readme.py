@@ -1,10 +1,12 @@
 """The README's Quick start and Library use examples run as written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 from routerlab import cli
+from routerlab.records import PreferencePair, RefusalExample, refusal_prompt
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -36,3 +38,15 @@ def test_library_use_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed] == ["ToA", "AROL"]
+
+
+def test_output_rows_show_the_written_keys_in_order():
+    pair = PreferencePair(
+        question_id="q", chosen="a", rejected="b", chosen_tokens=1, rejected_tokens=2
+    )
+    example = RefusalExample(
+        question_id="q", threshold=0.3, prompt=refusal_prompt(0.3, "Q"), target="a"
+    )
+    shown = [json.loads(block) for block in fenced_blocks("Data formats", "json")]
+    assert list(pair.to_dict()) in [list(row) for row in shown]
+    assert list(example.to_dict()) in [list(row) for row in shown]

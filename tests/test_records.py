@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from routerlab import records
 from routerlab.io import load_pricing, parse_question
 from routerlab.records import (
     CONFIDENCE_LEVELS,
@@ -81,6 +82,17 @@ class TestRefusalPrompt:
                 refusal_prompt_prefix(level)
                 == f"Please respond with a confidence level of {level:.1f}:"
             )
+
+    def test_prefix_table_holds_the_template_of_each_level(self):
+        assert records._PREFIXES == {
+            level: f"Please respond with a confidence level of {level:.1f}:"
+            for level in CONFIDENCE_LEVELS
+        }
+
+    @pytest.mark.parametrize("threshold, shown", [(0.15, "0.1"), (0.05, "0.1"), (1, "1.0")])
+    def test_off_grid_and_int_thresholds_keep_their_text(self, threshold, shown):
+        expected = f"Please respond with a confidence level of {shown}:"
+        assert refusal_prompt_prefix(threshold) == expected
 
     def test_prompt_joins_with_single_space(self):
         assert (
@@ -428,6 +440,35 @@ class TestRefusalExample:
             target=REJECTION_TEXT,
         )
         assert ex.threshold == 0.3
+
+
+class TestLoneSurrogate:
+    """A string UTF-8 cannot encode is rejected where it enters, by field."""
+
+    def test_sample_answer(self):
+        with pytest.raises(
+            ValidationError,
+            match="^answer holds a lone surrogate U\\+D800 at index 1, which UTF-8 cannot encode$",
+        ):
+            SampleRecord(answer="x\ud800", correct=True, tokens=3)
+
+    @pytest.mark.parametrize("field", ["question_id", "chosen", "rejected"])
+    def test_pair_field(self, field):
+        values = dict(
+            question_id="q", chosen="t", chosen_tokens=8, rejected="u", rejected_tokens=15
+        )
+        values[field] = "\udfff" + values[field]
+        expected = f"^{field} holds a lone surrogate U\\+DFFF at index 0"
+        with pytest.raises(ValidationError, match=expected):
+            PreferencePair(**values)
+
+    def test_paired_surrogates_and_other_text_are_kept(self):
+        text = "é \u2028 \x7f 🎉"
+        assert SampleRecord(answer=text, correct=True, tokens=3).answer == text
+        pair = PreferencePair(
+            question_id=text, chosen=text, chosen_tokens=8, rejected=text, rejected_tokens=15
+        )
+        assert (pair.question_id, pair.chosen, pair.rejected) == (text, text, text)
 
 
 class TestLlmOutcome:
