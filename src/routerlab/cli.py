@@ -40,6 +40,7 @@ from .metrics import (
 )
 from .prerouting import SCORE_SOURCES, sweep_pre
 from .records import (
+    CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
     SCHEMES,
     MetricsReport,
@@ -346,11 +347,12 @@ def _cmd_build(args) -> int:
         )
         if pair is not None:
             pairs.append(pair)
-    refusals = [
+    # Each refusal example is written as it is built; none is kept.
+    refusals = (
         example
         for question in corpus
         for example in build_refusal_examples(question, seed)
-    ]
+    )
 
     _write_artifacts(
         args.out_dir,
@@ -362,7 +364,7 @@ def _cmd_build(args) -> int:
         f"built {len(pairs)} preference pair(s) from {len(corpus)} question(s) "
         f"({len(corpus) - len(pairs)} without a qualifying pair)"
     )
-    print(f"built {len(refusals)} refusal example(s), seed={seed}")
+    print(f"built {len(CONFIDENCE_LEVELS) * len(corpus)} refusal example(s), seed={seed}")
     print(f"wrote {pairs_path} and {refusal_path}")
     return 0
 

@@ -37,6 +37,7 @@ from .records import (
     _check_llm,
     _check_question,
     _check_sample,
+    _fill,
     canonical_answer,
 )
 from .trainset import ResponseSample, TrainingQuestion, _check_response, _check_training
@@ -199,11 +200,7 @@ def _record(kind: _Kind, values: dict[str, Any]) -> Any:
     values and makes them canonical; the record is then filled in
     without its constructor, so nothing is checked twice.
     """
-    values = kind.check(values)
-    record = object.__new__(kind.cls)
-    for name, value in values.items():
-        object.__setattr__(record, name, value)
-    return record
+    return _fill(kind.cls, kind.check(values))
 
 
 def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:

@@ -7,8 +7,11 @@ record instance it holds is well formed. All records are immutable.
 The input records (``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``)
 keep their rules in one private ``_check_*`` function each. The
 constructor runs it, and ``io`` runs it on the values it decoded before
-it fills in a record without the constructor, so every value is checked
-once either way.
+it fills in a record through ``_fill``, without the constructor, so
+every value is checked once either way. The ``trainset`` builders fill
+their ``PreferencePair`` and ``RefusalExample`` records through
+``_fill`` too: they make them from a checked question, so the
+constructor's checks hold by construction.
 """
 
 from __future__ import annotations
@@ -183,6 +186,17 @@ class PricingSchedule:
             "llm_in": self.llm_in,
             "llm_out": self.llm_out,
         }
+
+
+def _fill(cls: type, values: dict[str, Any]) -> Any:
+    """A ``cls`` record holding ``values``, made without its constructor.
+
+    For values already checked: nothing here checks them again.
+    """
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 def _settle(record: Any, check: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
@@ -404,7 +418,7 @@ class DatasetProfile:
         ordered = sorted(questions, key=lambda q: q.id)
         ids = tuple(q.id for q in ordered)
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
             raise ValidationError(f"duplicate question ids: {', '.join(dupes[:5])}")
         llm_tokens = [q.llm.tokens for q in ordered if q.llm is not None]
         avg = sum(llm_tokens) / len(llm_tokens) if llm_tokens else None

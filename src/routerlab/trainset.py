@@ -32,6 +32,7 @@ from .records import (
     _as_bool,
     _as_count,
     _as_str,
+    _fill,
     _settle,
     refusal_prompt,
 )
@@ -131,12 +132,17 @@ def build_dpo_pair(
             rejected = sample
     if rejected is None:
         return None
-    return PreferencePair(
-        question_id=question_id,
-        chosen=chosen.text,
-        rejected=rejected.text,
-        chosen_tokens=chosen.tokens,
-        rejected_tokens=rejected.tokens,
+    # The texts and token counts come from checked samples, and
+    # min_ratio >= 1.5 gives the length gap; only the id is the caller's.
+    return _fill(
+        PreferencePair,
+        {
+            "question_id": _as_str(question_id, "question_id"),
+            "chosen": chosen.text,
+            "rejected": rejected.text,
+            "chosen_tokens": chosen.tokens,
+            "rejected_tokens": rejected.tokens,
+        },
     )
 
 
@@ -164,6 +170,10 @@ def build_refusal_examples(
     a randomly drawn correct completion; above them it is the fixed
     rejection text. Draws are seeded per question id, so the corpus is
     reproducible regardless of question order.
+
+    Each example is filled in without its constructor: the id and texts
+    come from the checked question, each threshold is a grid level and
+    each prompt is ``refusal_prompt``'s, so its checks hold already.
     """
     accuracy = estimate_accuracy(question.samples)
     correct_texts = [s.text for s in question.samples if s.correct]
@@ -175,11 +185,14 @@ def build_refusal_examples(
         else:
             target = REJECTION_TEXT
         examples.append(
-            RefusalExample(
-                question_id=question.id,
-                threshold=threshold,
-                prompt=refusal_prompt(threshold, question.question),
-                target=target,
+            _fill(
+                RefusalExample,
+                {
+                    "question_id": question.id,
+                    "threshold": threshold,
+                    "prompt": refusal_prompt(threshold, question.question),
+                    "target": target,
+                },
             )
         )
     return tuple(examples)

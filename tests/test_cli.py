@@ -8,6 +8,7 @@ import pytest
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import load_dataset
+from routerlab.records import ValidationError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 
@@ -318,11 +319,27 @@ class TestSweep:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("failure", ["write_error", "target_is_a_directory"])
+    @pytest.mark.parametrize("failure", ["write_error", "target_is_a_directory", "builder_error"])
     def test_failed_write_leaves_no_artifact(self, corpus, tmp_path, capsys, monkeypatch, failure):
         out_dir = tmp_path / "train"
+        streaming = []
         if failure == "write_error":
             monkeypatch.setattr(cli, "write_refusal_examples", fail_write)
+            left = []
+        elif failure == "builder_error":
+            # Refusal rows stream to their temporary file as they are
+            # built, so both temporaries exist when the third one fails.
+            build = cli.build_refusal_examples
+            built = []
+
+            def fail_third(question, seed):
+                if len(built) == 2:
+                    streaming.extend(sorted(p.name for p in out_dir.iterdir()))
+                    raise ValidationError(f"question {question.id!r}: cannot build")
+                built.append(question.id)
+                return build(question, seed)
+
+            monkeypatch.setattr(cli, "build_refusal_examples", fail_third)
             left = []
         else:
             (out_dir / "refusal.jsonl").mkdir(parents=True)
@@ -330,7 +347,12 @@ class TestBuild:
         code, out, err = run(["build", str(corpus), "--out-dir", str(out_dir)], capsys)
         assert code == 1
         assert "error: " in err
+        assert "Traceback" not in err
         assert sorted(p.name for p in out_dir.iterdir()) == left
+        if failure == "builder_error":
+            assert "error: question 't2': cannot build" in err
+            assert [name.split(".")[1] for name in streaming] == ["pairs", "refusal"]
+            assert all(name.endswith(".tmp") for name in streaming)
 
     def test_outputs(self, corpus, tmp_path, capsys):
         out_dir = tmp_path / "train"

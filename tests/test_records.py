@@ -236,6 +236,20 @@ class TestDatasetProfile:
         with pytest.raises(ValidationError):
             DatasetProfile.from_questions([make_question("a"), make_question("a")])
 
+    def test_duplicate_report_scales_to_large_datasets(self):
+        samples = (make_sample(),)
+        qs = [make_question(f"q{i:05d}", samples=samples) for i in range(20_000)]
+        qs.append(make_question("q12345", samples=samples))
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile.from_questions(qs)
+        assert str(caught.value) == "duplicate question ids: q12345"
+
+    def test_duplicate_report_names_first_five_sorted(self):
+        ids = ["g", "c", "a", "f", "e", "b", "g", "c", "a", "f", "e", "b", "a", "d"]
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile.from_questions([make_question(i) for i in ids])
+        assert str(caught.value) == "duplicate question ids: a, b, c, e, f"
+
     def test_no_llm_anywhere(self):
         profile = DatasetProfile.from_questions([make_question("a", with_llm=False)])
         assert profile.avg_llm_tokens is None

@@ -1,9 +1,12 @@
 """Preference-pair mining, refusal corpus construction, and the loss."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routerlab.records import (
     CONFIDENCE_LEVELS,
@@ -277,3 +280,58 @@ class TestValidation:
             TrainingQuestion(id="", question="q", samples=(resp("a", True, 1),))
         with pytest.raises(ValidationError):
             TrainingQuestion(id="q", question="q", samples=())
+
+    def test_pair_question_id(self):
+        # The one pair field that does not come from a checked sample.
+        with pytest.raises(ValidationError, match="question_id must be a non-empty string"):
+            build_dpo_pair("", ten(2).samples)
+
+
+# Non-empty text of any code point UTF-8 can encode: no lone surrogate.
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12)
+SAMPLES = st.builds(
+    ResponseSample, text=TEXT, correct=st.booleans(), tokens=st.integers(1, 10**6)
+)
+
+
+def training_questions(min_samples, max_samples):
+    return st.builds(
+        TrainingQuestion,
+        id=TEXT,
+        question=TEXT,
+        samples=st.lists(SAMPLES, min_size=min_samples, max_size=max_samples),
+    )
+
+
+def assert_constructor_agrees(record):
+    """The constructor accepts ``record``'s own fields and makes an
+    equal record with the same repr."""
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    again = type(record)(**fields)
+    assert again == record
+    assert repr(again) == repr(record)
+
+
+class TestBuildersMatchConstructors:
+    """The builders fill records without their constructors; every record
+    they return must be one the constructor accepts and makes the same."""
+
+    @given(training_questions(10, 10), st.integers(-(2**64), 2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_refusal_examples(self, question, seed):
+        examples = build_refusal_examples(question, seed)
+        assert len(examples) == len(CONFIDENCE_LEVELS)
+        for example in examples:
+            assert_constructor_agrees(example)
+
+    @given(training_questions(1, 12), st.floats(1.5, 4.0), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_dpo_pair(self, question, min_ratio, include_correct_rejected):
+        pair = build_dpo_pair(
+            question.id,
+            question.samples,
+            min_ratio=min_ratio,
+            include_correct_rejected=include_correct_rejected,
+        )
+        if pair is not None:
+            assert_constructor_agrees(pair)
