@@ -59,8 +59,23 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     return weight
 
 
+class _Weights(dict):
+    """Vote weight by confidence level at one alpha: ``None`` (an
+    unconditioned sample) votes 1.0, and each level's weight comes from
+    ``vote_weight`` on its first use, so a level no sample carries is
+    never checked and never raises."""
+
+    def __init__(self, alpha: float):
+        super().__init__({None: 1.0})
+        self.alpha = alpha
+
+    def __missing__(self, level: float) -> float:
+        weight = self[level] = vote_weight(level, self.alpha)
+        return weight
+
+
 def _encode(
-    samples: Sequence[SampleRecord], alpha: float
+    samples: Sequence[SampleRecord], weight_of: _Weights
 ) -> tuple[tuple[str, ...], list[int], list[float], list[int]]:
     """Flatten samples into the parallel lists the vote consumes.
 
@@ -72,10 +87,7 @@ def _encode(
     answers = tuple(sorted({s.answer for s in samples if s.answer is not None}))
     code_of = {answer: code for code, answer in enumerate(answers)}
     codes = [-1 if s.answer is None else code_of[s.answer] for s in samples]
-    weights = [
-        1.0 if s.confidence_level is None else vote_weight(s.confidence_level, alpha)
-        for s in samples
-    ]
+    weights = [weight_of[s.confidence_level] for s in samples]
     tokens = [s.tokens for s in samples]
     return answers, codes, weights, tokens
 
@@ -173,7 +185,7 @@ def simulate_parallel(
     ``(accepted, answer, share, latency_tokens, stopped_early)``, where
     ``answer`` is None when every sample refused.
     """
-    answers, codes, weights, tokens = _encode(samples, alpha)
+    answers, codes, weights, tokens = _encode(samples, _Weights(alpha))
     accepted, winner, share, latency, stopped_early = cascade_vote(
         codes, weights, tokens, tau
     )
@@ -224,7 +236,7 @@ def route_cascade(
 ) -> RoutingOutcome:
     """Route one question through the cascade at threshold ``tau``."""
     qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality = (
-        _prepare(question, scheme, k, alpha, profile, pricing, assume_perfect)
+        _prepare(question, scheme, k, _Weights(alpha), profile, pricing, assume_perfect)
     )
     accepted, winner, _share, latency, _stopped = cascade_vote(
         codes, weights, tokens, tau
@@ -265,13 +277,13 @@ def _prepare(
     question: QuestionRecord,
     scheme: str,
     k: int,
-    alpha: float,
+    weight_of: _Weights,
     profile: DatasetProfile,
     pricing: PricingSchedule,
     assume_perfect: bool,
 ) -> tuple:
     samples = select_samples(question, scheme, k)
-    answers, codes, weights, tokens = _encode(samples, alpha)
+    answers, codes, weights, tokens = _encode(samples, weight_of)
     correct_of = {}
     for sample in samples:
         if sample.answer is not None:
@@ -321,8 +333,9 @@ def sweep_cascade(
     if not questions:
         raise ValidationError("cannot sweep an empty dataset")
 
+    weight_of = _Weights(alpha)
     rows = [
-        _sweep_columns(_prepare(q, scheme, k, alpha, profile, pricing, assume_perfect))
+        _sweep_columns(_prepare(q, scheme, k, weight_of, profile, pricing, assume_perfect))
         for q in questions
     ]
     return _sweep_result(rows, profile, pricing, taus, assume_perfect)

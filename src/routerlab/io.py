@@ -2,11 +2,26 @@
 
 Datasets, training corpora, preference pairs and refusal examples are
 JSON Lines; curves are CSV; pricing and metrics are single JSON objects.
-This module is the only reader of these formats: ``_object`` checks one
-decoded object's keys against its record class, and ``_record`` builds
-the record after the class's own field check. Parsers are strict about
-required fields, repeated keys and value ranges but tolerate unknown
-fields with a warning, so newer files keep loading.
+This module is the only reader of these formats. Parsers are strict
+about required fields, repeated keys and value ranges but tolerate
+unknown fields with a warning, so newer files keep loading.
+
+A question or training-corpus line is read one of two ways:
+
+* The exact-shape path (``_exact_question``, ``_exact_training``) takes
+  a line in exactly the shape the writers write: a dict with every field
+  of the record and of its nested objects, in any key order, each value
+  of the exact type its check would return unchanged. It checks and
+  builds the whole record tree in one pass and returns None for any
+  other input, having raised and warned about nothing.
+* The checked path (``_checked_question``, ``_checked_training``) reads
+  every line the first one leaves: ``_object`` checks one decoded
+  object's keys against its record class, and ``_record`` builds the
+  record after the class's own field check. It alone raises and warns,
+  so every error text and ``path:line`` comes from it.
+
+Both make their records through ``records._maker``, without the
+constructors, and give equal records for any line both take.
 """
 
 from __future__ import annotations
@@ -22,6 +37,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .records import (
+    _FLOAT_SAFE_INT,
+    _ON_GRID,
     CONFIDENCE_LEVELS,
     SCHEMES,
     CurvePoint,
@@ -37,7 +54,7 @@ from .records import (
     _check_llm,
     _check_question,
     _check_sample,
-    _fill,
+    _maker,
     canonical_answer,
 )
 from .trainset import ResponseSample, TrainingQuestion, _check_response, _check_training
@@ -124,10 +141,11 @@ def _read_jsonl(
 
 class _Kind:
     """How ``io`` reads one record class from a JSON object: the keys it
-    must carry, the defaults of the rest, and the class's check of its
-    field values (None for a class built through its constructor)."""
+    must carry, the defaults of the rest, the class's check of its field
+    values, and its ``records._maker`` (both None for a class built
+    through its constructor)."""
 
-    __slots__ = ("cls", "required", "needed", "known", "defaults", "check")
+    __slots__ = ("cls", "required", "needed", "known", "defaults", "check", "make")
 
     def __init__(
         self,
@@ -141,6 +159,7 @@ class _Kind:
         self.known = frozenset(f.name for f in fields(cls))
         self.defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
         self.check = check
+        self.make = None if check is None else _maker(cls)
 
 
 _SAMPLE = _Kind(SampleRecord, ("correct", "tokens"), _check_sample)
@@ -197,10 +216,10 @@ def _record(kind: _Kind, values: dict[str, Any]) -> Any:
     """A ``kind.cls`` record from raw field values.
 
     The class's check, the one its ``__post_init__`` runs, checks the
-    values and makes them canonical; the record is then filled in
-    without its constructor, so nothing is checked twice.
+    values and makes them canonical; the record is then made without its
+    constructor, so nothing is checked twice.
     """
-    return _fill(kind.cls, kind.check(values))
+    return kind.make(**kind.check(values))
 
 
 def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
@@ -221,12 +240,100 @@ def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]
     return tuple(records)
 
 
+def _exact_question(data: Any) -> QuestionRecord | None:
+    """The QuestionRecord for ``data`` if it has exactly the shape
+    ``write_dataset`` writes, else None.
+
+    That shape is a dict with every field of the record and its samples
+    (in any key order) holding values of the exact types the checks
+    return unchanged: non-empty ASCII strings, ``True``/``False``, int
+    counts below ``_FLOAT_SAFE_INT``, a float ``pre_score`` in [0, 1],
+    float levels found in ``_ON_GRID``, and answers that agree on their
+    correctness. The whole tree is checked and built in one pass; on any
+    other input nothing is built, and ``_checked_question``, the path
+    that raises and warns, reads the object instead.
+    """
+    if type(data) is not dict or data.keys() != _QUESTION.known:
+        return None
+    qid = data["id"]
+    input_tokens = data["input_tokens"]
+    raw = data["slm_samples"]
+    score = data["pre_score"]
+    llm = data["llm"]
+    if not (
+        type(qid) is str
+        and qid
+        and qid.isascii()
+        and type(input_tokens) is int
+        and 0 < input_tokens < _FLOAT_SAFE_INT
+        and type(raw) is list
+        and raw
+        and (score is None or type(score) is float and 0.0 <= score <= 1.0)
+    ):
+        return None
+    if llm is not None:
+        if type(llm) is not dict or llm.keys() != _LLM.known:
+            return None
+        correct = llm["correct"]
+        tokens = llm["tokens"]
+        if not (
+            (correct is True or correct is False)
+            and type(tokens) is int
+            and 0 < tokens < _FLOAT_SAFE_INT
+        ):
+            return None
+        llm = _LLM.make(correct, tokens)
+    make = _SAMPLE.make
+    known = _SAMPLE.known
+    samples = []
+    verdict: dict[str, bool] = {}
+    for sample in raw:
+        if type(sample) is not dict or sample.keys() != known:
+            return None
+        answer = sample["answer"]
+        correct = sample["correct"]
+        tokens = sample["tokens"]
+        level = sample["confidence_level"]
+        refusal = sample["refusal"]
+        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+            return None
+        if level is not None:
+            # True and 1 are found in _ON_GRID too; the checked path
+            # rejects the one and converts the other.
+            level = _ON_GRID.get(level) if type(level) is float else None
+            if level is None:
+                return None
+        if refusal is True:
+            if answer is not None or correct is not False:
+                return None
+        elif (
+            refusal is False
+            and (correct is True or correct is False)
+            and type(answer) is str
+            and answer.isascii()
+        ):
+            answer = answer.strip().casefold()
+            if not answer or verdict.setdefault(answer, correct) is not correct:
+                return None
+        else:
+            return None
+        samples.append(make(answer, correct, tokens, level, refusal))
+    return _QUESTION.make(qid, input_tokens, tuple(samples), score, llm)
+
+
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
     """Build a QuestionRecord from one decoded JSONL object.
 
     ``source`` names the record in unknown-field warnings only; the
     reader puts the location in front of a raised error.
     """
+    question = _exact_question(data)
+    return _checked_question(data, source) if question is None else question
+
+
+def _checked_question(data: Any, source: str) -> QuestionRecord:
+    """``parse_question``'s checked path: each object's keys checked by
+    ``_object`` and its values by the record class's own check."""
     values = _object(data, _QUESTION, source)
     values["slm_samples"] = _objects(values["slm_samples"], _SAMPLE, source, "slm_samples")
     if values["llm"] is not None:
@@ -374,8 +481,56 @@ def write_metrics(report: MetricsReport, path: str) -> None:
         handle.write("\n")
 
 
+def _exact_training(data: Any) -> TrainingQuestion | None:
+    """The TrainingQuestion for ``data`` if it has exactly the shape of a
+    training-corpus line, else None: what ``_exact_question`` is to
+    ``parse_question``, for ``parse_training_question``."""
+    if type(data) is not dict or data.keys() != _TRAINING.known:
+        return None
+    qid = data["id"]
+    question = data["question"]
+    raw = data["samples"]
+    if not (
+        type(qid) is str
+        and qid
+        and qid.isascii()
+        and type(question) is str
+        and question
+        and question.isascii()
+        and type(raw) is list
+        and raw
+    ):
+        return None
+    make = _RESPONSE.make
+    known = _RESPONSE.known
+    samples = []
+    for sample in raw:
+        if type(sample) is not dict or sample.keys() != known:
+            return None
+        text = sample["text"]
+        correct = sample["correct"]
+        tokens = sample["tokens"]
+        if not (
+            type(text) is str
+            and text
+            and text.isascii()
+            and (correct is True or correct is False)
+            and type(tokens) is int
+            and 0 < tokens < _FLOAT_SAFE_INT
+        ):
+            return None
+        samples.append(make(text, correct, tokens))
+    return _TRAINING.make(qid, question, tuple(samples))
+
+
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
+    question = _exact_training(data)
+    return _checked_training(data, source) if question is None else question
+
+
+def _checked_training(data: Any, source: str) -> TrainingQuestion:
+    """``parse_training_question``'s checked path, as ``_checked_question``."""
     values = _object(data, _TRAINING, source)
     values["samples"] = _objects(values["samples"], _RESPONSE, source, "samples")
     return _record(_TRAINING, values)

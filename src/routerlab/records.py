@@ -6,12 +6,13 @@ record instance it holds is well formed. All records are immutable.
 
 The input records (``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``)
 keep their rules in one private ``_check_*`` function each. The
-constructor runs it, and ``io`` runs it on the values it decoded before
-it fills in a record through ``_fill``, without the constructor, so
-every value is checked once either way. The ``trainset`` builders fill
-their ``PreferencePair`` and ``RefusalExample`` records through
-``_fill`` too: they make them from a checked question, so the
-constructor's checks hold by construction.
+constructor runs it. ``io`` runs it on the values it decoded, or checks
+an exact-shape line in one pass of its own, and then makes the record
+through the class's ``_maker``, without the constructor, so every value
+is checked once either way. The ``trainset`` builders make their
+``PreferencePair`` and ``RefusalExample`` records through ``_maker``
+too: they make them from a checked question, so the constructor's
+checks hold by construction.
 """
 
 from __future__ import annotations
@@ -188,15 +189,26 @@ class PricingSchedule:
         }
 
 
-def _fill(cls: type, values: dict[str, Any]) -> Any:
-    """A ``cls`` record holding ``values``, made without its constructor.
+def _maker(cls: type) -> Callable[..., Any]:
+    """``make(*fields)``: a slotted ``cls`` record holding ``fields``,
+    made without its constructor. For values already checked: nothing
+    here checks them again.
 
-    For values already checked: nothing here checks them again.
+    The record comes from ``object.__new__``, and each field is stored
+    by its slot descriptor's ``__set__``, one call per slot in slot
+    order. That skips the frozen ``__setattr__`` and the per-name lookup
+    of ``object.__setattr__``; the body is generated, as ``dataclasses``
+    generates ``__init__``, so that no loop runs per record.
     """
-    record = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(record, name, value)
-    return record
+    names = cls.__slots__
+    namespace = {"_new": object.__new__, "_cls": cls}
+    body = ["    _record = _new(_cls)"]
+    for name in names:
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        body.append(f"    _set_{name}(_record, {name})")
+    body.append("    return _record")
+    exec(f"def make({', '.join(names)}):\n" + "\n".join(body), namespace)
+    return namespace["make"]
 
 
 def _settle(record: Any, check: Callable[[dict[str, Any]], dict[str, Any]]) -> None:

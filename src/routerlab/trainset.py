@@ -32,7 +32,7 @@ from .records import (
     _as_bool,
     _as_count,
     _as_str,
-    _fill,
+    _maker,
     _settle,
     refusal_prompt,
 )
@@ -43,6 +43,10 @@ SFT_WEIGHT = 0.2
 # The accuracy estimate is n_correct / ESTIMATE_SAMPLES, which lands
 # exactly on the confidence grid; the threshold comparison is exact.
 ESTIMATE_SAMPLES = 10
+
+# The builders' records, made without their constructors (see below).
+_make_pair = _maker(PreferencePair)
+_make_refusal = _maker(RefusalExample)
 
 
 def _check_response(values: dict[str, Any]) -> dict[str, Any]:
@@ -134,15 +138,12 @@ def build_dpo_pair(
         return None
     # The texts and token counts come from checked samples, and
     # min_ratio >= 1.5 gives the length gap; only the id is the caller's.
-    return _fill(
-        PreferencePair,
-        {
-            "question_id": _as_str(question_id, "question_id"),
-            "chosen": chosen.text,
-            "rejected": rejected.text,
-            "chosen_tokens": chosen.tokens,
-            "rejected_tokens": rejected.tokens,
-        },
+    return _make_pair(
+        _as_str(question_id, "question_id"),
+        chosen.text,
+        rejected.text,
+        chosen.tokens,
+        rejected.tokens,
     )
 
 
@@ -171,7 +172,7 @@ def build_refusal_examples(
     rejection text. Draws are seeded per question id, so the corpus is
     reproducible regardless of question order.
 
-    Each example is filled in without its constructor: the id and texts
+    Each example is made without its constructor: the id and texts
     come from the checked question, each threshold is a grid level and
     each prompt is ``refusal_prompt``'s, so its checks hold already.
     """
@@ -185,14 +186,8 @@ def build_refusal_examples(
         else:
             target = REJECTION_TEXT
         examples.append(
-            _fill(
-                RefusalExample,
-                {
-                    "question_id": question.id,
-                    "threshold": threshold,
-                    "prompt": refusal_prompt(threshold, question.question),
-                    "target": target,
-                },
+            _make_refusal(
+                question.id, threshold, refusal_prompt(threshold, question.question), target
             )
         )
     return tuple(examples)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routerlab import cascade
 from routerlab.cascade import (
     DEFAULT_ALPHA,
     DEFAULT_K,
@@ -16,6 +17,7 @@ from routerlab.cascade import (
 )
 from routerlab.costs import llm_question_cost
 from routerlab.records import (
+    CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
     DatasetProfile,
     ValidationError,
@@ -299,3 +301,25 @@ class TestSweepCascade:
         questions, profile = synth_rcv
         outcomes = [route_cascade(q, 0.6, profile, pricing) for q in questions]
         assert all(o.decision_latency_tokens >= 1 for o in outcomes)
+
+    def test_each_level_weighed_once_per_sweep(self, synth_rcv, pricing, monkeypatch):
+        questions, profile = synth_rcv
+        expected = sweep_cascade(questions, profile, pricing, alpha=0.7)
+        weighed = []
+
+        def counting(level, alpha):
+            weighed.append(level)
+            return vote_weight(level, alpha)
+
+        monkeypatch.setattr(cascade, "vote_weight", counting)
+        assert sweep_cascade(questions, profile, pricing, alpha=0.7) == expected
+        assert sorted(weighed) == list(CONFIDENCE_LEVELS)
+
+    def test_level_no_sample_carries_is_never_weighed(self, synth_rcv, synth_fcv, pricing):
+        # At alpha 2 level 0.1 weighs 0.55 + 2 * (0.1 - 0.55) < 0; fcv
+        # samples all sit at level 1.0, so an fcv sweep never meets it.
+        questions, profile = synth_fcv
+        sweep = sweep_cascade(questions, profile, pricing, scheme="fcv", alpha=2.0)
+        assert len(sweep.points) == len(DEFAULT_TAUS) + 2
+        with pytest.raises(ValidationError, match="nonpositive vote weight for confidence 0.1"):
+            sweep_cascade(*synth_rcv, pricing, alpha=2.0)

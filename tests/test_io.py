@@ -1,5 +1,6 @@
 """Serialization, diagnostics, CSV curves, and the synthetic generator."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -255,7 +256,7 @@ REFUSED = st.fixed_dictionaries(
 )
 SAMPLES = st.lists(broken(ANSWERED | REFUSED), max_size=4)
 LLM = st.none() | broken(st.fixed_dictionaries({"correct": st.booleans(), "tokens": TOKENS}))
-QUESTIONS = broken(
+ANY_QUESTIONS = broken(
     st.fixed_dictionaries(
         {"id": st.sampled_from(["q1", "Q 2"]), "input_tokens": TOKENS, "slm_samples": SAMPLES},
         optional={
@@ -264,7 +265,7 @@ QUESTIONS = broken(
         },
     )
 )
-TRAINING = broken(
+ANY_TRAINING = broken(
     st.fixed_dictionaries(
         {
             "id": st.sampled_from(["t1", "t 2"]),
@@ -280,6 +281,92 @@ TRAINING = broken(
         }
     )
 )
+
+
+# The exact shape the writers write: every field present, valid values
+# of the exact types, a question's samples agreeing on each answer's
+# correctness, and keys in any order.
+ANSWERS = ["a", " A ", "b", "c\n"]
+# Whether each canonical answer is correct, drawn once per example.
+TRUTH = st.shared(st.fixed_dictionaries({key: st.booleans() for key in "abc"}), key="truth")
+
+
+def permuted(strategy):
+    """Dicts from ``strategy`` with their keys in any order."""
+    return strategy.flatmap(lambda data: st.permutations(list(data.items())).map(dict))
+
+
+@st.composite
+def exact_sample(draw):
+    answer = draw(st.sampled_from([None, *ANSWERS]))
+    correct = False if answer is None else draw(TRUTH)[answer.strip().casefold()]
+    fields = {
+        "answer": st.just(answer),
+        "correct": st.just(correct),
+        "tokens": TOKENS,
+        "confidence_level": st.sampled_from((None, *CONFIDENCE_LEVELS)),
+        "refusal": st.just(answer is None),
+    }
+    return draw(permuted(st.fixed_dictionaries(fields)))
+
+
+EXACT_QUESTIONS = permuted(
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(["q1", "Q 2"]),
+            "input_tokens": TOKENS,
+            "pre_score": st.none() | st.floats(0, 1),
+            "slm_samples": st.lists(exact_sample(), min_size=1, max_size=4),
+            "llm": st.none()
+            | permuted(st.fixed_dictionaries({"correct": st.booleans(), "tokens": TOKENS})),
+        }
+    )
+)
+EXACT_TRAINING = permuted(
+    st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(["t1", "t 2"]),
+            "question": st.sampled_from(["Why?", "How"]),
+            "samples": st.lists(
+                permuted(
+                    st.fixed_dictionaries(
+                        {"text": st.sampled_from(["x", " y "]), "correct": st.booleans(), "tokens": TOKENS}
+                    )
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+        }
+    )
+)
+# What an exact-shape field may hold instead: a bad value, or a valid one
+# of another type or off the grid.
+NEAR_VALUES = BAD_VALUES | st.sampled_from([1, "é", 0.1 + 1e-10])
+
+
+@st.composite
+def one_off(draw, exact):
+    """A dict from ``exact``, as it is or with one change anywhere in it,
+    in a nested object too: a value replaced or a key dropped. (The traps
+    below add a key.)"""
+    data = draw(exact)
+    objects = [data]
+    for value in data.values():
+        items = value if isinstance(value, list) else [value]
+        objects.extend(item for item in items if isinstance(item, dict))
+    place = draw(st.none() | st.sampled_from([(obj, key) for obj in objects for key in obj]))
+    if place is not None:
+        obj, key = place
+        if draw(st.booleans()):
+            obj[key] = draw(NEAR_VALUES)
+        else:
+            del obj[key]
+    return data
+
+
+# Half exact-shape lines, often off by one change; half anything.
+QUESTIONS = one_off(EXACT_QUESTIONS) | ANY_QUESTIONS
+TRAINING = one_off(EXACT_TRAINING) | ANY_TRAINING
 
 
 def by_constructors(data, kind, nested):
@@ -354,6 +441,267 @@ class TestTrustedRecords:
             "q.jsonl:4: slm_samples[1]: ignoring unknown field(s) vibe",
         ]
         assert question == parse_question(json.loads(question_line()))
+
+
+def field_types(value):
+    """``value``'s type, with each field's for a record and each element's for a tuple."""
+    if isinstance(value, tuple):
+        return tuple(field_types(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(field_types(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value)
+
+
+def exact_question():
+    """A question in the exact shape ``write_dataset`` writes."""
+    return {
+        "id": "q1",
+        "input_tokens": 100,
+        "pre_score": 0.5,
+        "slm_samples": [
+            {"answer": "a", "correct": True, "tokens": 30, "confidence_level": 0.1, "refusal": False},
+            {"answer": None, "correct": False, "tokens": 8, "confidence_level": 0.2, "refusal": True},
+            {"answer": "b", "correct": False, "tokens": 40, "confidence_level": None, "refusal": False},
+        ],
+        "llm": {"correct": True, "tokens": 200},
+    }
+
+
+def exact_training():
+    """A training question in the exact shape of a corpus line."""
+    return json.loads(training_line())
+
+
+def changed(data, *path_and_value):
+    """``data`` with the value at a path of keys and indices set."""
+    *path, key, value = path_and_value
+    target = data
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return data
+
+
+def reversed_keys(value):
+    """``value`` with the keys of every object in it in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
+# Inputs one step from the exact shape that the exact-shape readers must
+# leave to the checked path, because it rejects them, warns about them
+# or converts a value.
+QUESTION_TRAPS = {
+    "id_empty": changed(exact_question(), "id", ""),
+    "id_not_a_string": changed(exact_question(), "id", 7),
+    "id_non_ascii": changed(exact_question(), "id", "qé"),
+    "id_lone_surrogate": changed(exact_question(), "id", "q\ud800"),
+    "input_tokens_true": changed(exact_question(), "input_tokens", True),
+    "input_tokens_zero": changed(exact_question(), "input_tokens", 0),
+    "input_tokens_huge": changed(exact_question(), "input_tokens", HUGE),
+    "samples_not_a_list": changed(exact_question(), "slm_samples", 5),
+    "samples_empty": changed(exact_question(), "slm_samples", []),
+    "pre_score_int_0": changed(exact_question(), "pre_score", 0),
+    "pre_score_int_1": changed(exact_question(), "pre_score", 1),
+    "pre_score_above_1": changed(exact_question(), "pre_score", 1.5),
+    "pre_score_nan": changed(exact_question(), "pre_score", math.nan),
+    "llm_not_an_object": changed(exact_question(), "llm", ["correct", "tokens"]),
+    "llm_extra_key": changed(exact_question(), "llm", "note", "x"),
+    "llm_missing_key": changed(exact_question(), "llm", {"correct": True}),
+    "llm_correct_int": changed(exact_question(), "llm", "correct", 1),
+    "llm_tokens_true": changed(exact_question(), "llm", "tokens", True),
+    "llm_tokens_zero": changed(exact_question(), "llm", "tokens", 0),
+    "llm_tokens_huge": changed(exact_question(), "llm", "tokens", HUGE),
+    "sample_not_an_object": changed(exact_question(), "slm_samples", 1, ["answer", None]),
+    "sample_missing_key": changed(
+        exact_question(), "slm_samples", 0, {"answer": "a", "correct": True, "tokens": 30, "refusal": False}
+    ),
+    "tokens_true": changed(exact_question(), "slm_samples", 0, "tokens", True),
+    "tokens_zero": changed(exact_question(), "slm_samples", 0, "tokens", 0),
+    "tokens_huge": changed(exact_question(), "slm_samples", 0, "tokens", HUGE),
+    "level_true": changed(exact_question(), "slm_samples", 0, "confidence_level", True),
+    "level_int_1": changed(exact_question(), "slm_samples", 0, "confidence_level", 1),
+    "level_off_grid": changed(exact_question(), "slm_samples", 0, "confidence_level", 0.1 + 1e-10),
+    "refusal_int": changed(exact_question(), "slm_samples", 1, "refusal", 1),
+    "refusal_not_a_bool": changed(exact_question(), "slm_samples", 0, "refusal", "no"),
+    "refusal_with_answer": changed(exact_question(), "slm_samples", 1, "answer", "a"),
+    "refusal_marked_correct": changed(exact_question(), "slm_samples", 1, "correct", True),
+    "correct_int": changed(exact_question(), "slm_samples", 0, "correct", 1),
+    "answer_not_a_string": changed(exact_question(), "slm_samples", 0, "answer", 7),
+    "answer_whitespace_only": changed(exact_question(), "slm_samples", 0, "answer", " \t "),
+    "answer_non_ascii": changed(exact_question(), "slm_samples", 0, "answer", "é"),
+    "answer_lone_surrogate": changed(exact_question(), "slm_samples", 0, "answer", "x\ud800"),
+    "answer_both_correct_and_not": changed(exact_question(), "slm_samples", 2, "answer", " A "),
+}
+TRAINING_TRAPS = {
+    "id_empty": changed(exact_training(), "id", ""),
+    "id_not_a_string": changed(exact_training(), "id", 7),
+    "id_non_ascii": changed(exact_training(), "id", "té"),
+    "question_empty": changed(exact_training(), "question", ""),
+    "question_not_a_string": changed(exact_training(), "question", 7),
+    "question_non_ascii": changed(exact_training(), "question", "Qué?"),
+    "question_lone_surrogate": changed(exact_training(), "question", "Why\ud800"),
+    "samples_not_a_list": changed(exact_training(), "samples", 5),
+    "samples_empty": changed(exact_training(), "samples", []),
+    "sample_not_an_object": changed(exact_training(), "samples", 1, 7),
+    "sample_extra_key": changed(exact_training(), "samples", 0, "note", "x"),
+    "sample_missing_key": changed(exact_training(), "samples", 0, {"text": "x", "tokens": 3}),
+    "text_empty": changed(exact_training(), "samples", 0, "text", ""),
+    "text_not_a_string": changed(exact_training(), "samples", 0, "text", 7),
+    "text_non_ascii": changed(exact_training(), "samples", 0, "text", "é"),
+    "text_lone_surrogate": changed(exact_training(), "samples", 0, "text", "x\ud800"),
+    "correct_int": changed(exact_training(), "samples", 0, "correct", 1),
+    "tokens_true": changed(exact_training(), "samples", 0, "tokens", True),
+    "tokens_zero": changed(exact_training(), "samples", 0, "tokens", 0),
+    "tokens_huge": changed(exact_training(), "samples", 0, "tokens", HUGE),
+}
+
+
+class TestExactShapeReaders:
+    """``_exact_question`` and ``_exact_training`` against the checked path."""
+
+    def agrees(self, exact, checked, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = exact(data)
+            if fast is None:
+                return
+            slow = checked(data, "q")  # raises if the exact reader took a bad input
+        assert repr(fast) == repr(slow) and field_types(fast) == field_types(slow)
+
+    @given(QUESTIONS)
+    @settings(max_examples=400, deadline=None)
+    def test_question_is_none_or_the_checked_record(self, data):
+        self.agrees(io._exact_question, io._checked_question, data)
+
+    @given(TRAINING)
+    @settings(max_examples=200, deadline=None)
+    def test_training_question_is_none_or_the_checked_record(self, data):
+        self.agrees(io._exact_training, io._checked_training, data)
+
+    @pytest.mark.parametrize("trap", QUESTION_TRAPS)
+    def test_question_trap_takes_the_checked_path(self, trap):
+        data = QUESTION_TRAPS[trap]
+        assert io._exact_question(data) is None
+        nested = {"slm_samples": (io._SAMPLE, True), "llm": (io._LLM, False)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert outcome(parse_question, data) == outcome(by_constructors, data, io._QUESTION, nested)
+
+    @pytest.mark.parametrize("trap", TRAINING_TRAPS)
+    def test_training_trap_takes_the_checked_path(self, trap):
+        data = TRAINING_TRAPS[trap]
+        assert io._exact_training(data) is None
+        nested = {"samples": (io._RESPONSE, True)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert outcome(parse_training_question, data) == outcome(
+                by_constructors, data, io._TRAINING, nested
+            )
+
+    @pytest.mark.parametrize(
+        "exact, checked, data",
+        [
+            (io._exact_question, io._checked_question, exact_question()),
+            (io._exact_training, io._checked_training, exact_training()),
+        ],
+        ids=["question", "training"],
+    )
+    def test_key_order_does_not_matter(self, exact, checked, data):
+        for shape in (data, reversed_keys(data)):
+            record = exact(shape)
+            assert record is not None
+            assert repr(record) == repr(checked(shape, "q"))
+            assert field_types(record) == field_types(checked(shape, "q"))
+
+
+class TestExactShapeHits:
+    """Every line the writers write takes the exact-shape reader."""
+
+    @pytest.fixture
+    def hits(self, monkeypatch):
+        counts = {"_exact_question": 0, "_exact_training": 0}
+
+        def counting(name):
+            reader = getattr(io, name)
+
+            def counted(data):
+                record = reader(data)
+                counts[name] += record is not None
+                return record
+
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(io, name, counting(name))
+        return counts
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SyntheticParams(scheme="rcv", pre_score_noise=0.2),
+            SyntheticParams(scheme="rcv", easy_fraction=0.5, include_llm=False),
+            SyntheticParams(scheme="sc"),
+            SyntheticParams(scheme="fcv", easy_fraction=0.3),
+        ],
+        ids=["rcv", "rcv_no_llm", "sc", "fcv"],
+    )
+    def test_every_synth_line(self, tmp_path, hits, params):
+        questions = generate_synthetic(60, seed=7, params=params)
+        path = tmp_path / "q.jsonl"
+        write_dataset(questions, str(path))
+        loaded, _ = load_dataset(str(path))
+        assert loaded == questions
+        assert hits["_exact_question"] == len(questions)
+
+    def test_every_corpus_line(self, tmp_path, hits):
+        # The shape of the benchmark's generated corpus, written by json.dumps.
+        rows = [
+            {
+                "id": f"q{index:06d}",
+                "question": f"Which option answers item {index}?",
+                "samples": [
+                    {
+                        "text": f"q{index:06d}.{slot}: option a",
+                        "correct": slot < index % 11,
+                        "tokens": 8 + slot,
+                    }
+                    for slot in range(10)
+                ],
+            }
+            for index in range(40)
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, [json.dumps(row) for row in rows])
+        loaded = load_training_questions(str(path))
+        assert hits["_exact_training"] == len(rows)
+        assert [repr(q) for q in loaded] == [
+            repr(by_constructors(row, io._TRAINING, {"samples": (io._RESPONSE, True)})) for row in rows
+        ]
+
+    @pytest.mark.parametrize("training", [False, True], ids=["dataset", "corpus"])
+    def test_unknown_field_on_every_line(self, tmp_path, hits, training):
+        if training:
+            rows = [json.loads(training_line(f"t{n}")) for n in range(12)]
+            load = load_training_questions
+        else:
+            rows = [q.to_dict() for q in generate_synthetic(12, seed=2)]
+            load = load_dataset
+        plain = tmp_path / "plain.jsonl"
+        noted = tmp_path / "noted.jsonl"
+        write_lines(plain, [json.dumps(row) for row in rows])
+        write_lines(noted, [json.dumps({**row, "note": "x"}) for row in rows])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load(str(noted))
+        assert hits == {"_exact_question": 0, "_exact_training": 0}
+        assert loaded == load(str(plain))
+        assert [str(w.message) for w in caught] == [
+            f"{noted}:{n}: ignoring unknown field(s) note" for n in range(1, len(rows) + 1)
+        ]
 
 
 class TestLoadDataset:
