@@ -190,7 +190,7 @@ def _taus_arg(text: str) -> tuple[float, ...]:
         start, end, step = (float(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}")
-    if step <= 0:
+    if not step > 0:
         raise argparse.ArgumentTypeError("step must be positive")
     if not 0.0 <= start <= end <= 1.0:
         raise argparse.ArgumentTypeError("thresholds must satisfy 0 <= start <= end <= 1")

@@ -8,6 +8,7 @@ routing a question independent of the answer the LLM happened to give.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -35,7 +36,7 @@ def slm_question_cost(
     mean over stored samples for pre-generation routing, the sum of all
     drawn samples for a cascade.
     """
-    if output_tokens < 0:
+    if not (math.isfinite(output_tokens) and output_tokens >= 0):
         raise ValidationError(f"output_tokens must be >= 0, got {output_tokens}")
     return (
         pricing.slm_in * question.input_tokens + pricing.slm_out * output_tokens

@@ -11,17 +11,18 @@ A question or training-corpus line is read one of two ways:
 * The exact-shape path (``_exact_question``, ``_exact_training``) takes
   a line in exactly the shape the writers write: a dict with every field
   of the record and of its nested objects, in any key order, each value
-  of the exact type its check would return unchanged. It checks and
+  of the exact type its constructor would store unchanged. It checks and
   builds the whole record tree in one pass and returns None for any
   other input, having raised and warned about nothing.
 * The checked path (``_checked_question``, ``_checked_training``) reads
   every line the first one leaves: ``_object`` checks one decoded
-  object's keys against its record class, and ``_record`` builds the
-  record after the class's own field check. It alone raises and warns,
-  so every error text and ``path:line`` comes from it.
+  object's keys against its record class, and the record's constructor
+  checks its values. It alone raises and warns, so every error text and
+  ``path:line`` comes from it.
 
-Both make their records through ``records._maker``, without the
-constructors, and give equal records for any line both take.
+The exact-shape path makes its records through ``records._maker``,
+without the constructors; both paths give equal records for any line
+both take.
 """
 
 from __future__ import annotations
@@ -51,13 +52,10 @@ from .records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
-    _check_llm,
-    _check_question,
-    _check_sample,
     _maker,
     canonical_answer,
 )
-from .trainset import ResponseSample, TrainingQuestion, _check_response, _check_training
+from .trainset import ResponseSample, TrainingQuestion
 
 CURVE_HEADER = ("tau", "cost", "performance", "n_routed")
 
@@ -141,33 +139,31 @@ def _read_jsonl(
 
 class _Kind:
     """How ``io`` reads one record class from a JSON object: the keys it
-    must carry, the defaults of the rest, the class's check of its field
-    values, and its ``records._maker`` (both None for a class built
-    through its constructor)."""
+    must carry and the defaults of the rest."""
 
-    __slots__ = ("cls", "required", "needed", "known", "defaults", "check", "make")
+    __slots__ = ("cls", "required", "needed", "known", "defaults")
 
-    def __init__(
-        self,
-        cls: type,
-        required: tuple[str, ...],
-        check: Callable[[dict[str, Any]], dict[str, Any]] | None = None,
-    ):
+    def __init__(self, cls: type, required: tuple[str, ...]):
         self.cls = cls
         self.required = required
         self.needed = frozenset(required)
         self.known = frozenset(f.name for f in fields(cls))
         self.defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
-        self.check = check
-        self.make = None if check is None else _maker(cls)
 
 
-_SAMPLE = _Kind(SampleRecord, ("correct", "tokens"), _check_sample)
-_LLM = _Kind(LlmOutcome, ("correct", "tokens"), _check_llm)
-_QUESTION = _Kind(QuestionRecord, ("id", "input_tokens", "slm_samples"), _check_question)
-_RESPONSE = _Kind(ResponseSample, ("text", "correct", "tokens"), _check_response)
-_TRAINING = _Kind(TrainingQuestion, ("id", "question", "samples"), _check_training)
+_SAMPLE = _Kind(SampleRecord, ("correct", "tokens"))
+_LLM = _Kind(LlmOutcome, ("correct", "tokens"))
+_QUESTION = _Kind(QuestionRecord, ("id", "input_tokens", "slm_samples"))
+_RESPONSE = _Kind(ResponseSample, ("text", "correct", "tokens"))
+_TRAINING = _Kind(TrainingQuestion, ("id", "question", "samples"))
 _PRICING = _Kind(PricingSchedule, ("slm_in", "slm_out", "llm_in", "llm_out"))
+
+# The exact-shape readers' records, made without their constructors.
+_make_sample = _maker(SampleRecord)
+_make_llm = _maker(LlmOutcome)
+_make_question = _maker(QuestionRecord)
+_make_response = _maker(ResponseSample)
+_make_training = _maker(TrainingQuestion)
 
 
 def _place(name: str, index: int | None) -> str:
@@ -212,16 +208,6 @@ def _object(
     return values
 
 
-def _record(kind: _Kind, values: dict[str, Any]) -> Any:
-    """A ``kind.cls`` record from raw field values.
-
-    The class's check, the one its ``__post_init__`` runs, checks the
-    values and makes them canonical; the record is then made without its
-    constructor, so nothing is checked twice.
-    """
-    return kind.make(**kind.check(values))
-
-
 def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
     """One ``kind.cls`` record per object of the JSON list in field ``name``.
 
@@ -234,7 +220,7 @@ def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]
     for index, raw in enumerate(value):
         values = _object(raw, kind, source, name, index)
         try:
-            records.append(_record(kind, values))
+            records.append(kind.cls(**values))
         except ValidationError as exc:
             raise ValidationError(f"{_place(name, index)}{exc}") from exc
     return tuple(records)
@@ -282,8 +268,8 @@ def _exact_question(data: Any) -> QuestionRecord | None:
             and 0 < tokens < _FLOAT_SAFE_INT
         ):
             return None
-        llm = _LLM.make(correct, tokens)
-    make = _SAMPLE.make
+        llm = _make_llm(correct, tokens)
+    make = _make_sample
     known = _SAMPLE.known
     samples = []
     verdict: dict[str, bool] = {}
@@ -318,7 +304,7 @@ def _exact_question(data: Any) -> QuestionRecord | None:
         else:
             return None
         samples.append(make(answer, correct, tokens, level, refusal))
-    return _QUESTION.make(qid, input_tokens, tuple(samples), score, llm)
+    return _make_question(qid, input_tokens, tuple(samples), score, llm)
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
@@ -333,12 +319,12 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
 
 def _checked_question(data: Any, source: str) -> QuestionRecord:
     """``parse_question``'s checked path: each object's keys checked by
-    ``_object`` and its values by the record class's own check."""
+    ``_object`` and its values by the record's constructor."""
     values = _object(data, _QUESTION, source)
     values["slm_samples"] = _objects(values["slm_samples"], _SAMPLE, source, "slm_samples")
     if values["llm"] is not None:
-        values["llm"] = _record(_LLM, _object(values["llm"], _LLM, source, "llm"))
-    return _record(_QUESTION, values)
+        values["llm"] = LlmOutcome(**_object(values["llm"], _LLM, source, "llm"))
+    return QuestionRecord(**values)
 
 
 def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
@@ -501,7 +487,7 @@ def _exact_training(data: Any) -> TrainingQuestion | None:
         and raw
     ):
         return None
-    make = _RESPONSE.make
+    make = _make_response
     known = _RESPONSE.known
     samples = []
     for sample in raw:
@@ -520,7 +506,7 @@ def _exact_training(data: Any) -> TrainingQuestion | None:
         ):
             return None
         samples.append(make(text, correct, tokens))
-    return _TRAINING.make(qid, question, tuple(samples))
+    return _make_training(qid, question, tuple(samples))
 
 
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
@@ -533,7 +519,7 @@ def _checked_training(data: Any, source: str) -> TrainingQuestion:
     """``parse_training_question``'s checked path, as ``_checked_question``."""
     values = _object(data, _TRAINING, source)
     values["samples"] = _objects(values["samples"], _RESPONSE, source, "samples")
-    return _record(_TRAINING, values)
+    return TrainingQuestion(**values)
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:

@@ -4,15 +4,14 @@ Every type validates its invariants at construction and raises
 :class:`ValidationError` on bad input, so downstream code can assume any
 record instance it holds is well formed. All records are immutable.
 
-The input records (``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``)
-keep their rules in one private ``_check_*`` function each. The
-constructor runs it. ``io`` runs it on the values it decoded, or checks
-an exact-shape line in one pass of its own, and then makes the record
-through the class's ``_maker``, without the constructor, so every value
-is checked once either way. The ``trainset`` builders make their
-``PreferencePair`` and ``RefusalExample`` records through ``_maker``
-too: they make them from a checked question, so the constructor's
-checks hold by construction.
+A record is made one of two ways. Its constructor checks it: each
+class's ``__post_init__`` holds all of its rules and stores the
+canonical value of each field it rewrites. ``_maker`` makes a record
+from values that are already checked, without the constructor: ``io``'s
+exact-shape readers check a whole line in one pass of their own and
+then build through it, and the ``trainset`` builders make their
+``PreferencePair`` and ``RefusalExample`` records through it from a
+checked question, so the constructor's checks hold by construction.
 """
 
 from __future__ import annotations
@@ -211,36 +210,6 @@ def _maker(cls: type) -> Callable[..., Any]:
     return namespace["make"]
 
 
-def _settle(record: Any, check: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
-    """Check a just-built record's field values (its slots) with its
-    class's ``check`` and store the canonical values it returns."""
-    values = check({name: getattr(record, name) for name in record.__slots__})
-    for name, value in values.items():
-        object.__setattr__(record, name, value)
-
-
-def _check_sample(values: dict[str, Any]) -> dict[str, Any]:
-    """Check a SampleRecord's field values; return them, with ``answer``
-    and ``confidence_level`` made canonical in place."""
-    refusal = _as_bool(values["refusal"], "refusal")
-    correct = _as_bool(values["correct"], "correct")
-    _as_count(values["tokens"], "tokens")
-    answer = values["answer"]
-    if refusal:
-        if answer is not None:
-            raise ValidationError("a refusal sample must have answer=None")
-        if correct:
-            raise ValidationError("a refusal sample cannot be correct")
-    else:
-        if answer is None:
-            raise ValidationError("a non-refusal sample must carry an answer")
-        values["answer"] = canonical_answer(_as_str(answer, "answer"))
-    level = values["confidence_level"]
-    if level is not None:
-        values["confidence_level"] = snap_confidence(_as_float(level, "confidence_level"))
-    return values
-
-
 @dataclass(frozen=True, slots=True)
 class SampleRecord:
     """One recorded SLM completion for a question.
@@ -258,7 +227,23 @@ class SampleRecord:
     refusal: bool = False
 
     def __post_init__(self) -> None:
-        _settle(self, _check_sample)
+        refusal = _as_bool(self.refusal, "refusal")
+        correct = _as_bool(self.correct, "correct")
+        _as_count(self.tokens, "tokens")
+        answer = self.answer
+        if refusal:
+            if answer is not None:
+                raise ValidationError("a refusal sample must have answer=None")
+            if correct:
+                raise ValidationError("a refusal sample cannot be correct")
+        else:
+            if answer is None:
+                raise ValidationError("a non-refusal sample must carry an answer")
+            object.__setattr__(self, "answer", canonical_answer(_as_str(answer, "answer")))
+        level = self.confidence_level
+        if level is not None:
+            level = snap_confidence(_as_float(level, "confidence_level"))
+            object.__setattr__(self, "confidence_level", level)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -270,13 +255,6 @@ class SampleRecord:
         }
 
 
-def _check_llm(values: dict[str, Any]) -> dict[str, Any]:
-    """Check an LlmOutcome's field values; return them unchanged."""
-    _as_bool(values["correct"], "llm.correct")
-    _as_count(values["tokens"], "llm.tokens")
-    return values
-
-
 @dataclass(frozen=True, slots=True)
 class LlmOutcome:
     """The recorded large-model result for a question."""
@@ -285,51 +263,11 @@ class LlmOutcome:
     tokens: int
 
     def __post_init__(self) -> None:
-        _settle(self, _check_llm)
+        _as_bool(self.correct, "llm.correct")
+        _as_count(self.tokens, "llm.tokens")
 
     def to_dict(self) -> dict[str, Any]:
         return {"correct": self.correct, "tokens": self.tokens}
-
-
-def _check_question(values: dict[str, Any]) -> dict[str, Any]:
-    """Check a QuestionRecord's field values, its samples' agreement on
-    each answer's correctness included; return them, with ``slm_samples``
-    a tuple and ``pre_score`` a float."""
-    qid = _as_str(values["id"], "id")
-    input_tokens = _as_int(values["input_tokens"], "input_tokens")
-    if input_tokens < 1:
-        raise ValidationError(
-            f"question {qid!r}: input_tokens must be >= 1, got {input_tokens}"
-        )
-    samples = values["slm_samples"] = tuple(values["slm_samples"])
-    if not samples:
-        raise ValidationError(f"question {qid!r} has no SLM samples")
-    for sample in samples:
-        if not isinstance(sample, SampleRecord):
-            raise ValidationError(
-                f"question {qid!r}: slm_samples must hold SampleRecord values"
-            )
-    score = values["pre_score"]
-    if score is not None:
-        score = values["pre_score"] = _as_float(score, "pre_score")
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(
-                f"question {qid!r}: pre_score must lie in [0, 1], got {score}"
-            )
-    llm = values["llm"]
-    if llm is not None and not isinstance(llm, LlmOutcome):
-        raise ValidationError(f"question {qid!r}: llm must be an LlmOutcome")
-    verdict: dict[str, bool] = {}
-    for sample in samples:
-        if sample.answer is None:
-            continue
-        seen = verdict.setdefault(sample.answer, sample.correct)
-        if seen != sample.correct:
-            raise ValidationError(
-                f"question {qid!r}: answer {sample.answer!r} is marked both "
-                "correct and incorrect across samples"
-            )
-    return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,7 +289,41 @@ class QuestionRecord:
     llm: LlmOutcome | None = None
 
     def __post_init__(self) -> None:
-        _settle(self, _check_question)
+        qid = _as_str(self.id, "id")
+        input_tokens = _as_int(self.input_tokens, "input_tokens")
+        if input_tokens < 1:
+            raise ValidationError(
+                f"question {qid!r}: input_tokens must be >= 1, got {input_tokens}"
+            )
+        samples = tuple(self.slm_samples)
+        if not samples:
+            raise ValidationError(f"question {qid!r} has no SLM samples")
+        for sample in samples:
+            if not isinstance(sample, SampleRecord):
+                raise ValidationError(
+                    f"question {qid!r}: slm_samples must hold SampleRecord values"
+                )
+        object.__setattr__(self, "slm_samples", samples)
+        score = self.pre_score
+        if score is not None:
+            score = _as_float(score, "pre_score")
+            if not 0.0 <= score <= 1.0:
+                raise ValidationError(
+                    f"question {qid!r}: pre_score must lie in [0, 1], got {score}"
+                )
+            object.__setattr__(self, "pre_score", score)
+        if self.llm is not None and not isinstance(self.llm, LlmOutcome):
+            raise ValidationError(f"question {qid!r}: llm must be an LlmOutcome")
+        verdict: dict[str, bool] = {}
+        for sample in samples:
+            if sample.answer is None:
+                continue
+            seen = verdict.setdefault(sample.answer, sample.correct)
+            if seen != sample.correct:
+                raise ValidationError(
+                    f"question {qid!r}: answer {sample.answer!r} is marked both "
+                    "correct and incorrect across samples"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -414,7 +386,8 @@ class DatasetProfile:
             raise ValidationError("profile ids must be sorted")
         if len(set(self.ids)) != len(self.ids):
             raise ValidationError("profile ids must be unique")
-        if self.avg_llm_tokens is not None and self.avg_llm_tokens <= 0:
+        avg = self.avg_llm_tokens
+        if avg is not None and not (math.isfinite(avg) and avg > 0):
             raise ValidationError("avg_llm_tokens must be positive when present")
         if not 0 <= self.n_with_llm <= len(self.ids):
             raise ValidationError("n_with_llm out of range")

@@ -33,7 +33,6 @@ from .records import (
     _as_count,
     _as_str,
     _maker,
-    _settle,
     refusal_prompt,
 )
 
@@ -49,14 +48,6 @@ _make_pair = _maker(PreferencePair)
 _make_refusal = _maker(RefusalExample)
 
 
-def _check_response(values: dict[str, Any]) -> dict[str, Any]:
-    """Check a ResponseSample's field values; return them unchanged."""
-    _as_str(values["text"], "text")
-    _as_bool(values["correct"], "correct")
-    _as_count(values["tokens"], "tokens")
-    return values
-
-
 @dataclass(frozen=True, slots=True)
 class ResponseSample:
     """One free-text completion with its grading and token length."""
@@ -66,23 +57,9 @@ class ResponseSample:
     tokens: int
 
     def __post_init__(self) -> None:
-        _settle(self, _check_response)
-
-
-def _check_training(values: dict[str, Any]) -> dict[str, Any]:
-    """Check a TrainingQuestion's field values; return them, with
-    ``samples`` a tuple."""
-    qid = _as_str(values["id"], "id")
-    _as_str(values["question"], "question")
-    samples = values["samples"] = tuple(values["samples"])
-    if not samples:
-        raise ValidationError(f"question {qid!r} has no samples")
-    for sample in samples:
-        if not isinstance(sample, ResponseSample):
-            raise ValidationError(
-                f"question {qid!r}: samples must hold ResponseSample values"
-            )
-    return values
+        _as_str(self.text, "text")
+        _as_bool(self.correct, "correct")
+        _as_count(self.tokens, "tokens")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +71,17 @@ class TrainingQuestion:
     samples: tuple[ResponseSample, ...]
 
     def __post_init__(self) -> None:
-        _settle(self, _check_training)
+        qid = _as_str(self.id, "id")
+        _as_str(self.question, "question")
+        samples = tuple(self.samples)
+        if not samples:
+            raise ValidationError(f"question {qid!r} has no samples")
+        for sample in samples:
+            if not isinstance(sample, ResponseSample):
+                raise ValidationError(
+                    f"question {qid!r}: samples must hold ResponseSample values"
+                )
+        object.__setattr__(self, "samples", samples)
 
 
 def build_dpo_pair(
@@ -224,9 +211,9 @@ def combined_loss(
     under the policy, weighted by ``sft_weight``; it keeps the policy
     from drifting off the chosen behaviour while the margin grows.
     """
-    if beta <= 0:
+    if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be positive, got {beta}")
-    if sft_weight < 0:
+    if not (math.isfinite(sft_weight) and sft_weight >= 0):
         raise ValidationError(f"sft_weight must be >= 0, got {sft_weight}")
     if (
         isinstance(chosen_token_count, bool)

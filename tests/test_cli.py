@@ -223,6 +223,15 @@ class TestSweep:
         capsys.readouterr()
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("taus", ["0:1:nan", "0:1:0"])
+    def test_non_positive_tau_step_exits_two(self, dataset, tmp_path, capsys, taus):
+        out_dir = tmp_path / "x"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir), "--taus", taus])
+        assert excinfo.value.code == 2
+        assert "step must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_assume_perfect_mode_recorded(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "perfect"
         code, out, err = run(

@@ -1,5 +1,7 @@
 """Token-cost accounting and curve-axis normalization."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,11 @@ class TestPerQuestionCosts:
         # (0.02 * 100 + 0.08 * 200) / 1e6
         q = make_question(input_tokens=100)
         assert slm_question_cost(q, 200.0, pricing) == pytest.approx(1.8e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("tokens", [math.nan, math.inf, -1.0])
+    def test_slm_cost_rejects_bad_output_tokens(self, pricing, tokens):
+        with pytest.raises(ValidationError, match="output_tokens must be >= 0"):
+            slm_question_cost(make_question(), tokens, pricing)
 
     def test_llm_cost_uses_dataset_average_output(self, pricing):
         a = make_question("a", input_tokens=100, llm_tokens=100)

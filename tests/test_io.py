@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,8 @@ from routerlab.records import (
 from routerlab.trainset import ResponseSample, TrainingQuestion, build_refusal_examples
 
 from conftest import make_question
+
+SYNTH_GOLDEN = Path(__file__).resolve().parent / "data" / "synth_golden"
 
 
 def write_lines(path, lines):
@@ -1014,6 +1017,21 @@ class TestTrainingCorpus:
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("rcv", SyntheticParams(scheme="rcv", pre_score_noise=0.2)),
+            ("sc", SyntheticParams(scheme="sc", include_llm=False)),
+            ("fcv", SyntheticParams(scheme="fcv", easy_fraction=0.5)),
+        ],
+    )
+    def test_written_bytes_match_golden(self, tmp_path, name, params):
+        # Made by `routerlab synth <name>.jsonl --n 5 --seed 3 --scheme <name>`
+        # with --pre-noise 0.2, --no-llm and --easy-fraction 0.5 respectively.
+        path = tmp_path / f"{name}.jsonl"
+        write_dataset(generate_synthetic(5, seed=3, params=params), str(path))
+        assert path.read_bytes() == (SYNTH_GOLDEN / f"{name}.jsonl").read_bytes()
+
     def test_deterministic(self):
         a = generate_synthetic(40, seed=3)
         b = generate_synthetic(40, seed=3)

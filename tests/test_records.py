@@ -17,6 +17,7 @@ from routerlab.records import (
     MetricsReport,
     PreferencePair,
     PricingSchedule,
+    QuestionRecord,
     RefusalExample,
     RoutingOutcome,
     SampleRecord,
@@ -187,6 +188,11 @@ class TestQuestionRecord:
         with pytest.raises(ValidationError):
             make_question(samples=samples)
 
+    def test_samples_stored_as_a_tuple(self):
+        samples = [make_sample("a", True), make_sample("b", False)]
+        question = QuestionRecord(id="q", input_tokens=5, slm_samples=samples)
+        assert question.slm_samples == tuple(samples)
+
     def test_round_trip(self):
         q = make_question(samples=make_ladder(6))
         assert parse_question(q.to_dict()) == q
@@ -258,6 +264,11 @@ class TestDatasetProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             DatasetProfile.from_questions([])
+
+    @pytest.mark.parametrize("avg", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_llm_average_rejected(self, avg):
+        with pytest.raises(ValidationError, match="avg_llm_tokens must be positive"):
+            DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=avg, n_with_llm=1)
 
 
 class TestRoutingOutcome:

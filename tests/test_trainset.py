@@ -247,6 +247,19 @@ class TestCombinedLoss:
         with pytest.raises(ValidationError):
             combined_loss(0.0, 0.0, 0.0, 0.0, chosen_token_count=1, sft_weight=-0.1)
 
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("beta", math.nan, "beta must be positive"),
+            ("beta", math.inf, "beta must be positive"),
+            ("sft_weight", math.nan, "sft_weight must be >= 0"),
+            ("sft_weight", math.inf, "sft_weight must be >= 0"),
+        ],
+    )
+    def test_non_finite_knobs_rejected(self, knob, value, message):
+        with pytest.raises(ValidationError, match=message):
+            combined_loss(-1.0, -2.0, -3.0, -4.0, chosen_token_count=1, **{knob: value})
+
 
 class TestTrainingConfig:
     def test_frozen_hyperparameters(self):
@@ -280,6 +293,10 @@ class TestValidation:
             TrainingQuestion(id="", question="q", samples=(resp("a", True, 1),))
         with pytest.raises(ValidationError):
             TrainingQuestion(id="q", question="q", samples=())
+
+    def test_training_samples_stored_as_a_tuple(self):
+        samples = [resp("a", True, 1), resp("b", False, 2)]
+        assert TrainingQuestion(id="q", question="q", samples=samples).samples == tuple(samples)
 
     def test_pair_question_id(self):
         # The one pair field that does not come from a checked sample.
