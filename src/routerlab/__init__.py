@@ -37,7 +37,6 @@ from .io import (
     write_refusal_examples,
 )
 from .metrics import (
-    LatencyReport,
     golden_curve,
     latency_report,
     toa,
@@ -58,6 +57,7 @@ from .records import (
     REJECTION_TEXT,
     CurvePoint,
     DatasetProfile,
+    LatencyReport,
     LlmOutcome,
     MetricsReport,
     PreferencePair,

@@ -28,12 +28,14 @@ from .records import (
     SampleRecord,
     SweepResult,
     ValidationError,
+    _latency_report,
     confidence_ladder,
     normalize_taus,
 )
 
 DEFAULT_K = 10
 DEFAULT_ALPHA = 0.5
+DEFAULT_LATENCY_TAU = 0.6  # the threshold a sweep reads AGL/AROL at
 
 # Fixed point of the confidence-to-weight map: a sample conditioned on
 # this level votes with this weight at every alpha.
@@ -47,8 +49,7 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     every level votes with the same weight; larger alpha spreads weights
     apart around the anchor.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError(f"alpha must be a finite number >= 0, got {alpha}")
+    _check_alpha(alpha)
     level = float(confidence_level)
     weight = WEIGHT_ANCHOR + alpha * (level - WEIGHT_ANCHOR)
     if not weight > 0:
@@ -59,13 +60,19 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     return weight
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"alpha must be a finite number >= 0, got {alpha}")
+
+
 class _Weights(dict):
     """Vote weight by confidence level at one alpha: ``None`` (an
     unconditioned sample) votes 1.0, and each level's weight comes from
     ``vote_weight`` on its first use, so a level no sample carries is
-    never checked and never raises."""
+    never weighed; alpha itself is checked up front."""
 
     def __init__(self, alpha: float):
+        _check_alpha(alpha)
         super().__init__({None: 1.0})
         self.alpha = alpha
 
@@ -295,18 +302,19 @@ def _prepare(
     return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality)
 
 
-def _sweep_columns(prepared: tuple) -> tuple[float, str, float, float, float, float]:
-    """Engine row of one prepared question, scored by its full-tally winner share.
+def _sweep_columns(prepared: tuple, latency_tau: float) -> tuple[tuple, tuple[bool, int]]:
+    """Engine row of one prepared question, scored by its full-tally winner
+    share, and its ``(accepted, latency)`` at ``latency_tau``.
 
     The cascade accepts exactly when that share reaches tau, so it routes
-    exactly when the share is below tau.
-    """
+    exactly when the share is below tau. The share is the same at every
+    tau, so one vote gives both."""
     qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, route_quality = prepared
-    _accepted, winner, share, _latency, _stopped = cascade_vote(
-        codes, weights, tokens, 0.0
+    accepted, winner, share, latency, _stopped = cascade_vote(
+        codes, weights, tokens, latency_tau
     )
     quality = float(correct_by_code[winner]) if winner >= 0 else 0.0
-    return (share, qid, slm_cost, quality, slm_cost + llm_cost, route_quality)
+    return (share, qid, slm_cost, quality, slm_cost + llm_cost, route_quality), (accepted, latency)
 
 
 def sweep_cascade(
@@ -318,6 +326,7 @@ def sweep_cascade(
     k: int = DEFAULT_K,
     alpha: float = DEFAULT_ALPHA,
     assume_perfect: bool = False,
+    latency_tau: float = DEFAULT_LATENCY_TAU,
 ) -> SweepResult:
     """Evaluate the cascade across a threshold grid.
 
@@ -325,17 +334,19 @@ def sweep_cascade(
     (all-SLM first, all-LLM last) and its assume-perfect twin, both read
     off one row per question. The all-SLM point accepts every vote (it
     equals the grid at tau=0); the all-LLM point skips sampling entirely.
-    A sweep carries no latencies; ``route_cascade`` gives them at one
-    threshold.
+    ``latency`` holds AGL/AROL at ``latency_tau``, from the same one vote
+    per question that gives its row.
     """
     taus = normalize_taus(taus)
+    (latency_tau,) = normalize_taus((latency_tau,))
     questions = tuple(questions)
     if not questions:
         raise ValidationError("cannot sweep an empty dataset")
 
     weight_of = _Weights(alpha)
-    rows = [
-        _sweep_columns(_prepare(q, scheme, k, weight_of, profile, pricing, assume_perfect))
+    columns = [
+        _sweep_columns(_prepare(q, scheme, k, weight_of, profile, pricing, assume_perfect), latency_tau)
         for q in questions
     ]
-    return _sweep_result(rows, profile, pricing, taus, assume_perfect)
+    latency = _latency_report(decision for _, decision in columns)
+    return _sweep_result([row for row, _ in columns], profile, pricing, taus, assume_perfect, latency)

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .cascade import DEFAULT_ALPHA, DEFAULT_K, route_cascade, sweep_cascade
+from .cascade import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_LATENCY_TAU, sweep_cascade
 from .io import (
     SyntheticParams,
     generate_synthetic,
@@ -32,12 +32,7 @@ from .io import (
     write_pairs,
     write_refusal_examples,
 )
-from .metrics import (
-    golden_curve,
-    latency_report,
-    toa_from_points,
-    togr,
-)
+from .metrics import golden_curve, toa_from_points, togr
 from .prerouting import SCORE_SOURCES, sweep_pre
 from .records import (
     CONFIDENCE_LEVELS,
@@ -48,8 +43,6 @@ from .records import (
     ValidationError,
 )
 from .trainset import ESTIMATE_SAMPLES, build_dpo_pair, build_refusal_examples
-
-DEFAULT_LATENCY_TAU = 0.6
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -190,7 +183,7 @@ def _taus_arg(text: str) -> tuple[float, ...]:
         start, end, step = (float(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}")
-    if not step > 0:
+    if not (math.isfinite(step) and step > 0):
         raise argparse.ArgumentTypeError("step must be positive")
     if not 0.0 <= start <= end <= 1.0:
         raise argparse.ArgumentTypeError("thresholds must satisfy 0 <= start <= end <= 1")
@@ -235,7 +228,7 @@ def _cmd_sweep(args) -> int:
     else:
         result = sweep_cascade(
             questions, profile, pricing, args.taus, args.scheme, args.k, args.alpha,
-            assume_perfect=args.assume_perfect,
+            assume_perfect=args.assume_perfect, latency_tau=latency_tau,
         )
     curves = {"curve.csv": result.points}
     toa_value = toa_from_points(result.points)
@@ -250,21 +243,11 @@ def _cmd_sweep(args) -> int:
             toa100_value = toa_from_points(result.perfect_points)
         togr_value = togr(result.perfect_points, golden_points)
 
-    agl_value = arol_value = 0.0
-    if latency_tau is not None:
-        latencies = latency_report(
-            route_cascade(
-                q, latency_tau, profile, pricing, args.scheme, args.k, args.alpha,
-                assume_perfect=args.assume_perfect,
-            )
-            for q in questions
-        )
-        agl_value, arol_value = latencies.agl, latencies.arol
-
+    latency = result.latency
     report = MetricsReport(
         toa=toa_value,
-        agl=agl_value,
-        arol=arol_value,
+        agl=latency.agl if latency else 0.0,
+        arol=latency.arol if latency else 0.0,
         mode="perfect" if args.assume_perfect else "actual",
         toa100=toa100_value,
         togr=togr_value,

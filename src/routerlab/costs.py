@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .records import (
     CurvePoint,
     DatasetProfile,
+    LatencyReport,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
@@ -214,13 +215,14 @@ def _sweep_result(
     pricing: PricingSchedule,
     taus: Sequence[float],
     assume_perfect: bool,
+    latency: LatencyReport | None = None,
 ) -> SweepResult:
     """A policy's curve and its assume-perfect twin, both from ``rows``;
     rows built under ``assume_perfect`` give one curve for both."""
     points = tuple(_sweep_points(rows, profile, pricing, taus))
     if assume_perfect:
-        return SweepResult(points, points)
-    return SweepResult(points, tuple(_sweep_points(rows, profile, pricing, taus, perfect=True)))
+        return SweepResult(points, points, latency)
+    return SweepResult(points, tuple(_sweep_points(rows, profile, pricing, taus, perfect=True)), latency)
 
 
 def _check_coverage(

@@ -327,16 +327,22 @@ def _checked_question(data: Any, source: str) -> QuestionRecord:
     return QuestionRecord(**values)
 
 
-def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
-    """Read a dataset and profile it. Raises on the first bad line."""
-    questions = []
-    for question, problem in _read_jsonl(path, parse_question):
+def _load(path: str, parse: Callable[..., Any]) -> tuple[Any, ...]:
+    """The records ``parse`` makes of a file's lines; raises on the first bad one."""
+    records = []
+    for record, problem in _read_jsonl(path, parse):
         if problem is not None:
             raise DatasetError(problem)
-        questions.append(question)
-    if not questions:
+        records.append(record)
+    if not records:
         raise DatasetError(f"{path}: no questions found")
-    return tuple(questions), DatasetProfile.from_questions(questions)
+    return tuple(records)
+
+
+def load_dataset(path: str) -> tuple[tuple[QuestionRecord, ...], DatasetProfile]:
+    """Read a dataset and profile it. Raises on the first bad line."""
+    questions = _load(path, parse_question)
+    return questions, DatasetProfile.from_questions(questions)
 
 
 def scan_dataset(path: str) -> tuple[int, list[str]]:
@@ -524,14 +530,7 @@ def _checked_training(data: Any, source: str) -> TrainingQuestion:
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:
     """Read a raw training corpus. Raises on the first bad line."""
-    questions = []
-    for question, problem in _read_jsonl(path, parse_training_question):
-        if problem is not None:
-            raise DatasetError(problem)
-        questions.append(question)
-    if not questions:
-        raise DatasetError(f"{path}: no questions found")
-    return tuple(questions)
+    return _load(path, parse_training_question)
 
 
 def write_pairs(pairs: Iterable[PreferencePair], path: str) -> None:

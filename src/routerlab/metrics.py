@@ -10,7 +10,6 @@ and positive when the curve bulges toward cheap-and-good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .costs import _sweep_points, mean_sample_correct
@@ -18,10 +17,12 @@ from .prerouting import _pre_row
 from .records import (
     CurvePoint,
     DatasetProfile,
+    LatencyReport,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
     ValidationError,
+    _latency_report,
 )
 
 # A golden gain smaller than this is treated as "no headroom": the
@@ -137,40 +138,13 @@ def togr(
     return router_gain / golden_gain
 
 
-@dataclass(frozen=True)
-class LatencyReport:
-    """Mean decision latencies of a cascade run, split by decision.
-
-    ``agl`` averages over accepted questions, ``arol`` over rejected
-    (escalated) ones. An empty group reports 0.0; check the counts to
-    tell a fast group from an absent one.
-    """
-
-    agl: float
-    arol: float
-    n_accepted: int
-    n_rejected: int
-
-
 def latency_report(outcomes: Iterable[RoutingOutcome]) -> LatencyReport:
     """Latency statistics for one threshold's cascade outcomes."""
-    accepted: list[int] = []
-    rejected: list[int] = []
+    outcomes = tuple(outcomes)
     for outcome in outcomes:
         if outcome.mode != "cascade":
             raise ValidationError(
                 "latency is defined for cascade outcomes only; "
                 f"question {outcome.question_id!r} has mode {outcome.mode!r}"
             )
-        if outcome.routed:
-            rejected.append(outcome.decision_latency_tokens)
-        else:
-            accepted.append(outcome.decision_latency_tokens)
-    if not accepted and not rejected:
-        raise ValidationError("no outcomes to report latency over")
-    return LatencyReport(
-        agl=sum(accepted) / len(accepted) if accepted else 0.0,
-        arol=sum(rejected) / len(rejected) if rejected else 0.0,
-        n_accepted=len(accepted),
-        n_rejected=len(rejected),
-    )
+    return _latency_report((not o.routed, o.decision_latency_tokens) for o in outcomes)

@@ -624,12 +624,43 @@ class RefusalExample:
 
 
 @dataclass(frozen=True)
+class LatencyReport:
+    """Mean decision latencies of a cascade run, split by decision.
+
+    ``agl`` averages over accepted questions, ``arol`` over rejected
+    (escalated) ones. An empty group reports 0.0; check the counts to
+    tell a fast group from an absent one.
+    """
+
+    agl: float
+    arol: float
+    n_accepted: int
+    n_rejected: int
+
+
+def _latency_report(decisions: Iterable[tuple[bool, int]]) -> LatencyReport:
+    """AGL/AROL of one ``(accepted, latency_tokens)`` pair per question."""
+    accepted: list[int] = []
+    rejected: list[int] = []
+    for is_accepted, latency in decisions:
+        (accepted if is_accepted else rejected).append(latency)
+    if not accepted and not rejected:
+        raise ValidationError("no outcomes to report latency over")
+    agl = sum(accepted) / len(accepted) if accepted else 0.0
+    arol = sum(rejected) / len(rejected) if rejected else 0.0
+    return LatencyReport(agl, arol, len(accepted), len(rejected))
+
+
+@dataclass(frozen=True)
 class SweepResult:
-    """A sweep's curve and its assume-perfect twin.
+    """A sweep's curve, its assume-perfect twin and its latencies.
 
     ``perfect_points`` is the same sweep with every routed question
     scoring 1.0; it is ``points`` itself when the sweep assumed that.
+    ``latency`` is a cascade sweep's AGL/AROL at its latency threshold;
+    a pre sweep has None.
     """
 
     points: tuple[CurvePoint, ...]
     perfect_points: tuple[CurvePoint, ...]
+    latency: LatencyReport | None = None

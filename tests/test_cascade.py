@@ -1,13 +1,14 @@
 """Cascade voting: weights, tallies, early stopping, costs, and sweeps."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routerlab import cascade
+from routerlab import cascade, cli
 from routerlab.cascade import (
     DEFAULT_ALPHA,
     DEFAULT_K,
+    DEFAULT_LATENCY_TAU,
     WEIGHT_ANCHOR,
     route_cascade,
     select_samples,
@@ -16,10 +17,13 @@ from routerlab.cascade import (
     vote_weight,
 )
 from routerlab.costs import llm_question_cost
+from routerlab.metrics import latency_report
+from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
     DatasetProfile,
+    PricingSchedule,
     ValidationError,
 )
 
@@ -31,6 +35,7 @@ class TestVoteWeight:
         assert DEFAULT_K == 10
         assert DEFAULT_ALPHA == 0.5
         assert WEIGHT_ANCHOR == 0.55
+        assert DEFAULT_LATENCY_TAU == 0.6
 
     def test_weight_oracles(self):
         # w = 0.55 + alpha * (p - 0.55); both land on exact binary values
@@ -323,3 +328,102 @@ class TestSweepCascade:
         assert len(sweep.points) == len(DEFAULT_TAUS) + 2
         with pytest.raises(ValidationError, match="nonpositive vote weight for confidence 0.1"):
             sweep_cascade(*synth_rcv, pricing, alpha=2.0)
+
+
+def scheme_questions(scheme, votes):
+    """One question per ``(codes, tokens)`` pair, with ten samples whose
+    codes name answers "a".."d" (-1 refuses) at the scheme's levels."""
+    questions = []
+    for n, (codes, tokens) in enumerate(votes):
+        samples = []
+        for i, (code, length) in enumerate(zip(codes, tokens)):
+            level = {"rcv": CONFIDENCE_LEVELS[i], "fcv": 1.0, "sc": None}[scheme]
+            if code < 0:
+                samples.append(make_sample(tokens=length, confidence=level, refusal=True))
+            else:
+                samples.append(make_sample("abcd"[code], code == 0, length, level))
+        questions.append(make_question(f"q{n}", samples=samples))
+    return questions
+
+
+@st.composite
+def latency_sweeps(draw):
+    scheme = draw(st.sampled_from(["rcv", "sc", "fcv"]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    tau = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([i / 20 for i in range(21)])))
+    ten = dict(min_size=10, max_size=10)
+    votes = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=-1, max_value=3), **ten),
+                st.lists(st.integers(min_value=1, max_value=60), **ten),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return scheme, alpha, tau, votes
+
+
+class TestSweepLatency:
+    """A cascade sweep's AGL/AROL come from the same single vote per
+    question as its curve, and equal the ``route_cascade`` oracle's."""
+
+    # The exact-tie configurations of TestEarlyStopAgreesWithDecision
+    # (test_kernels.py), where a share equals tau and the completion-order
+    # sums round across it: two accepts and a reject.
+    @example(("rcv", 0.5, 0.45, [([2, 0, 2, 2, 1, 2, 0, 2, -1, -1], [18, 22, 58, 53, 2, 55, 44, 11, 8, 3])]))
+    @example(("rcv", 1.0, 0.4, [([3, 1, -1, 0, 3, 3, 2, 1, 2, 3], [60, 4, 27, 14, 7, 36, 28, 45, 39, 16])]))
+    @example(("rcv", 0.5, 0.55, [([0, 1, -1, 1, 0, -1, 0, 1, 1, 1], [56, 40, 28, 3, 59, 57, 36, 58, 44, 32])]))
+    @given(latency_sweeps())
+    @settings(max_examples=300, deadline=None)
+    def test_latency_matches_route_cascade_oracle(self, config):
+        scheme, alpha, tau, votes = config
+        questions = scheme_questions(scheme, votes)
+        profile = DatasetProfile.from_questions(questions)
+        pricing = PricingSchedule()
+        got = sweep_cascade(
+            questions, profile, pricing, scheme=scheme, alpha=alpha, latency_tau=tau
+        ).latency
+        want = latency_report(
+            route_cascade(q, tau, profile, pricing, scheme, alpha=alpha) for q in questions
+        )
+        assert (got.agl, got.arol, got.n_accepted, got.n_rejected) == (
+            want.agl,
+            want.arol,
+            want.n_accepted,
+            want.n_rejected,
+        )
+
+    def test_default_threshold(self, synth_rcv, pricing):
+        questions, profile = synth_rcv
+        want = latency_report(route_cascade(q, 0.6, profile, pricing) for q in questions)
+        assert sweep_cascade(questions, profile, pricing).latency == want
+
+    @pytest.mark.parametrize("tau", [float("nan"), -0.1, 1.5])
+    def test_bad_latency_tau_rejected(self, synth_rcv, pricing, tau):
+        with pytest.raises(ValidationError, match=r"thresholds must lie in \[0, 1\]"):
+            sweep_cascade(*synth_rcv, pricing, latency_tau=tau)
+
+    def test_pre_sweep_has_no_latency(self, synth_rcv, pricing):
+        assert sweep_pre(*synth_rcv, pricing).latency is None
+        assert sweep_pre(*synth_rcv, pricing, score_source="refusal").latency is None
+
+    def test_cli_votes_each_question_once(self, tmp_path, capsys, monkeypatch):
+        dataset = tmp_path / "q.jsonl"
+        assert cli.main(["synth", str(dataset), "--n", "30", "--seed", "4"]) == 0
+        calls = {"_prepare": 0, "cascade_vote": 0, "vote_weight": 0}
+        for name in calls:
+            original = getattr(cascade, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cascade, name, counting)
+        argv = ["sweep", str(dataset), "--mode", "cascade", "--golden", "--out-dir", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls["_prepare"] == 30
+        assert calls["cascade_vote"] == 30
+        assert calls["vote_weight"] <= len(CONFIDENCE_LEVELS)

@@ -160,14 +160,30 @@ class TestSweep:
         assert "0.6" in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
-    def test_non_finite_alpha_rejected(self, dataset, tmp_path, capsys, alpha):
+    # sc samples carry no confidence level, so no vote is ever weighed by
+    # alpha; a bad alpha must still be rejected.
+    @pytest.mark.parametrize(
+        "scheme, alpha",
+        [
+            pytest.param("rcv", "nan", id="nan"),
+            pytest.param("rcv", "inf", id="inf"),
+            pytest.param("sc", "nan", id="sc-nan"),
+            pytest.param("sc", "inf", id="sc-inf"),
+            pytest.param("sc", "-5", id="sc-negative"),
+        ],
+    )
+    def test_non_finite_alpha_rejected(self, dataset, tmp_path, capsys, scheme, alpha):
+        if scheme == "sc":
+            dataset = tmp_path / "sc.jsonl"
+            assert main(["synth", str(dataset), "--n", "20", "--seed", "11", "--scheme", "sc"]) == 0
         code, out, err = run(
             [
                 "sweep",
                 str(dataset),
                 "--mode",
                 "cascade",
+                "--scheme",
+                scheme,
                 "--alpha",
                 alpha,
                 "--out-dir",
@@ -177,6 +193,7 @@ class TestSweep:
         )
         assert code == 1
         assert "alpha" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "field, value", [("slm_in", float("nan")), ("llm_in", float("inf"))]
@@ -223,7 +240,7 @@ class TestSweep:
         capsys.readouterr()
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("taus", ["0:1:nan", "0:1:0"])
+    @pytest.mark.parametrize("taus", ["0:1:nan", "0:1:0", "0:1:inf"])
     def test_non_positive_tau_step_exits_two(self, dataset, tmp_path, capsys, taus):
         out_dir = tmp_path / "x"
         with pytest.raises(SystemExit) as excinfo:
