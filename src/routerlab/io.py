@@ -6,23 +6,12 @@ This module is the only reader of these formats. Parsers are strict
 about required fields, repeated keys and value ranges but tolerate
 unknown fields with a warning, so newer files keep loading.
 
-A question or training-corpus line is read one of two ways:
-
-* The exact-shape path (``_exact_question``, ``_exact_training``) takes
-  a line in exactly the shape the writers write: a dict with every field
-  of the record and of its nested objects, in any key order, each value
-  of the exact type its constructor would store unchanged. It checks and
-  builds the whole record tree in one pass and returns None for any
-  other input, having raised and warned about nothing.
-* The checked path (``_checked_question``, ``_checked_training``) reads
-  every line the first one leaves: ``_object`` checks one decoded
-  object's keys against its record class, and the record's constructor
-  checks its values. It alone raises and warns, so every error text and
-  ``path:line`` comes from it.
-
-The exact-shape path makes its records through ``records._maker``,
-without the constructors; both paths give equal records for any line
-both take.
+A question or training-corpus line is read in one pass: ``_object``
+checks each decoded object's keys against its record class, and the
+record's constructor checks its values. An object with exactly the
+record's keys, as the writers write it, is read as it is; any other is
+merged with the record's defaults. Every record is made by its
+constructor, so a loaded record is one its constructor accepts.
 """
 
 from __future__ import annotations
@@ -35,11 +24,10 @@ import random
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import MISSING, dataclass, fields
+from operator import itemgetter
 from typing import Any
 
 from .records import (
-    _FLOAT_SAFE_INT,
-    _ON_GRID,
     CONFIDENCE_LEVELS,
     SCHEMES,
     CurvePoint,
@@ -52,7 +40,6 @@ from .records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
-    _maker,
     canonical_answer,
 )
 from .trainset import ResponseSample, TrainingQuestion
@@ -139,9 +126,10 @@ def _read_jsonl(
 
 class _Kind:
     """How ``io`` reads one record class from a JSON object: the keys it
-    must carry and the defaults of the rest."""
+    must carry, the defaults of the rest, and ``args``, which picks the
+    constructor's positional arguments out of a record's field values."""
 
-    __slots__ = ("cls", "required", "needed", "known", "defaults")
+    __slots__ = ("cls", "required", "needed", "known", "defaults", "args")
 
     def __init__(self, cls: type, required: tuple[str, ...]):
         self.cls = cls
@@ -149,6 +137,7 @@ class _Kind:
         self.needed = frozenset(required)
         self.known = frozenset(f.name for f in fields(cls))
         self.defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+        self.args = itemgetter(*(f.name for f in fields(cls)))
 
 
 _SAMPLE = _Kind(SampleRecord, ("correct", "tokens"))
@@ -157,13 +146,6 @@ _QUESTION = _Kind(QuestionRecord, ("id", "input_tokens", "slm_samples"))
 _RESPONSE = _Kind(ResponseSample, ("text", "correct", "tokens"))
 _TRAINING = _Kind(TrainingQuestion, ("id", "question", "samples"))
 _PRICING = _Kind(PricingSchedule, ("slm_in", "slm_out", "llm_in", "llm_out"))
-
-# The exact-shape readers' records, made without their constructors.
-_make_sample = _maker(SampleRecord)
-_make_llm = _maker(LlmOutcome)
-_make_question = _maker(QuestionRecord)
-_make_response = _maker(ResponseSample)
-_make_training = _maker(TrainingQuestion)
 
 
 def _place(name: str, index: int | None) -> str:
@@ -175,15 +157,19 @@ def _place(name: str, index: int | None) -> str:
 
 def _object(
     data: Any, kind: _Kind, source: str, name: str = "", index: int | None = None
-) -> dict[str, Any]:
+) -> Mapping[str, Any]:
     """Field values for ``kind.cls`` from one decoded JSON object.
 
-    ``name`` and ``index`` place a nested object inside its record
-    (``llm``, ``slm_samples[3]``) and prefix what is raised or warned
-    about it. Keys the class has no field for are ignored with a warning
-    naming ``source``; a missing required key is an error, and any other
-    absent key takes the field's default.
+    A dict with exactly the class's keys is returned as it is, so the
+    caller must not change it. Otherwise the values are a new dict: keys
+    the class has no field for are ignored with a warning naming
+    ``source``, a missing required key is an error, and any other absent
+    key takes the field's default. ``name`` and ``index`` place a nested
+    object inside its record (``llm``, ``slm_samples[3]``) and prefix
+    what is raised or warned about it.
     """
+    if type(data) is dict and data.keys() == kind.known:
+        return data
     if type(data) is not dict and not isinstance(data, Mapping):
         raise ValidationError(
             f"{_place(name, index)}expected a JSON object, got {type(data).__name__}"
@@ -208,123 +194,32 @@ def _object(
     return values
 
 
-def _objects(value: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
-    """One ``kind.cls`` record per object of the JSON list in field ``name``.
-
-    Every error about an element, its shape or its values, starts with
-    the element's place, as in ``slm_samples[3]: ``.
-    """
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{name} must be a list")
-    records = []
-    for index, raw in enumerate(value):
-        values = _object(raw, kind, source, name, index)
-        try:
-            records.append(kind.cls(**values))
-        except ValidationError as exc:
-            raise ValidationError(f"{_place(name, index)}{exc}") from exc
-    return tuple(records)
-
-
-def _exact_question(data: Any) -> QuestionRecord | None:
-    """The QuestionRecord for ``data`` if it has exactly the shape
-    ``write_dataset`` writes, else None.
-
-    That shape is a dict with every field of the record and its samples
-    (in any key order) holding values of the exact types the checks
-    return unchanged: non-empty ASCII strings, ``True``/``False``, int
-    counts below ``_FLOAT_SAFE_INT``, a float ``pre_score`` in [0, 1],
-    float levels found in ``_ON_GRID``, and answers that agree on their
-    correctness. The whole tree is checked and built in one pass; on any
-    other input nothing is built, and ``_checked_question``, the path
-    that raises and warns, reads the object instead.
-    """
-    if type(data) is not dict or data.keys() != _QUESTION.known:
-        return None
-    qid = data["id"]
-    input_tokens = data["input_tokens"]
-    raw = data["slm_samples"]
-    score = data["pre_score"]
-    llm = data["llm"]
-    if not (
-        type(qid) is str
-        and qid
-        and qid.isascii()
-        and type(input_tokens) is int
-        and 0 < input_tokens < _FLOAT_SAFE_INT
-        and type(raw) is list
-        and raw
-        and (score is None or type(score) is float and 0.0 <= score <= 1.0)
-    ):
-        return None
-    if llm is not None:
-        if type(llm) is not dict or llm.keys() != _LLM.known:
-            return None
-        correct = llm["correct"]
-        tokens = llm["tokens"]
-        if not (
-            (correct is True or correct is False)
-            and type(tokens) is int
-            and 0 < tokens < _FLOAT_SAFE_INT
-        ):
-            return None
-        llm = _make_llm(correct, tokens)
-    make = _make_sample
-    known = _SAMPLE.known
-    samples = []
-    verdict: dict[str, bool] = {}
-    for sample in raw:
-        if type(sample) is not dict or sample.keys() != known:
-            return None
-        answer = sample["answer"]
-        correct = sample["correct"]
-        tokens = sample["tokens"]
-        level = sample["confidence_level"]
-        refusal = sample["refusal"]
-        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
-            return None
-        if level is not None:
-            # True and 1 are found in _ON_GRID too; the checked path
-            # rejects the one and converts the other.
-            level = _ON_GRID.get(level) if type(level) is float else None
-            if level is None:
-                return None
-        if refusal is True:
-            if answer is not None or correct is not False:
-                return None
-        elif (
-            refusal is False
-            and (correct is True or correct is False)
-            and type(answer) is str
-            and answer.isascii()
-        ):
-            answer = answer.strip().casefold()
-            if not answer or verdict.setdefault(answer, correct) is not correct:
-                return None
-        else:
-            return None
-        samples.append(make(answer, correct, tokens, level, refusal))
-    return _make_question(qid, input_tokens, tuple(samples), score, llm)
-
-
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
     """Build a QuestionRecord from one decoded JSONL object.
 
     ``source`` names the record in unknown-field warnings only; the
-    reader puts the location in front of a raised error.
+    reader puts the location in front of a raised error. An error about
+    a sample starts with its place, as in ``slm_samples[3]: ``.
     """
-    question = _exact_question(data)
-    return _checked_question(data, source) if question is None else question
-
-
-def _checked_question(data: Any, source: str) -> QuestionRecord:
-    """``parse_question``'s checked path: each object's keys checked by
-    ``_object`` and its values by the record's constructor."""
     values = _object(data, _QUESTION, source)
-    values["slm_samples"] = _objects(values["slm_samples"], _SAMPLE, source, "slm_samples")
-    if values["llm"] is not None:
-        values["llm"] = LlmOutcome(**_object(values["llm"], _LLM, source, "llm"))
-    return QuestionRecord(**values)
+    listed = values["slm_samples"]
+    if not isinstance(listed, (list, tuple)):
+        raise ValidationError("slm_samples must be a list")
+    samples = []
+    known, args = _SAMPLE.known, _SAMPLE.args
+    for index, sample in enumerate(listed):
+        if type(sample) is not dict or sample.keys() != known:  # as _object reads it
+            sample = _object(sample, _SAMPLE, source, "slm_samples", index)
+        try:
+            samples.append(SampleRecord(*args(sample)))
+        except ValidationError as exc:
+            raise ValidationError(f"slm_samples[{index}]: {exc}") from exc
+    llm = values["llm"]
+    if llm is not None:
+        llm = LlmOutcome(*_LLM.args(_object(llm, _LLM, source, "llm")))
+    return QuestionRecord(
+        values["id"], values["input_tokens"], tuple(samples), values["pre_score"], llm
+    )
 
 
 def _load(path: str, parse: Callable[..., Any]) -> tuple[Any, ...]:
@@ -473,59 +368,22 @@ def write_metrics(report: MetricsReport, path: str) -> None:
         handle.write("\n")
 
 
-def _exact_training(data: Any) -> TrainingQuestion | None:
-    """The TrainingQuestion for ``data`` if it has exactly the shape of a
-    training-corpus line, else None: what ``_exact_question`` is to
-    ``parse_question``, for ``parse_training_question``."""
-    if type(data) is not dict or data.keys() != _TRAINING.known:
-        return None
-    qid = data["id"]
-    question = data["question"]
-    raw = data["samples"]
-    if not (
-        type(qid) is str
-        and qid
-        and qid.isascii()
-        and type(question) is str
-        and question
-        and question.isascii()
-        and type(raw) is list
-        and raw
-    ):
-        return None
-    make = _make_response
-    known = _RESPONSE.known
-    samples = []
-    for sample in raw:
-        if type(sample) is not dict or sample.keys() != known:
-            return None
-        text = sample["text"]
-        correct = sample["correct"]
-        tokens = sample["tokens"]
-        if not (
-            type(text) is str
-            and text
-            and text.isascii()
-            and (correct is True or correct is False)
-            and type(tokens) is int
-            and 0 < tokens < _FLOAT_SAFE_INT
-        ):
-            return None
-        samples.append(make(text, correct, tokens))
-    return _make_training(qid, question, tuple(samples))
-
-
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
-    question = _exact_training(data)
-    return _checked_training(data, source) if question is None else question
-
-
-def _checked_training(data: Any, source: str) -> TrainingQuestion:
-    """``parse_training_question``'s checked path, as ``_checked_question``."""
     values = _object(data, _TRAINING, source)
-    values["samples"] = _objects(values["samples"], _RESPONSE, source, "samples")
-    return TrainingQuestion(**values)
+    listed = values["samples"]
+    if not isinstance(listed, (list, tuple)):
+        raise ValidationError("samples must be a list")
+    samples = []
+    known, args = _RESPONSE.known, _RESPONSE.args
+    for index, sample in enumerate(listed):
+        if type(sample) is not dict or sample.keys() != known:  # as _object reads it
+            sample = _object(sample, _RESPONSE, source, "samples", index)
+        try:
+            samples.append(ResponseSample(*args(sample)))
+        except ValidationError as exc:
+            raise ValidationError(f"samples[{index}]: {exc}") from exc
+    return TrainingQuestion(values["id"], values["question"], tuple(samples))
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:

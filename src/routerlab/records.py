@@ -4,21 +4,19 @@ Every type validates its invariants at construction and raises
 :class:`ValidationError` on bad input, so downstream code can assume any
 record instance it holds is well formed. All records are immutable.
 
-A record is made one of two ways. Its constructor checks it: each
-class's ``__post_init__`` holds all of its rules and stores the
-canonical value of each field it rewrites. ``_maker`` makes a record
-from values that are already checked, without the constructor: ``io``'s
-exact-shape readers check a whole line in one pass of their own and
-then build through it, and the ``trainset`` builders make their
-``PreferencePair`` and ``RefusalExample`` records through it from a
-checked question, so the constructor's checks hold by construction.
+The constructor is the only way to make a record; ``io``'s loaders and
+the ``trainset`` builders call it too. Each slotted record has a
+hand-written ``__init__`` that holds all of its rules: it tests the
+common exact types inline, calls the ``_as_*`` helpers to convert or
+reject any other value, and stores each field through its slot
+descriptor's ``__set__``, bound once per class by ``_setters``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 
 class ValidationError(ValueError):
@@ -80,7 +78,13 @@ def snap_confidence(value: float) -> float:
 
 def normalize_taus(taus: "Iterable[float]") -> tuple[float, ...]:
     """Sorted unique thresholds, each validated to lie in [0, 1]."""
-    values = sorted({float(t) for t in taus})
+    unique = set()
+    for tau in taus:
+        try:
+            unique.add(float(tau))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"thresholds must be numbers in [0, 1], got {tau!r}") from None
+    values = sorted(unique)
     if not values:
         raise ValidationError("at least one threshold is required")
     for tau in values:
@@ -188,29 +192,13 @@ class PricingSchedule:
         }
 
 
-def _maker(cls: type) -> Callable[..., Any]:
-    """``make(*fields)``: a slotted ``cls`` record holding ``fields``,
-    made without its constructor. For values already checked: nothing
-    here checks them again.
-
-    The record comes from ``object.__new__``, and each field is stored
-    by its slot descriptor's ``__set__``, one call per slot in slot
-    order. That skips the frozen ``__setattr__`` and the per-name lookup
-    of ``object.__setattr__``; the body is generated, as ``dataclasses``
-    generates ``__init__``, so that no loop runs per record.
-    """
-    names = cls.__slots__
-    namespace = {"_new": object.__new__, "_cls": cls}
-    body = ["    _record = _new(_cls)"]
-    for name in names:
-        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
-        body.append(f"    _set_{name}(_record, {name})")
-    body.append("    return _record")
-    exec(f"def make({', '.join(names)}):\n" + "\n".join(body), namespace)
-    return namespace["make"]
+def _setters(cls: type) -> tuple[Any, ...]:
+    """The ``__set__`` of each of ``cls``'s slot descriptors, in slot order:
+    a frozen record's ``__init__`` stores its fields through them."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SampleRecord:
     """One recorded SLM completion for a question.
 
@@ -226,11 +214,20 @@ class SampleRecord:
     confidence_level: float | None = None
     refusal: bool = False
 
-    def __post_init__(self) -> None:
-        refusal = _as_bool(self.refusal, "refusal")
-        correct = _as_bool(self.correct, "correct")
-        _as_count(self.tokens, "tokens")
-        answer = self.answer
+    def __init__(
+        self,
+        answer: str | None,
+        correct: bool,
+        tokens: int,
+        confidence_level: float | None = None,
+        refusal: bool = False,
+    ) -> None:
+        if refusal is not True and refusal is not False:
+            _as_bool(refusal, "refusal")
+        if correct is not True and correct is not False:
+            _as_bool(correct, "correct")
+        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+            _as_count(tokens, "tokens")
         if refusal:
             if answer is not None:
                 raise ValidationError("a refusal sample must have answer=None")
@@ -239,11 +236,20 @@ class SampleRecord:
         else:
             if answer is None:
                 raise ValidationError("a non-refusal sample must carry an answer")
-            object.__setattr__(self, "answer", canonical_answer(_as_str(answer, "answer")))
-        level = self.confidence_level
-        if level is not None:
-            level = snap_confidence(_as_float(level, "confidence_level"))
-            object.__setattr__(self, "confidence_level", level)
+            if type(answer) is not str or not answer.isascii() or not answer:
+                _as_str(answer, "answer")
+            answer = canonical_answer(answer)
+        if confidence_level is not None:
+            # True and 1 are in _ON_GRID too: the helpers reject or convert them.
+            level = _ON_GRID.get(confidence_level) if type(confidence_level) is float else None
+            if level is None:
+                level = snap_confidence(_as_float(confidence_level, "confidence_level"))
+            confidence_level = level
+        _set_answer(self, answer)
+        _set_correct(self, correct)
+        _set_tokens(self, tokens)
+        _set_level(self, confidence_level)
+        _set_refusal(self, refusal)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -255,22 +261,32 @@ class SampleRecord:
         }
 
 
-@dataclass(frozen=True, slots=True)
+_set_answer, _set_correct, _set_tokens, _set_level, _set_refusal = _setters(SampleRecord)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LlmOutcome:
     """The recorded large-model result for a question."""
 
     correct: bool
     tokens: int
 
-    def __post_init__(self) -> None:
-        _as_bool(self.correct, "llm.correct")
-        _as_count(self.tokens, "llm.tokens")
+    def __init__(self, correct: bool, tokens: int) -> None:
+        if correct is not True and correct is not False:
+            _as_bool(correct, "llm.correct")
+        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+            _as_count(tokens, "llm.tokens")
+        _set_llm_correct(self, correct)
+        _set_llm_tokens(self, tokens)
 
     def to_dict(self) -> dict[str, Any]:
         return {"correct": self.correct, "tokens": self.tokens}
 
 
-@dataclass(frozen=True, slots=True)
+_set_llm_correct, _set_llm_tokens = _setters(LlmOutcome)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class QuestionRecord:
     """All recorded behaviour for one benchmark question.
 
@@ -288,42 +304,55 @@ class QuestionRecord:
     pre_score: float | None = None
     llm: LlmOutcome | None = None
 
-    def __post_init__(self) -> None:
-        qid = _as_str(self.id, "id")
-        input_tokens = _as_int(self.input_tokens, "input_tokens")
-        if input_tokens < 1:
+    def __init__(
+        self,
+        id: str,
+        input_tokens: int,
+        slm_samples: Iterable[SampleRecord],
+        pre_score: float | None = None,
+        llm: LlmOutcome | None = None,
+    ) -> None:
+        if type(id) is not str or not id.isascii() or not id:
+            _as_str(id, "id")
+        if type(input_tokens) is not int or not 0 < input_tokens < _FLOAT_SAFE_INT:
+            if _as_int(input_tokens, "input_tokens") < 1:
+                raise ValidationError(
+                    f"question {id!r}: input_tokens must be >= 1, got {input_tokens}"
+                )
+        try:
+            samples = tuple(slm_samples)
+        except TypeError:
             raise ValidationError(
-                f"question {qid!r}: input_tokens must be >= 1, got {input_tokens}"
-            )
-        samples = tuple(self.slm_samples)
+                f"question {id!r}: slm_samples must hold SampleRecord values"
+            ) from None
         if not samples:
-            raise ValidationError(f"question {qid!r} has no SLM samples")
+            raise ValidationError(f"question {id!r} has no SLM samples")
         for sample in samples:
             if not isinstance(sample, SampleRecord):
                 raise ValidationError(
-                    f"question {qid!r}: slm_samples must hold SampleRecord values"
+                    f"question {id!r}: slm_samples must hold SampleRecord values"
                 )
-        object.__setattr__(self, "slm_samples", samples)
-        score = self.pre_score
-        if score is not None:
-            score = _as_float(score, "pre_score")
-            if not 0.0 <= score <= 1.0:
+        if pre_score is not None and not (type(pre_score) is float and 0.0 <= pre_score <= 1.0):
+            pre_score = _as_float(pre_score, "pre_score")
+            if not 0.0 <= pre_score <= 1.0:
                 raise ValidationError(
-                    f"question {qid!r}: pre_score must lie in [0, 1], got {score}"
+                    f"question {id!r}: pre_score must lie in [0, 1], got {pre_score}"
                 )
-            object.__setattr__(self, "pre_score", score)
-        if self.llm is not None and not isinstance(self.llm, LlmOutcome):
-            raise ValidationError(f"question {qid!r}: llm must be an LlmOutcome")
+        if llm is not None and not isinstance(llm, LlmOutcome):
+            raise ValidationError(f"question {id!r}: llm must be an LlmOutcome")
         verdict: dict[str, bool] = {}
         for sample in samples:
-            if sample.answer is None:
-                continue
-            seen = verdict.setdefault(sample.answer, sample.correct)
-            if seen != sample.correct:
+            answer = sample.answer
+            if answer is not None and verdict.setdefault(answer, sample.correct) != sample.correct:
                 raise ValidationError(
-                    f"question {qid!r}: answer {sample.answer!r} is marked both "
+                    f"question {id!r}: answer {answer!r} is marked both "
                     "correct and incorrect across samples"
                 )
+        _set_id(self, id)
+        _set_input_tokens(self, input_tokens)
+        _set_samples(self, samples)
+        _set_pre_score(self, pre_score)
+        _set_llm(self, llm)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -333,6 +362,9 @@ class QuestionRecord:
             "slm_samples": [s.to_dict() for s in self.slm_samples],
             "llm": self.llm.to_dict() if self.llm is not None else None,
         }
+
+
+_set_id, _set_input_tokens, _set_samples, _set_pre_score, _set_llm = _setters(QuestionRecord)
 
 
 def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
@@ -551,7 +583,7 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PreferencePair:
     """A DPO training pair built from one question's completions.
 
@@ -566,17 +598,24 @@ class PreferencePair:
     chosen_tokens: int
     rejected_tokens: int
 
-    def __post_init__(self) -> None:
-        _as_str(self.question_id, "question_id")
-        _as_str(self.chosen, "chosen")
-        _as_str(self.rejected, "rejected")
-        _as_count(self.chosen_tokens, "chosen_tokens")
-        _as_count(self.rejected_tokens, "rejected_tokens")
-        if not self.rejected_tokens > REJECTED_TOKEN_RATIO * self.chosen_tokens:
+    def __init__(
+        self, question_id: str, chosen: str, rejected: str, chosen_tokens: int, rejected_tokens: int
+    ) -> None:
+        _as_str(question_id, "question_id")
+        _as_str(chosen, "chosen")
+        _as_str(rejected, "rejected")
+        _as_count(chosen_tokens, "chosen_tokens")
+        _as_count(rejected_tokens, "rejected_tokens")
+        if not rejected_tokens > REJECTED_TOKEN_RATIO * chosen_tokens:
             raise ValidationError(
                 f"rejected completion must exceed {REJECTED_TOKEN_RATIO}x the chosen "
-                f"length; got {self.rejected_tokens} vs {self.chosen_tokens} tokens"
+                f"length; got {rejected_tokens} vs {chosen_tokens} tokens"
             )
+        _set_pair_id(self, question_id)
+        _set_chosen(self, chosen)
+        _set_rejected(self, rejected)
+        _set_chosen_tokens(self, chosen_tokens)
+        _set_rejected_tokens(self, rejected_tokens)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -588,7 +627,10 @@ class PreferencePair:
         }
 
 
-@dataclass(frozen=True, slots=True)
+_set_pair_id, _set_chosen, _set_rejected, _set_chosen_tokens, _set_rejected_tokens = _setters(PreferencePair)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RefusalExample:
     """A confidence-conditioned training example.
 
@@ -602,17 +644,26 @@ class RefusalExample:
     prompt: str
     target: str
 
-    def __post_init__(self) -> None:
-        _as_str(self.question_id, "question_id")
-        threshold = snap_confidence(_as_float(self.threshold, "threshold"))
-        object.__setattr__(self, "threshold", threshold)
-        prompt = _as_str(self.prompt, "prompt")
-        prefix = refusal_prompt_prefix(threshold)
+    def __init__(self, question_id: str, threshold: float, prompt: str, target: str) -> None:
+        if type(question_id) is not str or not question_id.isascii() or not question_id:
+            _as_str(question_id, "question_id")
+        # A grid level is a key of _PREFIXES; any other value is snapped first.
+        prefix = _PREFIXES.get(threshold) if type(threshold) is float else None
+        if prefix is None:
+            threshold = snap_confidence(_as_float(threshold, "threshold"))
+            prefix = _PREFIXES[threshold]
+        if type(prompt) is not str or not prompt.isascii() or not prompt:
+            _as_str(prompt, "prompt")
         if not prompt.startswith(prefix):
             raise ValidationError(
                 f"prompt for threshold {threshold:.1f} must start with {prefix!r}"
             )
-        _as_str(self.target, "target")
+        if type(target) is not str or not target.isascii() or not target:
+            _as_str(target, "target")
+        _set_example_id(self, question_id)
+        _set_threshold(self, threshold)
+        _set_prompt(self, prompt)
+        _set_target(self, target)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -621,6 +672,9 @@ class RefusalExample:
             "prompt": self.prompt,
             "target": self.target,
         }
+
+
+_set_example_id, _set_threshold, _set_prompt, _set_target = _setters(RefusalExample)
 
 
 @dataclass(frozen=True)

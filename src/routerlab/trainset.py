@@ -20,9 +20,10 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .records import (
+    _FLOAT_SAFE_INT,
     CONFIDENCE_LEVELS,
     REJECTED_TOKEN_RATIO,
     REJECTION_TEXT,
@@ -32,7 +33,7 @@ from .records import (
     _as_bool,
     _as_count,
     _as_str,
-    _maker,
+    _setters,
     refusal_prompt,
 )
 
@@ -43,12 +44,8 @@ SFT_WEIGHT = 0.2
 # exactly on the confidence grid; the threshold comparison is exact.
 ESTIMATE_SAMPLES = 10
 
-# The builders' records, made without their constructors (see below).
-_make_pair = _maker(PreferencePair)
-_make_refusal = _maker(RefusalExample)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ResponseSample:
     """One free-text completion with its grading and token length."""
 
@@ -56,13 +53,22 @@ class ResponseSample:
     correct: bool
     tokens: int
 
-    def __post_init__(self) -> None:
-        _as_str(self.text, "text")
-        _as_bool(self.correct, "correct")
-        _as_count(self.tokens, "tokens")
+    def __init__(self, text: str, correct: bool, tokens: int) -> None:
+        if type(text) is not str or not text.isascii() or not text:
+            _as_str(text, "text")
+        if correct is not True and correct is not False:
+            _as_bool(correct, "correct")
+        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+            _as_count(tokens, "tokens")
+        _set_text(self, text)
+        _set_correct(self, correct)
+        _set_tokens(self, tokens)
 
 
-@dataclass(frozen=True, slots=True)
+_set_text, _set_correct, _set_tokens = _setters(ResponseSample)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TrainingQuestion:
     """A question with the graded completions recorded for it."""
 
@@ -70,18 +76,30 @@ class TrainingQuestion:
     question: str
     samples: tuple[ResponseSample, ...]
 
-    def __post_init__(self) -> None:
-        qid = _as_str(self.id, "id")
-        _as_str(self.question, "question")
-        samples = tuple(self.samples)
+    def __init__(self, id: str, question: str, samples: Iterable[ResponseSample]) -> None:
+        if type(id) is not str or not id.isascii() or not id:
+            _as_str(id, "id")
+        if type(question) is not str or not question.isascii() or not question:
+            _as_str(question, "question")
+        try:
+            samples = tuple(samples)
+        except TypeError:
+            raise ValidationError(
+                f"question {id!r}: samples must hold ResponseSample values"
+            ) from None
         if not samples:
-            raise ValidationError(f"question {qid!r} has no samples")
+            raise ValidationError(f"question {id!r} has no samples")
         for sample in samples:
             if not isinstance(sample, ResponseSample):
                 raise ValidationError(
-                    f"question {qid!r}: samples must hold ResponseSample values"
+                    f"question {id!r}: samples must hold ResponseSample values"
                 )
-        object.__setattr__(self, "samples", samples)
+        _set_id(self, id)
+        _set_question(self, question)
+        _set_samples(self, samples)
+
+
+_set_id, _set_question, _set_samples = _setters(TrainingQuestion)
 
 
 def build_dpo_pair(
@@ -123,14 +141,8 @@ def build_dpo_pair(
             rejected = sample
     if rejected is None:
         return None
-    # The texts and token counts come from checked samples, and
-    # min_ratio >= 1.5 gives the length gap; only the id is the caller's.
-    return _make_pair(
-        _as_str(question_id, "question_id"),
-        chosen.text,
-        rejected.text,
-        chosen.tokens,
-        rejected.tokens,
+    return PreferencePair(
+        question_id, chosen.text, rejected.text, chosen.tokens, rejected.tokens
     )
 
 
@@ -158,10 +170,6 @@ def build_refusal_examples(
     a randomly drawn correct completion; above them it is the fixed
     rejection text. Draws are seeded per question id, so the corpus is
     reproducible regardless of question order.
-
-    Each example is made without its constructor: the id and texts
-    come from the checked question, each threshold is a grid level and
-    each prompt is ``refusal_prompt``'s, so its checks hold already.
     """
     accuracy = estimate_accuracy(question.samples)
     correct_texts = [s.text for s in question.samples if s.correct]
@@ -173,7 +181,7 @@ def build_refusal_examples(
         else:
             target = REJECTION_TEXT
         examples.append(
-            _make_refusal(
+            RefusalExample(
                 question.id, threshold, refusal_prompt(threshold, question.question), target
             )
         )

@@ -11,6 +11,7 @@ from routerlab.io import load_dataset
 from routerlab.records import ValidationError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
+RULES = Path(__file__).resolve().parent / "data" / "validate_golden"
 
 
 def run(argv, capsys):
@@ -71,6 +72,15 @@ class TestValidate:
         assert code == 1
         assert all(f"{path}:{line}:" in err for line in (1, 2, 3, 4))
         assert "Traceback" not in err
+
+    def test_one_bad_line_per_rule(self, monkeypatch, capsys):
+        # rules.jsonl breaks one input rule per line; stderr.txt is what
+        # validate printed for it when each line had two readers.
+        monkeypatch.chdir(RULES)
+        code, out, err = run(["validate", "rules.jsonl"], capsys)
+        assert code == 1
+        assert out == "rules.jsonl: 2 question(s) ok, 69 problem(s)\n"
+        assert err == (RULES / "stderr.txt").read_text(encoding="utf-8")
 
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = run(["validate", str(tmp_path / "nope.jsonl")], capsys)

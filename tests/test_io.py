@@ -216,8 +216,9 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
 
 
 # ---------------------------------------------------------------------------
-# The parsers build records without their constructors; each must give
-# what the constructors give, record for record and error for error.
+# The parsers build every record through its constructor; each must give
+# what the constructors give, record for record and error for error, and
+# what the golden file pins.
 
 # Values a field may wrongly hold: wrong types, a bool where an int is
 # expected, a string with a lone surrogate, NaN and infinities, integers
@@ -376,7 +377,7 @@ def by_constructors(data, kind, nested):
     """``data`` read as the parsers read it, but with every record built
     by ``cls(**fields)``; ``nested`` maps a field to the kind of the
     records it holds, ``(kind, True)`` for a list of them."""
-    values = io._object(data, kind, "q")
+    values = dict(io._object(data, kind, "q"))
     for name, (inner, is_list) in nested.items():
         if not is_list:
             if values[name] is not None:
@@ -494,9 +495,8 @@ def reversed_keys(value):
     return value
 
 
-# Inputs one step from the exact shape that the exact-shape readers must
-# leave to the checked path, because it rejects them, warns about them
-# or converts a value.
+# Inputs one step from the exact shape that a constructor rejects, warns
+# about or converts a value of.
 QUESTION_TRAPS = {
     "id_empty": changed(exact_question(), "id", ""),
     "id_not_a_string": changed(exact_question(), "id", 7),
@@ -563,32 +563,66 @@ TRAINING_TRAPS = {
 }
 
 
+PARSE_GOLDEN = Path(__file__).resolve().parent / "data" / "parse_golden" / "cases.jsonl"
+PARSERS = {"question": parse_question, "training": parse_training_question}
+
+
+def read_parse_golden():
+    """The pinned cases by ``(kind, name)``: each input with the outcome
+    of ``parse_*(input, "golden")``."""
+    with open(PARSE_GOLDEN, encoding="ascii") as handle:
+        cases = [json.loads(line) for line in handle]
+    return {(case["kind"], case["name"]): case for case in cases}
+
+
+GOLDEN_CASES = read_parse_golden()
+
+
+def golden_outcome(parse, data):
+    """What the golden file stores for ``parse(data, "golden")``: the
+    record's repr or the exception's type name and text, and every
+    warning's text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            record, error = repr(parse(data, "golden")), None
+        except Exception as exc:  # compared, not swallowed
+            record, error = None, [type(exc).__name__, str(exc)]
+    return {"repr": record, "error": error, "warnings": [str(w.message) for w in caught]}
+
+
+def pinned(kind, name):
+    case = GOLDEN_CASES[kind, name]
+    return {key: case[key] for key in ("repr", "error", "warnings")}
+
+
+class TestParseGolden:
+    """``tests/data/parse_golden/cases.jsonl`` holds every trap below, the
+    exact shapes with reversed keys, unknown fields and non-ASCII strings,
+    and 300 fixed-seed draws from ``QUESTIONS`` and ``TRAINING``, each
+    with the outcome the parsers gave when each line had two readers (an
+    exact-shape one and a checked one). The parsers must still give
+    exactly that."""
+
+    def test_every_case_gives_its_pinned_outcome(self):
+        assert len(GOLDEN_CASES) == 366
+        wrong = [
+            key
+            for key, case in GOLDEN_CASES.items()
+            if golden_outcome(PARSERS[case["kind"]], case["input"]) != pinned(*key)
+        ]
+        assert wrong == []
+
+
 class TestExactShapeReaders:
-    """``_exact_question`` and ``_exact_training`` against the checked path."""
-
-    def agrees(self, exact, checked, data):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fast = exact(data)
-            if fast is None:
-                return
-            slow = checked(data, "q")  # raises if the exact reader took a bad input
-        assert repr(fast) == repr(slow) and field_types(fast) == field_types(slow)
-
-    @given(QUESTIONS)
-    @settings(max_examples=400, deadline=None)
-    def test_question_is_none_or_the_checked_record(self, data):
-        self.agrees(io._exact_question, io._checked_question, data)
-
-    @given(TRAINING)
-    @settings(max_examples=200, deadline=None)
-    def test_training_question_is_none_or_the_checked_record(self, data):
-        self.agrees(io._exact_training, io._checked_training, data)
+    """Each trap, a line one step from the shape the writers write, gives
+    its pinned outcome and the constructors' outcome."""
 
     @pytest.mark.parametrize("trap", QUESTION_TRAPS)
     def test_question_trap_takes_the_checked_path(self, trap):
         data = QUESTION_TRAPS[trap]
-        assert io._exact_question(data) is None
+        assert json.dumps(GOLDEN_CASES["question", trap]["input"]) == json.dumps(data)
+        assert golden_outcome(parse_question, data) == pinned("question", trap)
         nested = {"slm_samples": (io._SAMPLE, True), "llm": (io._LLM, False)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -597,7 +631,8 @@ class TestExactShapeReaders:
     @pytest.mark.parametrize("trap", TRAINING_TRAPS)
     def test_training_trap_takes_the_checked_path(self, trap):
         data = TRAINING_TRAPS[trap]
-        assert io._exact_training(data) is None
+        assert json.dumps(GOLDEN_CASES["training", trap]["input"]) == json.dumps(data)
+        assert golden_outcome(parse_training_question, data) == pinned("training", trap)
         nested = {"samples": (io._RESPONSE, True)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -606,41 +641,29 @@ class TestExactShapeReaders:
             )
 
     @pytest.mark.parametrize(
-        "exact, checked, data",
-        [
-            (io._exact_question, io._checked_question, exact_question()),
-            (io._exact_training, io._checked_training, exact_training()),
-        ],
+        "kind, data",
+        [("question", exact_question()), ("training", exact_training())],
         ids=["question", "training"],
     )
-    def test_key_order_does_not_matter(self, exact, checked, data):
+    def test_key_order_does_not_matter(self, kind, data):
         for shape in (data, reversed_keys(data)):
-            record = exact(shape)
-            assert record is not None
-            assert repr(record) == repr(checked(shape, "q"))
-            assert field_types(record) == field_types(checked(shape, "q"))
+            record = PARSERS[kind](shape)
+            assert repr(record) == pinned(kind, "reversed_keys")["repr"]
+            assert field_types(record) == field_types(PARSERS[kind](data))
+
+    @pytest.mark.parametrize("kind", PARSERS)
+    def test_caller_dict_left_unchanged(self, kind):
+        for name in ("exact", "unknown_fields", "non_ascii"):
+            data = GOLDEN_CASES[kind, name]["input"]
+            before = json.dumps(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                PARSERS[kind](data)
+            assert json.dumps(data) == before
 
 
 class TestExactShapeHits:
-    """Every line the writers write takes the exact-shape reader."""
-
-    @pytest.fixture
-    def hits(self, monkeypatch):
-        counts = {"_exact_question": 0, "_exact_training": 0}
-
-        def counting(name):
-            reader = getattr(io, name)
-
-            def counted(data):
-                record = reader(data)
-                counts[name] += record is not None
-                return record
-
-            return counted
-
-        for name in counts:
-            monkeypatch.setattr(io, name, counting(name))
-        return counts
+    """Every line the writers write loads back to the record written."""
 
     @pytest.mark.parametrize(
         "params",
@@ -652,15 +675,15 @@ class TestExactShapeHits:
         ],
         ids=["rcv", "rcv_no_llm", "sc", "fcv"],
     )
-    def test_every_synth_line(self, tmp_path, hits, params):
+    def test_every_synth_line(self, tmp_path, params):
         questions = generate_synthetic(60, seed=7, params=params)
         path = tmp_path / "q.jsonl"
         write_dataset(questions, str(path))
         loaded, _ = load_dataset(str(path))
         assert loaded == questions
-        assert hits["_exact_question"] == len(questions)
+        assert field_types(loaded) == field_types(questions)
 
-    def test_every_corpus_line(self, tmp_path, hits):
+    def test_every_corpus_line(self, tmp_path):
         # The shape of the benchmark's generated corpus, written by json.dumps.
         rows = [
             {
@@ -680,13 +703,12 @@ class TestExactShapeHits:
         path = tmp_path / "corpus.jsonl"
         write_lines(path, [json.dumps(row) for row in rows])
         loaded = load_training_questions(str(path))
-        assert hits["_exact_training"] == len(rows)
         assert [repr(q) for q in loaded] == [
             repr(by_constructors(row, io._TRAINING, {"samples": (io._RESPONSE, True)})) for row in rows
         ]
 
     @pytest.mark.parametrize("training", [False, True], ids=["dataset", "corpus"])
-    def test_unknown_field_on_every_line(self, tmp_path, hits, training):
+    def test_unknown_field_on_every_line(self, tmp_path, training):
         if training:
             rows = [json.loads(training_line(f"t{n}")) for n in range(12)]
             load = load_training_questions
@@ -700,7 +722,6 @@ class TestExactShapeHits:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             loaded = load(str(noted))
-        assert hits == {"_exact_question": 0, "_exact_training": 0}
         assert loaded == load(str(plain))
         assert [str(w.message) for w in caught] == [
             f"{noted}:{n}: ignoring unknown field(s) note" for n in range(1, len(rows) + 1)

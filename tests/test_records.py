@@ -6,7 +6,9 @@ import math
 import pytest
 
 from routerlab import records
+from routerlab.cascade import sweep_cascade
 from routerlab.io import load_pricing, parse_question
+from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
@@ -74,6 +76,26 @@ class TestNormalizeTaus:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             normalize_taus([])
+
+    @pytest.mark.parametrize(
+        "tau, shown",
+        [(None, "None"), ("x", "'x'"), ([0.5], "[0.5]"), (10**400, "1" + "0" * 400)],
+        ids=["none", "text", "list", "huge"],
+    )
+    def test_rejects_non_numbers(self, tau, shown):
+        message = f"thresholds must be numbers in [0, 1], got {shown}"
+        with pytest.raises(ValidationError) as excinfo:
+            normalize_taus([0.5, tau])
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("mode", ["pre", "cascade"])
+    def test_sweeps_raise_validation_error(self, synth_rcv, pricing, mode):
+        questions, profile = synth_rcv
+        with pytest.raises(ValidationError, match="thresholds must be numbers"):
+            if mode == "pre":
+                sweep_pre(questions, profile, pricing, [0.5, None], "refusal")
+            else:
+                sweep_cascade(questions, profile, pricing, [0.5, "x"], scheme="rcv")
 
 
 class TestRefusalPrompt:
@@ -188,10 +210,25 @@ class TestQuestionRecord:
         with pytest.raises(ValidationError):
             make_question(samples=samples)
 
+    def test_llm_must_be_an_llm_outcome(self):
+        with pytest.raises(ValidationError) as excinfo:
+            QuestionRecord("q", 5, [make_sample("a", True)], llm={"correct": True, "tokens": 3})
+        assert str(excinfo.value) == "question 'q': llm must be an LlmOutcome"
+
     def test_samples_stored_as_a_tuple(self):
         samples = [make_sample("a", True), make_sample("b", False)]
         question = QuestionRecord(id="q", input_tokens=5, slm_samples=samples)
         assert question.slm_samples == tuple(samples)
+
+    @pytest.mark.parametrize("samples", [5, None, 0.5], ids=["int", "none", "float"])
+    def test_samples_not_iterable_rejected(self, samples):
+        with pytest.raises(ValidationError) as excinfo:
+            QuestionRecord("q", 5, samples)
+        assert str(excinfo.value) == "question 'q': slm_samples must hold SampleRecord values"
+
+    def test_single_sample_not_in_a_list_rejected(self):
+        with pytest.raises(ValidationError, match="slm_samples must hold SampleRecord values"):
+            QuestionRecord("q", 5, make_sample("a", True))
 
     def test_round_trip(self):
         q = make_question(samples=make_ladder(6))
@@ -486,6 +523,15 @@ class TestLoneSurrogate:
         expected = f"^{field} holds a lone surrogate U\\+DFFF at index 0"
         with pytest.raises(ValidationError, match=expected):
             PreferencePair(**values)
+
+    @pytest.mark.parametrize("field", ["question_id", "prompt", "target"])
+    def test_refusal_example_field(self, field):
+        values = dict(question_id="q", threshold=0.3, prompt=refusal_prompt(0.3, "Q"), target="a")
+        values[field] += "\ud800"
+        index = len(values[field]) - 1
+        expected = f"^{field} holds a lone surrogate U\\+D800 at index {index}"
+        with pytest.raises(ValidationError, match=expected):
+            RefusalExample(**values)
 
     def test_paired_surrogates_and_other_text_are_kept(self):
         text = "é \u2028 \x7f 🎉"

@@ -298,6 +298,12 @@ class TestValidation:
         samples = [resp("a", True, 1), resp("b", False, 2)]
         assert TrainingQuestion(id="q", question="q", samples=samples).samples == tuple(samples)
 
+    @pytest.mark.parametrize("samples", [None, 5], ids=["none", "int"])
+    def test_training_samples_not_iterable_rejected(self, samples):
+        with pytest.raises(ValidationError) as excinfo:
+            TrainingQuestion("t", "Q", samples)
+        assert str(excinfo.value) == "question 't': samples must hold ResponseSample values"
+
     def test_pair_question_id(self):
         # The one pair field that does not come from a checked sample.
         with pytest.raises(ValidationError, match="question_id must be a non-empty string"):
@@ -330,8 +336,8 @@ def assert_constructor_agrees(record):
 
 
 class TestBuildersMatchConstructors:
-    """The builders fill records without their constructors; every record
-    they return must be one the constructor accepts and makes the same."""
+    """Every record the builders return is one the constructor accepts
+    and makes the same from the record's own fields."""
 
     @given(training_questions(10, 10), st.integers(-(2**64), 2**64))
     @settings(max_examples=200, deadline=None)
