@@ -35,6 +35,7 @@ from .io import (
     write_metrics,
     write_pairs,
     write_refusal_examples,
+    write_refusal_rows,
 )
 from .metrics import (
     golden_curve,
@@ -78,5 +79,6 @@ from .trainset import (
     build_refusal_examples,
     combined_loss,
     estimate_accuracy,
+    refusal_targets,
     training_config,
 )

@@ -30,7 +30,7 @@ from .io import (
     write_dataset,
     write_metrics,
     write_pairs,
-    write_refusal_examples,
+    write_refusal_rows,
 )
 from .metrics import golden_curve, toa_from_points, togr
 from .prerouting import SCORE_SOURCES, sweep_pre
@@ -42,7 +42,7 @@ from .records import (
     PricingSchedule,
     ValidationError,
 )
-from .trainset import ESTIMATE_SAMPLES, build_dpo_pair, build_refusal_examples
+from .trainset import ESTIMATE_SAMPLES, build_dpo_pair, refusal_targets
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -330,16 +330,11 @@ def _cmd_build(args) -> int:
         )
         if pair is not None:
             pairs.append(pair)
-    # Each refusal example is written as it is built; none is kept.
-    refusals = (
-        example
-        for question in corpus
-        for example in build_refusal_examples(question, seed)
-    )
-
+    # Each question's refusal rows are written as its targets are drawn.
+    refusals = ((question, refusal_targets(question, seed)) for question in corpus)
     _write_artifacts(
         args.out_dir,
-        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (write_refusal_examples, refusals)},
+        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (write_refusal_rows, refusals)},
     )
     pairs_path = os.path.join(args.out_dir, "pairs.jsonl")
     refusal_path = os.path.join(args.out_dir, "refusal.jsonl")

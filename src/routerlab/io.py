@@ -12,6 +12,13 @@ record's constructor checks its values. An object with exactly the
 record's keys, as the writers write it, is read as it is; any other is
 merged with the record's defaults. Every record is made by its
 constructor, so a loaded record is one its constructor accepts.
+
+Each output row is written from one f-string template. Refusal rows are
+written either from ``RefusalExample`` records
+(``write_refusal_examples``) or, as ``build`` does, straight from a
+checked ``TrainingQuestion`` and its drawn targets
+(``write_refusal_rows``), which makes no record per row; both write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 import math
 import random
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from typing import Any
@@ -41,6 +48,7 @@ from .records import (
     SampleRecord,
     ValidationError,
     canonical_answer,
+    refusal_prompt,
 )
 from .trainset import ResponseSample, TrainingQuestion
 
@@ -414,6 +422,42 @@ def write_refusal_examples(examples: Iterable[RefusalExample], path: str) -> Non
         ),
         path,
     )
+
+
+# Each confidence level's row text from the threshold to the question in
+# the prompt. ``_STR`` escapes each character on its own, so a prompt
+# encodes as this head (the encoded prefix without its closing quote)
+# followed by ``_STR(question)[1:]``.
+_REFUSAL_HEADS = tuple(
+    f'"threshold": {_FLOAT(level)}, "prompt": {_STR(refusal_prompt(level, ""))[:-1]}'
+    for level in CONFIDENCE_LEVELS
+)
+
+
+def write_refusal_rows(
+    rows: Iterable[tuple[TrainingQuestion, Sequence[str]]], path: str
+) -> None:
+    """Write the refusal rows of each ``(question, targets)`` pair.
+
+    ``targets`` holds one target per level of ``CONFIDENCE_LEVELS``, as
+    ``trainset.refusal_targets`` gives them. The bytes equal
+    ``write_refusal_examples`` over each question's
+    ``build_refusal_examples``, but no record is made per row: the id,
+    the question and each distinct target are encoded once per question.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        write = handle.write
+        for question, targets in rows:
+            start = f'{{"id": {_STR(question.id)}, '
+            end = f'{_STR(question.question)[1:]}, "target": '
+            encoded: dict[str, str] = {}
+            lines = []
+            for head, target in zip(_REFUSAL_HEADS, targets, strict=True):
+                tail = encoded.get(target)
+                if tail is None:
+                    tail = encoded[target] = f"{_STR(target)}}}\n"
+                lines.append(f"{start}{head}{end}{tail}")
+            write("".join(lines))
 
 
 @dataclass(frozen=True)

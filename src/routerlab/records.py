@@ -77,13 +77,22 @@ def snap_confidence(value: float) -> float:
 
 
 def normalize_taus(taus: "Iterable[float]") -> tuple[float, ...]:
-    """Sorted unique thresholds, each validated to lie in [0, 1]."""
+    """Sorted unique thresholds, each validated to lie in [0, 1].
+
+    A threshold is an int or a float, as a record's number fields are: a
+    bool or a numeric string is rejected, not converted.
+    """
     unique = set()
     for tau in taus:
-        try:
-            unique.add(float(tau))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"thresholds must be numbers in [0, 1], got {tau!r}") from None
+        number = None
+        if isinstance(tau, (int, float)) and not isinstance(tau, bool):
+            try:
+                number = float(tau)
+            except OverflowError:
+                pass
+        if number is None:
+            raise ValidationError(f"thresholds must be numbers in [0, 1], got {tau!r}")
+        unique.add(number)
     values = sorted(unique)
     if not values:
         raise ValidationError("at least one threshold is required")

@@ -12,6 +12,11 @@ module constructs
 plus the combined preference/supervised loss those pairs are trained
 with. The fine-tuning hyperparameters live in ``training_config`` so
 downstream trainers and this package agree on them.
+
+``refusal_targets`` is the only code that draws a refusal example's
+target. ``build`` writes each question's rows from those targets
+(``io.write_refusal_rows``) without making records; the records of
+``build_refusal_examples`` are the reference those rows must equal.
 """
 
 from __future__ import annotations
@@ -161,31 +166,43 @@ def estimate_accuracy(samples: Sequence[Any]) -> float:
     return sum(1 for s in samples if s.correct) / ESTIMATE_SAMPLES
 
 
+# The targets of a question with no correct completion to draw.
+_ALL_REFUSED = (REJECTION_TEXT,) * len(CONFIDENCE_LEVELS)
+
+
+def refusal_targets(question: TrainingQuestion, seed: int) -> tuple[str, ...]:
+    """The question's target at each level of ``CONFIDENCE_LEVELS``.
+
+    At levels the estimated accuracy reaches (inclusive), the target is
+    a randomly drawn correct completion; above them it is the fixed
+    rejection text. Draws are seeded per question id, so the corpus is
+    reproducible regardless of question order. A question with no
+    correct completion draws nothing.
+    """
+    accuracy = estimate_accuracy(question.samples)
+    correct_texts = [s.text for s in question.samples if s.correct]
+    if not correct_texts:
+        return _ALL_REFUSED
+    choice = random.Random(_question_seed(seed, question.id)).choice
+    return tuple(
+        choice(correct_texts) if accuracy >= threshold else REJECTION_TEXT
+        for threshold in CONFIDENCE_LEVELS
+    )
+
+
 def build_refusal_examples(
     question: TrainingQuestion, seed: int
 ) -> tuple[RefusalExample, ...]:
     """One example per confidence level for this question.
 
-    At levels the estimated accuracy reaches (inclusive), the target is
-    a randomly drawn correct completion; above them it is the fixed
-    rejection text. Draws are seeded per question id, so the corpus is
-    reproducible regardless of question order.
+    Each example's target is the one ``refusal_targets`` gives for its
+    level. ``build`` writes the same rows without making these records
+    (``io.write_refusal_rows``); this is the record-level reference.
     """
-    accuracy = estimate_accuracy(question.samples)
-    correct_texts = [s.text for s in question.samples if s.correct]
-    rng = random.Random(_question_seed(seed, question.id))
-    examples = []
-    for threshold in CONFIDENCE_LEVELS:
-        if accuracy >= threshold:
-            target = rng.choice(correct_texts)
-        else:
-            target = REJECTION_TEXT
-        examples.append(
-            RefusalExample(
-                question.id, threshold, refusal_prompt(threshold, question.question), target
-            )
-        )
-    return tuple(examples)
+    return tuple(
+        RefusalExample(question.id, threshold, refusal_prompt(threshold, question.question), target)
+        for threshold, target in zip(CONFIDENCE_LEVELS, refusal_targets(question, seed))
+    )
 
 
 def _question_seed(seed: int, question_id: str) -> int:

@@ -360,12 +360,13 @@ class TestBuild:
         out_dir = tmp_path / "train"
         streaming = []
         if failure == "write_error":
-            monkeypatch.setattr(cli, "write_refusal_examples", fail_write)
+            monkeypatch.setattr(cli, "write_refusal_rows", fail_write)
             left = []
         elif failure == "builder_error":
-            # Refusal rows stream to their temporary file as they are
-            # built, so both temporaries exist when the third one fails.
-            build = cli.build_refusal_examples
+            # Refusal rows stream to their temporary file as each
+            # question's targets are drawn, so both temporaries exist
+            # when the third question fails.
+            draw = cli.refusal_targets
             built = []
 
             def fail_third(question, seed):
@@ -373,9 +374,9 @@ class TestBuild:
                     streaming.extend(sorted(p.name for p in out_dir.iterdir()))
                     raise ValidationError(f"question {question.id!r}: cannot build")
                 built.append(question.id)
-                return build(question, seed)
+                return draw(question, seed)
 
-            monkeypatch.setattr(cli, "build_refusal_examples", fail_third)
+            monkeypatch.setattr(cli, "refusal_targets", fail_third)
             left = []
         else:
             (out_dir / "refusal.jsonl").mkdir(parents=True)

@@ -10,10 +10,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routerlab import io
+from routerlab import io, trainset
 from routerlab.io import (
     DatasetError,
     SyntheticParams,
@@ -30,11 +30,13 @@ from routerlab.io import (
     write_metrics,
     write_pairs,
     write_refusal_examples,
+    write_refusal_rows,
 )
 from routerlab.prerouting import derive_refusal_score
 from routerlab.records import (
     CONFIDENCE_LEVELS,
     REJECTED_TOKEN_RATIO,
+    REJECTION_TEXT,
     CurvePoint,
     LlmOutcome,
     MetricsReport,
@@ -46,7 +48,12 @@ from routerlab.records import (
     ValidationError,
     refusal_prompt,
 )
-from routerlab.trainset import ResponseSample, TrainingQuestion, build_refusal_examples
+from routerlab.trainset import (
+    ResponseSample,
+    TrainingQuestion,
+    build_refusal_examples,
+    refusal_targets,
+)
 
 from conftest import make_question
 
@@ -1035,6 +1042,63 @@ class TestTrainingCorpus:
                     json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records
                 )
                 assert written == expected.encode("utf-8")
+
+
+# Text that JSON escapes or writes raw: quotes, backslashes, control
+# characters, U+2028, non-ASCII and astral characters, or any other.
+WIRE_CHARS = st.sampled_from(
+    ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "☕", "\U0001f389"]
+) | st.characters(exclude_categories=("Cs",))
+WIRE_STR = st.text(WIRE_CHARS, min_size=1, max_size=6)
+WIRE_TEXT = WIRE_STR | WIRE_STR.map(Text)
+
+
+@st.composite
+def graded_questions(draw):
+    """A training question with ten samples, 0 to 10 of them correct."""
+    n_correct = draw(st.integers(0, 10))
+    verdicts = draw(st.permutations([True] * n_correct + [False] * (10 - n_correct)))
+    samples = [ResponseSample(draw(WIRE_TEXT), v, draw(TOKENS)) for v in verdicts]
+    return TrainingQuestion(draw(WIRE_TEXT), draw(WIRE_TEXT), samples)
+
+
+NONE_CORRECT = TrainingQuestion(
+    'q "0"', "never\u2028right?", [ResponseSample(f"no {i}", False, 3) for i in range(10)]
+)
+
+
+class TestRefusalRows:
+    @given(st.lists(graded_questions(), min_size=1, max_size=2), st.integers(-(2**64), 2**64))
+    @example([NONE_CORRECT], 0)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_reference_records_bytes(self, questions, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            rows_path = os.path.join(tmp, "rows.jsonl")
+            records_path = os.path.join(tmp, "records.jsonl")
+            write_refusal_rows(((q, refusal_targets(q, seed)) for q in questions), rows_path)
+            examples = [e for q in questions for e in build_refusal_examples(q, seed)]
+            write_refusal_examples(examples, records_path)
+            with open(rows_path, "rb") as rows, open(records_path, "rb") as records:
+                written = rows.read()
+                assert written == records.read()
+        lines = written.split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == len(examples)
+        for line, want in zip(lines, examples):
+            row = json.loads(line)
+            got = RefusalExample(question_id=row.pop("id"), **row)
+            assert got == want
+        for q in questions:
+            assert refusal_targets(q, seed) == tuple(
+                e.target for e in build_refusal_examples(q, seed)
+            )
+
+    def test_no_correct_sample_draws_nothing(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("a question with no correct sample drew a target")
+
+        monkeypatch.setattr(trainset.random, "Random", no_rng)
+        assert refusal_targets(NONE_CORRECT, 0) == (REJECTION_TEXT,) * len(CONFIDENCE_LEVELS)
 
 
 class TestSyntheticGenerator:

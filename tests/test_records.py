@@ -79,14 +79,26 @@ class TestNormalizeTaus:
 
     @pytest.mark.parametrize(
         "tau, shown",
-        [(None, "None"), ("x", "'x'"), ([0.5], "[0.5]"), (10**400, "1" + "0" * 400)],
-        ids=["none", "text", "list", "huge"],
+        [
+            (None, "None"),
+            ("x", "'x'"),
+            ([0.5], "[0.5]"),
+            (10**400, "1" + "0" * 400),
+            ("0.5", "'0.5'"),
+            (True, "True"),
+            (False, "False"),
+        ],
+        ids=["none", "text", "list", "huge", "str", "true", "false"],
     )
     def test_rejects_non_numbers(self, tau, shown):
         message = f"thresholds must be numbers in [0, 1], got {shown}"
         with pytest.raises(ValidationError) as excinfo:
             normalize_taus([0.5, tau])
         assert str(excinfo.value) == message
+
+    def test_accepts_ints_and_floats(self):
+        assert normalize_taus([1, 0, 0.5]) == (0.0, 0.5, 1.0)
+        assert all(type(tau) is float for tau in normalize_taus([1, 0]))
 
     @pytest.mark.parametrize("mode", ["pre", "cascade"])
     def test_sweeps_raise_validation_error(self, synth_rcv, pricing, mode):
@@ -96,6 +108,19 @@ class TestNormalizeTaus:
                 sweep_pre(questions, profile, pricing, [0.5, None], "refusal")
             else:
                 sweep_cascade(questions, profile, pricing, [0.5, "x"], scheme="rcv")
+
+    @pytest.mark.parametrize("tau, shown", [("0.6", "'0.6'"), (True, "True")], ids=["str", "bool"])
+    @pytest.mark.parametrize("where", ["pre", "cascade", "latency_tau"])
+    def test_sweeps_reject_str_and_bool(self, synth_rcv, pricing, where, tau, shown):
+        questions, profile = synth_rcv
+        with pytest.raises(ValidationError) as excinfo:
+            if where == "pre":
+                sweep_pre(questions, profile, pricing, [0.5, tau], "refusal")
+            elif where == "cascade":
+                sweep_cascade(questions, profile, pricing, [0.5, tau], scheme="rcv")
+            else:
+                sweep_cascade(questions, profile, pricing, [0.5], scheme="rcv", latency_tau=tau)
+        assert str(excinfo.value) == f"thresholds must be numbers in [0, 1], got {shown}"
 
 
 class TestRefusalPrompt:
