@@ -35,7 +35,6 @@ from .io import (
     write_metrics,
     write_pairs,
     write_refusal_examples,
-    write_refusal_rows,
 )
 from .metrics import (
     golden_curve,

@@ -20,6 +20,7 @@ from . import __version__
 from .cascade import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_LATENCY_TAU, sweep_cascade
 from .io import (
     SyntheticParams,
+    _write_refusal_rows,
     generate_synthetic,
     load_dataset,
     load_pricing,
@@ -30,7 +31,6 @@ from .io import (
     write_dataset,
     write_metrics,
     write_pairs,
-    write_refusal_rows,
 )
 from .metrics import golden_curve, toa_from_points, togr
 from .prerouting import SCORE_SOURCES, sweep_pre
@@ -334,7 +334,7 @@ def _cmd_build(args) -> int:
     refusals = ((question, refusal_targets(question, seed)) for question in corpus)
     _write_artifacts(
         args.out_dir,
-        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (write_refusal_rows, refusals)},
+        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (_write_refusal_rows, refusals)},
     )
     pairs_path = os.path.join(args.out_dir, "pairs.jsonl")
     refusal_path = os.path.join(args.out_dir, "refusal.jsonl")

@@ -16,8 +16,8 @@ constructor, so a loaded record is one its constructor accepts.
 Each output row is written from one f-string template. Refusal rows are
 written either from ``RefusalExample`` records
 (``write_refusal_examples``) or, as ``build`` does, straight from a
-checked ``TrainingQuestion`` and its drawn targets
-(``write_refusal_rows``), which makes no record per row; both write the
+checked ``TrainingQuestion`` and the targets ``refusal_targets`` drew for
+it (the private ``_write_refusal_rows``), which makes no record per row; both write the
 same bytes.
 """
 
@@ -434,30 +434,30 @@ _REFUSAL_HEADS = tuple(
 )
 
 
-def write_refusal_rows(
+def _write_refusal_rows(
     rows: Iterable[tuple[TrainingQuestion, Sequence[str]]], path: str
 ) -> None:
     """Write the refusal rows of each ``(question, targets)`` pair.
 
-    ``targets`` holds one target per level of ``CONFIDENCE_LEVELS``, as
-    ``trainset.refusal_targets`` gives them. The bytes equal
-    ``write_refusal_examples`` over each question's
-    ``build_refusal_examples``, but no record is made per row: the id,
-    the question and each distinct target are encoded once per question.
+    ``targets`` must be ``trainset.refusal_targets(question, seed)``:
+    nothing here checks them, so this stays private to ``build``. The
+    bytes equal ``write_refusal_examples`` over each question's
+    ``build_refusal_examples``, but no record is made per row and the id
+    and the question are encoded once per question.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        write = handle.write
+
+    def lines() -> Iterator[str]:
         for question, targets in rows:
             start = f'{{"id": {_STR(question.id)}, '
             end = f'{_STR(question.question)[1:]}, "target": '
-            encoded: dict[str, str] = {}
-            lines = []
-            for head, target in zip(_REFUSAL_HEADS, targets, strict=True):
-                tail = encoded.get(target)
-                if tail is None:
-                    tail = encoded[target] = f"{_STR(target)}}}\n"
-                lines.append(f"{start}{head}{end}{tail}")
-            write("".join(lines))
+            yield "".join(
+                [
+                    f"{start}{head}{end}{_STR(target)}}}\n"
+                    for head, target in zip(_REFUSAL_HEADS, targets, strict=True)
+                ]
+            )
+
+    _write_jsonl(lines(), path)
 
 
 @dataclass(frozen=True)

@@ -84,15 +84,13 @@ def normalize_taus(taus: "Iterable[float]") -> tuple[float, ...]:
     """
     unique = set()
     for tau in taus:
-        number = None
-        if isinstance(tau, (int, float)) and not isinstance(tau, bool):
-            try:
-                number = float(tau)
-            except OverflowError:
-                pass
-        if number is None:
-            raise ValidationError(f"thresholds must be numbers in [0, 1], got {tau!r}")
-        unique.add(number)
+        msg = f"thresholds must be numbers in [0, 1], got {tau!r}"
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ValidationError(msg)
+        try:
+            unique.add(float(tau))
+        except OverflowError:
+            raise ValidationError(msg) from None
     values = sorted(unique)
     if not values:
         raise ValidationError("at least one threshold is required")

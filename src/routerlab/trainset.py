@@ -15,7 +15,7 @@ downstream trainers and this package agree on them.
 
 ``refusal_targets`` is the only code that draws a refusal example's
 target. ``build`` writes each question's rows from those targets
-(``io.write_refusal_rows``) without making records; the records of
+(``io._write_refusal_rows``) without making records; the records of
 ``build_refusal_examples`` are the reference those rows must equal.
 """
 
@@ -197,7 +197,7 @@ def build_refusal_examples(
 
     Each example's target is the one ``refusal_targets`` gives for its
     level. ``build`` writes the same rows without making these records
-    (``io.write_refusal_rows``); this is the record-level reference.
+    (``io._write_refusal_rows``); this is the record-level reference.
     """
     return tuple(
         RefusalExample(question.id, threshold, refusal_prompt(threshold, question.question), target)

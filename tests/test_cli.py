@@ -360,7 +360,7 @@ class TestBuild:
         out_dir = tmp_path / "train"
         streaming = []
         if failure == "write_error":
-            monkeypatch.setattr(cli, "write_refusal_rows", fail_write)
+            monkeypatch.setattr(cli, "_write_refusal_rows", fail_write)
             left = []
         elif failure == "builder_error":
             # Refusal rows stream to their temporary file as each

@@ -17,6 +17,7 @@ from routerlab import io, trainset
 from routerlab.io import (
     DatasetError,
     SyntheticParams,
+    _write_refusal_rows,
     generate_synthetic,
     load_dataset,
     load_pricing,
@@ -30,7 +31,6 @@ from routerlab.io import (
     write_metrics,
     write_pairs,
     write_refusal_examples,
-    write_refusal_rows,
 )
 from routerlab.prerouting import derive_refusal_score
 from routerlab.records import (
@@ -1075,7 +1075,7 @@ class TestRefusalRows:
         with tempfile.TemporaryDirectory() as tmp:
             rows_path = os.path.join(tmp, "rows.jsonl")
             records_path = os.path.join(tmp, "records.jsonl")
-            write_refusal_rows(((q, refusal_targets(q, seed)) for q in questions), rows_path)
+            _write_refusal_rows(((q, refusal_targets(q, seed)) for q in questions), rows_path)
             examples = [e for q in questions for e in build_refusal_examples(q, seed)]
             write_refusal_examples(examples, records_path)
             with open(rows_path, "rb") as rows, open(records_path, "rb") as records:
