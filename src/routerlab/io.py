@@ -17,8 +17,8 @@ Each output row is written from one f-string template. Refusal rows are
 written either from ``RefusalExample`` records
 (``write_refusal_examples``) or, as ``build`` does, straight from a
 checked ``TrainingQuestion`` and the targets ``refusal_targets`` drew for
-it (the private ``_write_refusal_rows``), which makes no record per row; both write the
-same bytes.
+it (the private ``_write_refusal_rows``), which makes no record per row;
+both write the same bytes.
 """
 
 from __future__ import annotations
