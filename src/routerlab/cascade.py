@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .costs import _sweep_result, llm_quality, llm_question_cost, slm_question_cost
+from .costs import _sweep, llm_quality, llm_question_cost, slm_question_cost
 from .records import (
     DEFAULT_TAUS,
     SCHEMES,
@@ -349,4 +349,4 @@ def sweep_cascade(
         for q in questions
     ]
     latency = _latency_report(decision for _, decision in columns)
-    return _sweep_result([row for row, _ in columns], profile, pricing, taus, assume_perfect, latency)
+    return _sweep([row for row, _ in columns], profile, pricing, taus, latency)

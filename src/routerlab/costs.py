@@ -145,16 +145,17 @@ def llm_quality(question: QuestionRecord, assume_perfect: bool) -> float:
     return float(question.llm.correct)
 
 
-def _sweep_points(
-    columns: Iterable[tuple[float, str, float, float, float, float]],
+def _sweep(
+    rows: Iterable[tuple[float, str, float, float, float, float]],
     profile: DatasetProfile,
     pricing: PricingSchedule,
     taus: Sequence[float] | None = None,
-    perfect: bool = False,
-) -> list[CurvePoint]:
-    """Curve points of a policy that routes exactly the questions scoring below tau.
+    latency: LatencyReport | None = None,
+) -> SweepResult:
+    """Curve of a policy that routes exactly the questions scoring below
+    tau, and its assume-perfect twin.
 
-    ``columns`` holds one ``(score, id, keep_cost, keep_quality,
+    ``rows`` holds one ``(score, id, keep_cost, keep_quality,
     route_cost, route_quality)`` row per question: its cost and quality
     when it stays on the small model and when it is routed. Rows are
     sorted once by (score, id), so the questions with ``score < tau``
@@ -169,11 +170,13 @@ def _sweep_points(
     question without a small-model pass, so its cost is the denominator
     itself, 1.0, and its performance is the mean route quality.
 
-    With ``perfect``, every routed question scores 1.0 whatever its row
-    says: the assume-perfect curve of the same rows. ``range(n + 1)``
-    holds exactly the prefix sums of n 1.0s.
+    The twin is read at the same cuts with every routed question scoring
+    1.0, whose prefix sums are exactly ``range(n + 1)``. Route qualities
+    are 0.0 or 1.0, so their float total is exact, and it equals n
+    exactly when every routed question already scores 1.0; then the
+    twin is ``points`` itself. ``latency`` is passed through.
     """
-    rows = sorted(columns)
+    rows = sorted(rows)
     ids = tuple(sorted(row[1] for row in rows))
     if ids != profile.ids:
         raise ValidationError(
@@ -183,46 +186,36 @@ def _sweep_points(
     n = len(rows)
     _, _, keep_costs, keep_qualities, route_costs, route_qualities = zip(*rows)
     route_cost = list(accumulate(route_costs, initial=0.0))
-    route_quality = range(n + 1) if perfect else list(accumulate(route_qualities, initial=0.0))
+    route_quality = list(accumulate(route_qualities, initial=0.0))
     keep_cost = list(accumulate(reversed(keep_costs), initial=0.0))[::-1]
     keep_quality = list(accumulate(reversed(keep_qualities), initial=0.0))[::-1]
     denominator = total_llm_cost(profile, pricing)
 
-    def point(m: int, tau: float | None = None, label: str | None = None) -> CurvePoint:
-        return CurvePoint(
-            cost=(route_cost[m] + keep_cost[m]) / denominator,
-            performance=(keep_quality[m] + route_quality[m]) / n,
-            tau=tau,
-            label=label,
-            n_routed=m,
-        )
-
-    points = [point(0, label="slm_only")]
+    cuts: list[tuple[int, float | None, str | None]] = [(0, None, "slm_only")]
     if taus is None:
-        points += [point(m) for m in range(1, n)]
+        cuts += [(m, None, None) for m in range(1, n)]
     else:
         scores = [row[0] for row in rows]
-        points += [point(bisect_left(scores, tau), tau=tau) for tau in taus]
-    points.append(
-        CurvePoint(cost=1.0, performance=route_quality[n] / n, label="llm_only", n_routed=n)
-    )
-    return points
+        cuts += [(bisect_left(scores, tau), tau, None) for tau in taus]
 
+    def curve(routed: Sequence[float]) -> tuple[CurvePoint, ...]:
+        points = [
+            CurvePoint(
+                cost=(route_cost[m] + keep_cost[m]) / denominator,
+                performance=(keep_quality[m] + routed[m]) / n,
+                tau=tau,
+                label=label,
+                n_routed=m,
+            )
+            for m, tau, label in cuts
+        ]
+        points.append(CurvePoint(cost=1.0, performance=routed[n] / n, label="llm_only", n_routed=n))
+        return tuple(points)
 
-def _sweep_result(
-    rows: list[tuple[float, str, float, float, float, float]],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    taus: Sequence[float],
-    assume_perfect: bool,
-    latency: LatencyReport | None = None,
-) -> SweepResult:
-    """A policy's curve and its assume-perfect twin, both from ``rows``;
-    rows built under ``assume_perfect`` give one curve for both."""
-    points = tuple(_sweep_points(rows, profile, pricing, taus))
-    if assume_perfect:
+    points = curve(route_quality)
+    if route_quality[n] == n:
         return SweepResult(points, points, latency)
-    return SweepResult(points, tuple(_sweep_points(rows, profile, pricing, taus, perfect=True)), latency)
+    return SweepResult(points, curve(range(n + 1)), latency)
 
 
 def _check_coverage(

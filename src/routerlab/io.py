@@ -47,7 +47,6 @@ from .records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
-    canonical_answer,
     refusal_prompt,
 )
 from .trainset import ResponseSample, TrainingQuestion
@@ -202,6 +201,27 @@ def _object(
     return values
 
 
+def _records(listed: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
+    """The ``kind.cls`` records of a decoded list of objects.
+
+    Each item is read as ``_object`` reads it, an item with exactly the
+    record's keys as it is. ``name`` is the list's field: an error about
+    an item starts with its place, as in ``slm_samples[3]: ``.
+    """
+    if not isinstance(listed, (list, tuple)):
+        raise ValidationError(f"{name} must be a list")
+    records = []
+    cls, known, args = kind.cls, kind.known, kind.args
+    for index, item in enumerate(listed):
+        if type(item) is not dict or item.keys() != known:  # as _object reads it
+            item = _object(item, kind, source, name, index)
+        try:
+            records.append(cls(*args(item)))
+        except ValidationError as exc:
+            raise ValidationError(f"{name}[{index}]: {exc}") from exc
+    return tuple(records)
+
+
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
     """Build a QuestionRecord from one decoded JSONL object.
 
@@ -210,24 +230,11 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
     a sample starts with its place, as in ``slm_samples[3]: ``.
     """
     values = _object(data, _QUESTION, source)
-    listed = values["slm_samples"]
-    if not isinstance(listed, (list, tuple)):
-        raise ValidationError("slm_samples must be a list")
-    samples = []
-    known, args = _SAMPLE.known, _SAMPLE.args
-    for index, sample in enumerate(listed):
-        if type(sample) is not dict or sample.keys() != known:  # as _object reads it
-            sample = _object(sample, _SAMPLE, source, "slm_samples", index)
-        try:
-            samples.append(SampleRecord(*args(sample)))
-        except ValidationError as exc:
-            raise ValidationError(f"slm_samples[{index}]: {exc}") from exc
+    samples = _records(values["slm_samples"], _SAMPLE, source, "slm_samples")
     llm = values["llm"]
     if llm is not None:
         llm = LlmOutcome(*_LLM.args(_object(llm, _LLM, source, "llm")))
-    return QuestionRecord(
-        values["id"], values["input_tokens"], tuple(samples), values["pre_score"], llm
-    )
+    return QuestionRecord(values["id"], values["input_tokens"], samples, values["pre_score"], llm)
 
 
 def _load(path: str, parse: Callable[..., Any]) -> tuple[Any, ...]:
@@ -379,19 +386,8 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
     values = _object(data, _TRAINING, source)
-    listed = values["samples"]
-    if not isinstance(listed, (list, tuple)):
-        raise ValidationError("samples must be a list")
-    samples = []
-    known, args = _RESPONSE.known, _RESPONSE.args
-    for index, sample in enumerate(listed):
-        if type(sample) is not dict or sample.keys() != known:  # as _object reads it
-            sample = _object(sample, _RESPONSE, source, "samples", index)
-        try:
-            samples.append(ResponseSample(*args(sample)))
-        except ValidationError as exc:
-            raise ValidationError(f"samples[{index}]: {exc}") from exc
-    return TrainingQuestion(values["id"], values["question"], tuple(samples))
+    samples = _records(values["samples"], _RESPONSE, source, "samples")
+    return TrainingQuestion(values["id"], values["question"], samples)
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:
@@ -460,16 +456,27 @@ def _write_refusal_rows(
     _write_jsonl(lines(), path)
 
 
+# Fixed shape of every synthetic question: inclusive token ranges for
+# the question input, an answered sample, a refused sample and the LLM
+# answer, and the answer keys a sample chooses from.
+_SYNTH_INPUT_TOKENS = (20, 200)
+_SYNTH_ANSWER_TOKENS = (40, 400)
+_SYNTH_REFUSAL_TOKENS = (6, 14)
+_SYNTH_LLM_TOKENS = (80, 800)
+_SYNTH_ANSWER_KEYS = ("a", "b", "c", "d")
+
+
 @dataclass(frozen=True)
 class SyntheticParams:
-    """Knobs for the synthetic dataset generator.
+    """Knobs for the synthetic dataset generator, one per ``synth`` flag.
 
     Each question draws a difficulty d; its SLM answers are correct with
     probability 1 - d, and a confidence-conditioned sample refuses when
     1 - d falls below its level. ``easy_fraction`` pins that share of
     questions to d = 0 exactly, which is the only way fcv samples ever
     answer. ``pre_score_noise`` scales a uniform perturbation of the
-    stored pre-generation score away from the true accuracy.
+    stored pre-generation score away from the true accuracy. Token
+    ranges and answer keys are the fixed ``_SYNTH_*`` constants.
     """
 
     scheme: str = "rcv"
@@ -477,14 +484,9 @@ class SyntheticParams:
     difficulty_min: float = 0.0
     difficulty_max: float = 1.0
     easy_fraction: float = 0.0
-    input_tokens: tuple[int, int] = (20, 200)
-    answer_tokens: tuple[int, int] = (40, 400)
-    refusal_tokens: tuple[int, int] = (6, 14)
-    llm_tokens: tuple[int, int] = (80, 800)
     llm_correct_prob: float = 0.9
     pre_score_noise: float = 0.0
     include_llm: bool = True
-    answer_keys: tuple[str, ...] = ("a", "b", "c", "d")
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -506,19 +508,6 @@ class SyntheticParams:
             raise ValidationError(
                 f"pre_score_noise must be a finite number >= 0, got {self.pre_score_noise}"
             )
-        for name in ("input_tokens", "answer_tokens", "refusal_tokens", "llm_tokens"):
-            bounds = getattr(self, name)
-            if (
-                len(bounds) != 2
-                or not all(isinstance(b, int) and not isinstance(b, bool) for b in bounds)
-                or not 1 <= bounds[0] <= bounds[1]
-            ):
-                raise ValidationError(f"{name} must be an integer range (lo, hi) with 1 <= lo <= hi")
-            object.__setattr__(self, name, tuple(bounds))
-        keys = tuple(canonical_answer(k) for k in self.answer_keys)
-        if len(keys) < 2 or len(set(keys)) != len(keys) or any(not k for k in keys):
-            raise ValidationError("answer_keys must be at least two distinct non-empty strings")
-        object.__setattr__(self, "answer_keys", keys)
 
 
 def generate_synthetic(
@@ -549,23 +538,23 @@ def _synthesize_question(index: int, seed: int, params: SyntheticParams) -> Ques
     difficulty = rng.uniform(params.difficulty_min, params.difficulty_max)
     if u_easy < params.easy_fraction:
         difficulty = 0.0
-    gold = rng.choice(params.answer_keys)
+    gold = rng.choice(_SYNTH_ANSWER_KEYS)
     llm_correct = rng.random() < params.llm_correct_prob
-    llm_tokens = rng.randint(*params.llm_tokens)
+    llm_tokens = rng.randint(*_SYNTH_LLM_TOKENS)
     noise = rng.uniform(-1.0, 1.0) * params.pre_score_noise
-    input_tokens = rng.randint(*params.input_tokens)
+    input_tokens = rng.randint(*_SYNTH_INPUT_TOKENS)
 
     accuracy = 1.0 - difficulty
     samples = []
     if params.scheme == "rcv":
         for level in CONFIDENCE_LEVELS:
-            samples.append(_draw_sample(rng, params, accuracy, gold, level))
+            samples.append(_draw_sample(rng, accuracy, gold, level))
     elif params.scheme == "fcv":
         for _ in range(params.n_samples):
-            samples.append(_draw_sample(rng, params, accuracy, gold, 1.0))
+            samples.append(_draw_sample(rng, accuracy, gold, 1.0))
     else:
         for _ in range(params.n_samples):
-            samples.append(_draw_sample(rng, params, accuracy, gold, None))
+            samples.append(_draw_sample(rng, accuracy, gold, None))
 
     pre_score = min(1.0, max(0.0, accuracy + noise))
     llm = LlmOutcome(correct=llm_correct, tokens=llm_tokens) if params.include_llm else None
@@ -579,17 +568,13 @@ def _synthesize_question(index: int, seed: int, params: SyntheticParams) -> Ques
 
 
 def _draw_sample(
-    rng: random.Random,
-    params: SyntheticParams,
-    accuracy: float,
-    gold: str,
-    level: float | None,
+    rng: random.Random, accuracy: float, gold: str, level: float | None
 ) -> SampleRecord:
     if level is not None and accuracy < level:
         return SampleRecord(
             answer=None,
             correct=False,
-            tokens=rng.randint(*params.refusal_tokens),
+            tokens=rng.randint(*_SYNTH_REFUSAL_TOKENS),
             confidence_level=level,
             refusal=True,
         )
@@ -597,12 +582,12 @@ def _draw_sample(
     if correct:
         answer = gold
     else:
-        wrong = [key for key in params.answer_keys if key != gold]
+        wrong = [key for key in _SYNTH_ANSWER_KEYS if key != gold]
         answer = rng.choice(wrong)
     return SampleRecord(
         answer=answer,
         correct=correct,
-        tokens=rng.randint(*params.answer_tokens),
+        tokens=rng.randint(*_SYNTH_ANSWER_TOKENS),
         confidence_level=level,
         refusal=False,
     )

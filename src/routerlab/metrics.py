@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .costs import _sweep_points, mean_sample_correct
+from .costs import _sweep, mean_sample_correct
 from .prerouting import _pre_row
 from .records import (
     CurvePoint,
@@ -116,7 +116,7 @@ def golden_curve(
     if not questions:
         raise ValidationError("cannot build a golden curve for an empty dataset")
     rows = [_pre_row(q, mean_sample_correct(q), profile, pricing, True) for q in questions]
-    return tuple(_sweep_points(rows, profile, pricing))
+    return _sweep(rows, profile, pricing).points
 
 
 def togr(

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .costs import (
-    _sweep_result,
+    _sweep,
     llm_quality,
     llm_question_cost,
     mean_sample_correct,
@@ -159,4 +159,4 @@ def sweep_pre(
         _pre_row(q, score, profile, pricing, assume_perfect)
         for q, score in zip(questions, scores)
     ]
-    return _sweep_result(rows, profile, pricing, taus, assume_perfect)
+    return _sweep(rows, profile, pricing, taus)

@@ -717,7 +717,8 @@ class SweepResult:
     """A sweep's curve, its assume-perfect twin and its latencies.
 
     ``perfect_points`` is the same sweep with every routed question
-    scoring 1.0; it is ``points`` itself when the sweep assumed that.
+    scoring 1.0; it is ``points`` itself whenever every routed question
+    already scores 1.0, which ``assume_perfect=True`` guarantees.
     ``latency`` is a cascade sweep's AGL/AROL at its latency threshold;
     a pre sweep has None.
     """

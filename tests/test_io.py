@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import os
@@ -621,6 +622,31 @@ class TestParseGolden:
         assert wrong == []
 
 
+class TestKindArgs:
+    """``_Kind.args`` hands a record's field values to its constructor by
+    position, in ``dataclasses.fields`` order, and fills absent keys from
+    the field defaults; both must match the constructor's own parameters."""
+
+    KINDS = [value for value in vars(io).values() if isinstance(value, io._Kind)]
+
+    def test_every_record_read_has_a_kind(self):
+        assert {kind.cls for kind in self.KINDS} == {
+            SampleRecord, LlmOutcome, QuestionRecord, ResponseSample, TrainingQuestion,
+            PricingSchedule,
+        }
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.cls.__name__)
+    def test_fields_are_the_constructor_parameters_in_order(self, kind):
+        parameters = list(inspect.signature(kind.cls.__init__).parameters.values())[1:]
+        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(kind.cls)]
+        for parameter, field in zip(parameters, dataclasses.fields(kind.cls)):
+            assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if field.default is dataclasses.MISSING:
+                assert parameter.default is inspect.Parameter.empty, field.name
+            else:
+                assert parameter.default == field.default, field.name
+
+
 class TestExactShapeReaders:
     """Each trap, a line one step from the shape the writers write, gives
     its pinned outcome and the constructors' outcome."""
@@ -1198,7 +1224,10 @@ class TestSyntheticGenerator:
             SyntheticParams(scheme="oracle")
         with pytest.raises(Exception):
             SyntheticParams(difficulty_min=0.9, difficulty_max=0.1)
-        with pytest.raises(Exception):
+        for removed in ("input_tokens", "answer_tokens", "refusal_tokens", "llm_tokens"):
+            with pytest.raises(TypeError):
+                SyntheticParams(**{removed: (1, 2)})
+        with pytest.raises(TypeError):
             SyntheticParams(answer_keys=("a",))
         with pytest.raises(Exception):
             SyntheticParams(scheme="sc", n_samples=0)

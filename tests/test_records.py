@@ -1,13 +1,14 @@
 """Record validation, canonicalization, and dataclass invariants."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from routerlab import records
+from routerlab import io, records, trainset
 from routerlab.cascade import sweep_cascade
-from routerlab.io import load_pricing, parse_question
+from routerlab.io import SyntheticParams, load_pricing, parse_question
 from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     CONFIDENCE_LEVELS,
@@ -15,6 +16,7 @@ from routerlab.records import (
     REJECTION_TEXT,
     CurvePoint,
     DatasetProfile,
+    LatencyReport,
     LlmOutcome,
     MetricsReport,
     PreferencePair,
@@ -23,6 +25,7 @@ from routerlab.records import (
     RefusalExample,
     RoutingOutcome,
     SampleRecord,
+    SweepResult,
     ValidationError,
     canonical_answer,
     confidence_ladder,
@@ -31,6 +34,7 @@ from routerlab.records import (
     refusal_prompt_prefix,
     snap_confidence,
 )
+from routerlab.trainset import LossTerms, ResponseSample, TrainingQuestion
 
 from conftest import make_ladder, make_question, make_sample
 
@@ -576,3 +580,87 @@ class TestLlmOutcome:
     def test_tokens_positive(self):
         with pytest.raises(ValidationError):
             LlmOutcome(correct=True, tokens=0)
+
+
+def record_fields():
+    """Keyword arguments for one record of every record class, made anew
+    on each call so that two records are equal without being the same."""
+
+    def point():
+        return CurvePoint(cost=0.5, performance=0.75, tau=0.3, n_routed=2)
+
+    return {
+        PricingSchedule: dict(slm_in=0.1, slm_out=0.2, llm_in=0.3, llm_out=0.4),
+        SampleRecord: dict(answer="a", correct=True, tokens=5, confidence_level=0.3, refusal=False),
+        LlmOutcome: dict(correct=False, tokens=7),
+        QuestionRecord: dict(
+            id="q", input_tokens=9, slm_samples=(make_sample(),), pre_score=0.5,
+            llm=LlmOutcome(correct=True, tokens=4),
+        ),
+        DatasetProfile: dict(ids=("a", "b"), input_tokens=(3, 4), avg_llm_tokens=2.5, n_with_llm=2),
+        RoutingOutcome: dict(
+            question_id="q", mode="cascade", routed=False, quality=1.0, slm_cost=1e-6,
+            llm_cost=0.0, decision_latency_tokens=3, accepted_answer="a",
+        ),
+        CurvePoint: dict(cost=0.5, performance=0.75, tau=0.3, label=None, n_routed=2),
+        MetricsReport: dict(toa=0.7, agl=3.0, arol=4.0, mode="actual", toa100=0.8, togr=0.9),
+        PreferencePair: dict(
+            question_id="q", chosen="t", rejected="u", chosen_tokens=80, rejected_tokens=150
+        ),
+        RefusalExample: dict(
+            question_id="q", threshold=0.3, prompt=refusal_prompt(0.3, "Q"), target="a"
+        ),
+        LatencyReport: dict(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2),
+        SweepResult: dict(
+            points=(point(),), perfect_points=(point(),),
+            latency=LatencyReport(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2),
+        ),
+        ResponseSample: dict(text="t", correct=True, tokens=5),
+        TrainingQuestion: dict(
+            id="q", question="Q", samples=(ResponseSample(text="t", correct=True, tokens=5),)
+        ),
+        LossTerms: dict(dpo=0.1, sft=0.2, total=0.3),
+        SyntheticParams: dict(
+            scheme="sc", n_samples=3, difficulty_min=0.1, difficulty_max=0.9, easy_fraction=0.2,
+            llm_correct_prob=0.8, pre_score_noise=0.1, include_llm=False,
+        ),
+    }
+
+
+RECORD_CLASSES = list(record_fields())
+
+
+class TestRecordGates:
+    """What every record class guarantees, however its methods are made:
+    it is frozen, it equals a record of its class with equal fields and
+    nothing else, and equal records hash equal."""
+
+    def test_every_record_class_is_covered(self):
+        defined = {
+            value
+            for module in (records, trainset, io)
+            for value in vars(module).values()
+            if dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+        }
+        assert defined == set(RECORD_CLASSES)
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        values = record_fields()[cls]
+        record = cls(**values)
+        for name, value in values.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert {name: getattr(record, name) for name in values} == values
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+    def test_equal_fields_make_equal_records_with_equal_hashes(self, cls):
+        values = record_fields()[cls]
+        record, twin = cls(**values), cls(**record_fields()[cls])
+        assert record is not twin
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin)
+        as_tuple = tuple(values.values())
+        assert record != as_tuple and as_tuple != record

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routerlab.cascade import route_cascade, sweep_cascade
-from routerlab.costs import average_quality, normalized_cascade_cost, normalized_pre_cost
+from routerlab.costs import _sweep, average_quality, normalized_cascade_cost, normalized_pre_cost
 from routerlab.metrics import golden_curve
 from routerlab.prerouting import route_pre, sweep_pre
 from routerlab.records import (
@@ -23,6 +23,7 @@ from routerlab.records import (
     LlmOutcome,
     PricingSchedule,
     QuestionRecord,
+    normalize_taus,
 )
 
 from conftest import make_sample
@@ -177,3 +178,47 @@ def test_curves_do_not_depend_on_question_order(data, seed):
         points = run(questions)
         assert_ends_at_llm_only(points, questions, assume_perfect)
         assert_same_curve(points, run(shuffled))
+
+
+@st.composite
+def engine_rows(draw):
+    """(rows, profile, taus): engine rows for 1-8 questions, with route
+    qualities 0.0 or 1.0 as the sweeps make them, and a threshold grid or
+    None for one point per cut."""
+    n = draw(st.integers(1, 8))
+    ids = [f"q{i:02d}" for i in range(n)]
+    costs = st.floats(0.0, 1e-3)
+    rows = [
+        (
+            draw(pre_scores),
+            qid,
+            draw(costs),
+            draw(st.floats(0.0, 1.0)),
+            draw(costs),
+            draw(st.sampled_from([0.0, 1.0])),
+        )
+        for qid in ids
+    ]
+    profile = DatasetProfile(
+        ids=tuple(ids),
+        input_tokens=tuple(draw(st.integers(1, 500)) for _ in ids),
+        avg_llm_tokens=float(draw(st.integers(1, 500))),
+        n_with_llm=n,
+    )
+    taus = draw(st.one_of(st.none(), st.just(DEFAULT_TAUS), st.lists(pre_scores, min_size=1)))
+    return rows, profile, None if taus is None else normalize_taus(taus)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(engine_rows())
+def test_twin_is_the_sweep_of_perfect_rows(data):
+    """The assume-perfect twin equals a sweep of the same rows with every
+    route quality 1.0, and it is the curve itself exactly when every
+    route quality already is 1.0."""
+    rows, profile, taus = data
+    result = _sweep(rows, profile, PRICING, taus)
+    perfect_rows = [row[:5] + (1.0,) for row in rows]
+    perfect = _sweep(perfect_rows, profile, PRICING, taus)
+    assert result.perfect_points == perfect.points
+    assert perfect.perfect_points is perfect.points
+    assert (result.perfect_points is result.points) == all(row[5] == 1.0 for row in rows)
