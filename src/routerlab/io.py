@@ -24,13 +24,11 @@ both write the same bytes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import random
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from typing import Any
 
@@ -47,9 +45,14 @@ from .records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
+    _Record,
+    _as_bool,
+    _as_float,
+    _as_int,
+    _setters,
     refusal_prompt,
 )
-from .trainset import ResponseSample, TrainingQuestion
+from .trainset import ResponseSample, TrainingQuestion, _question_seed
 
 CURVE_HEADER = ("tau", "cost", "performance", "n_routed")
 
@@ -142,9 +145,11 @@ class _Kind:
         self.cls = cls
         self.required = required
         self.needed = frozenset(required)
-        self.known = frozenset(f.name for f in fields(cls))
-        self.defaults = {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
-        self.args = itemgetter(*(f.name for f in fields(cls)))
+        names = cls._fields
+        defaults = cls.__init__.__defaults__ or ()
+        self.known = frozenset(names)
+        self.defaults = dict(zip(names, (None,) * (len(names) - len(defaults)) + defaults))
+        self.args = itemgetter(*names)
 
 
 _SAMPLE = _Kind(SampleRecord, ("correct", "tokens"))
@@ -466,8 +471,7 @@ _SYNTH_LLM_TOKENS = (80, 800)
 _SYNTH_ANSWER_KEYS = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
-class SyntheticParams:
+class SyntheticParams(_Record):
     """Knobs for the synthetic dataset generator, one per ``synth`` flag.
 
     Each question draws a difficulty d; its SLM answers are correct with
@@ -479,35 +483,63 @@ class SyntheticParams:
     ranges and answer keys are the fixed ``_SYNTH_*`` constants.
     """
 
-    scheme: str = "rcv"
-    n_samples: int = 10
-    difficulty_min: float = 0.0
-    difficulty_max: float = 1.0
-    easy_fraction: float = 0.0
-    llm_correct_prob: float = 0.9
-    pre_score_noise: float = 0.0
-    include_llm: bool = True
+    __slots__ = (
+        "scheme", "n_samples", "difficulty_min", "difficulty_max", "easy_fraction",
+        "llm_correct_prob", "pre_score_noise", "include_llm",
+    )
 
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.scheme == "rcv" and self.n_samples != 10:
+    def __init__(
+        self,
+        scheme: str = "rcv",
+        n_samples: int = 10,
+        difficulty_min: float = 0.0,
+        difficulty_max: float = 1.0,
+        easy_fraction: float = 0.0,
+        llm_correct_prob: float = 0.9,
+        pre_score_noise: float = 0.0,
+        include_llm: bool = True,
+    ) -> None:
+        if scheme not in SCHEMES:
+            raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        n_samples = _as_int(n_samples, "n_samples")
+        if scheme == "rcv" and n_samples != 10:
             raise ValidationError("rcv generates the full confidence ladder; n_samples must be 10")
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
-            raise ValidationError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not 0.0 <= self.difficulty_min <= self.difficulty_max <= 1.0:
+        if n_samples < 1:
+            raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
+        difficulty_min = _synth_number(difficulty_min, "difficulty_min")
+        difficulty_max = _synth_number(difficulty_max, "difficulty_max")
+        if not 0.0 <= difficulty_min <= difficulty_max <= 1.0:
             raise ValidationError(
                 "difficulty bounds must satisfy 0 <= min <= max <= 1, got "
-                f"{self.difficulty_min}..{self.difficulty_max}"
+                f"{difficulty_min}..{difficulty_max}"
             )
-        if not 0.0 <= self.easy_fraction <= 1.0:
-            raise ValidationError(f"easy_fraction must lie in [0, 1], got {self.easy_fraction}")
-        if not 0.0 <= self.llm_correct_prob <= 1.0:
-            raise ValidationError(f"llm_correct_prob must lie in [0, 1], got {self.llm_correct_prob}")
-        if not (math.isfinite(self.pre_score_noise) and self.pre_score_noise >= 0):
+        easy_fraction = _synth_number(easy_fraction, "easy_fraction")
+        if not 0.0 <= easy_fraction <= 1.0:
+            raise ValidationError(f"easy_fraction must lie in [0, 1], got {easy_fraction}")
+        llm_correct_prob = _synth_number(llm_correct_prob, "llm_correct_prob")
+        if not 0.0 <= llm_correct_prob <= 1.0:
+            raise ValidationError(f"llm_correct_prob must lie in [0, 1], got {llm_correct_prob}")
+        pre_score_noise = _synth_number(pre_score_noise, "pre_score_noise")
+        if not (math.isfinite(pre_score_noise) and pre_score_noise >= 0):
             raise ValidationError(
-                f"pre_score_noise must be a finite number >= 0, got {self.pre_score_noise}"
+                f"pre_score_noise must be a finite number >= 0, got {pre_score_noise}"
             )
+        _as_bool(include_llm, "include_llm")
+        values = (
+            scheme, n_samples, difficulty_min, difficulty_max, easy_fraction,
+            llm_correct_prob, pre_score_noise, include_llm,
+        )
+        for store, value in zip(_set_synth, values):
+            store(self, value)
+
+
+_set_synth = _setters(SyntheticParams)
+
+
+def _synth_number(value: Any, name: str) -> float:
+    """A float as it is, nan and inf too, for the range check that names
+    its value; any other value as ``_as_float`` converts or rejects it."""
+    return value if type(value) is float else _as_float(value, name)
 
 
 def generate_synthetic(
@@ -530,8 +562,7 @@ def generate_synthetic(
 
 
 def _synthesize_question(index: int, seed: int, params: SyntheticParams) -> QuestionRecord:
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    rng = random.Random(int.from_bytes(digest, "big"))
+    rng = random.Random(_question_seed(seed, index))
 
     # Fixed draw order; see generate_synthetic.
     u_easy = rng.random()

@@ -5,17 +5,23 @@ Every type validates its invariants at construction and raises
 record instance it holds is well formed. All records are immutable.
 
 The constructor is the only way to make a record; ``io``'s loaders and
-the ``trainset`` builders call it too. Each slotted record has a
-hand-written ``__init__`` that holds all of its rules: it tests the
-common exact types inline, calls the ``_as_*`` helpers to convert or
-reject any other value, and stores each field through its slot
-descriptor's ``__set__``, bound once per class by ``_setters``.
+the ``trainset`` builders call it too. Each record is a slotted
+``_Record`` with a hand-written ``__init__`` that holds all of its
+rules: it tests the common exact types inline, calls the ``_as_*``
+helpers to convert or reject any other value, and stores each field
+through its slot descriptor's ``__set__``, bound once per class by
+``_setters``.
+
+No record uses ``dataclasses``: importing it (with ``inspect``) and
+generating 16 classes cost about 20 ms at every start of the CLI,
+which ``_Record``'s few methods replace. A lazy import of
+``dataclasses`` would save nothing, as the classes are made at import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter, le, lt
 from typing import Any, Iterable
 
 
@@ -169,8 +175,53 @@ def _as_str(value: Any, name: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class PricingSchedule:
+class _Record:
+    """A frozen record whose fields are its ``__slots__``, in order,
+    after those of the record class it extends.
+
+    It equals a record of its own class with equal fields and nothing
+    else, hashes as the tuple of its fields, and reprs as
+    ``Name(field=value, ...)``. Pickling and copying go through the
+    constructor, whose parameters are the fields in slot order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._values = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._values(self)
+
+
+def _setters(cls: type) -> tuple[Any, ...]:
+    """The ``__set__`` of each of ``cls``'s slot descriptors, in slot order:
+    a frozen record's ``__init__`` stores its fields through them."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class PricingSchedule(_Record):
     """Per-million-token prices in USD for both models.
 
     Defaults follow the reference deployment: output prices of 0.08 and
@@ -178,17 +229,16 @@ class PricingSchedule:
     respective output rate.
     """
 
-    slm_in: float = 0.02
-    slm_out: float = 0.08
-    llm_in: float = 0.275
-    llm_out: float = 1.10
+    __slots__ = ("slm_in", "slm_out", "llm_in", "llm_out")
 
-    def __post_init__(self) -> None:
-        for name in ("slm_in", "slm_out", "llm_in", "llm_out"):
-            price = _as_float(getattr(self, name), name)
+    def __init__(
+        self, slm_in: float = 0.02, slm_out: float = 0.08, llm_in: float = 0.275, llm_out: float = 1.10
+    ) -> None:
+        for name, price, store in zip(self._fields, (slm_in, slm_out, llm_in, llm_out), _set_prices):
+            price = _as_float(price, name)
             if price <= 0:
                 raise ValidationError(f"{name} must be positive, got {price}")
-            object.__setattr__(self, name, price)
+            store(self, price)
 
     def to_dict(self) -> dict[str, float]:
         return {
@@ -199,14 +249,10 @@ class PricingSchedule:
         }
 
 
-def _setters(cls: type) -> tuple[Any, ...]:
-    """The ``__set__`` of each of ``cls``'s slot descriptors, in slot order:
-    a frozen record's ``__init__`` stores its fields through them."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+_set_prices = _setters(PricingSchedule)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SampleRecord:
+class SampleRecord(_Record):
     """One recorded SLM completion for a question.
 
     ``answer`` is canonicalised (stripped, casefolded) at construction so
@@ -215,11 +261,7 @@ class SampleRecord:
     sample was conditioned on, or None for an unconditioned sample.
     """
 
-    answer: str | None
-    correct: bool
-    tokens: int
-    confidence_level: float | None = None
-    refusal: bool = False
+    __slots__ = ("answer", "correct", "tokens", "confidence_level", "refusal")
 
     def __init__(
         self,
@@ -271,12 +313,10 @@ class SampleRecord:
 _set_answer, _set_correct, _set_tokens, _set_level, _set_refusal = _setters(SampleRecord)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LlmOutcome:
+class LlmOutcome(_Record):
     """The recorded large-model result for a question."""
 
-    correct: bool
-    tokens: int
+    __slots__ = ("correct", "tokens")
 
     def __init__(self, correct: bool, tokens: int) -> None:
         if correct is not True and correct is not False:
@@ -293,8 +333,7 @@ class LlmOutcome:
 _set_llm_correct, _set_llm_tokens = _setters(LlmOutcome)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class QuestionRecord:
+class QuestionRecord(_Record):
     """All recorded behaviour for one benchmark question.
 
     ``pre_score`` is the confidence the pre-generation router would see;
@@ -305,11 +344,7 @@ class QuestionRecord:
     answer, not of the sample that produced it.
     """
 
-    id: str
-    input_tokens: int
-    slm_samples: tuple[SampleRecord, ...]
-    pre_score: float | None = None
-    llm: LlmOutcome | None = None
+    __slots__ = ("id", "input_tokens", "slm_samples", "pre_score", "llm")
 
     def __init__(
         self,
@@ -400,8 +435,7 @@ def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
     return tuple(by_level[level] for level in CONFIDENCE_LEVELS)
 
 
-@dataclass(frozen=True)
-class DatasetProfile:
+class DatasetProfile(_Record):
     """Aggregate statistics a cost model needs about a whole dataset.
 
     Keeps the per-question input token counts (aligned with ``ids``, both
@@ -411,25 +445,32 @@ class DatasetProfile:
     record, or None when none do.
     """
 
-    ids: tuple[str, ...]
-    input_tokens: tuple[int, ...]
-    avg_llm_tokens: float | None
-    n_with_llm: int
+    __slots__ = ("ids", "input_tokens", "avg_llm_tokens", "n_with_llm")
 
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.input_tokens):
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        input_tokens: tuple[int, ...],
+        avg_llm_tokens: float | None,
+        n_with_llm: int,
+    ) -> None:
+        if len(ids) != len(input_tokens):
             raise ValidationError("profile ids and input_tokens must align")
-        if not self.ids:
+        if not ids:
             raise ValidationError("profile requires at least one question")
-        if list(self.ids) != sorted(self.ids):
-            raise ValidationError("profile ids must be sorted")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValidationError("profile ids must be unique")
-        avg = self.avg_llm_tokens
-        if avg is not None and not (math.isfinite(avg) and avg > 0):
+        # Strictly increasing is sorted and unique; an unsorted run is
+        # reported first, even where it also repeats an id.
+        if not all(map(lt, ids, ids[1:])):
+            unsorted = not all(map(le, ids, ids[1:]))
+            raise ValidationError(f"profile ids must be {'sorted' if unsorted else 'unique'}")
+        if avg_llm_tokens is not None and not (math.isfinite(avg_llm_tokens) and avg_llm_tokens > 0):
             raise ValidationError("avg_llm_tokens must be positive when present")
-        if not 0 <= self.n_with_llm <= len(self.ids):
+        if not 0 <= n_with_llm <= len(ids):
             raise ValidationError("n_with_llm out of range")
+        _set_ids(self, ids)
+        _set_profile_tokens(self, input_tokens)
+        _set_avg_llm_tokens(self, avg_llm_tokens)
+        _set_n_with_llm(self, n_with_llm)
 
     @property
     def n_questions(self) -> int:
@@ -454,8 +495,10 @@ class DatasetProfile:
         )
 
 
-@dataclass(frozen=True)
-class RoutingOutcome:
+_set_ids, _set_profile_tokens, _set_avg_llm_tokens, _set_n_with_llm = _setters(DatasetProfile)
+
+
+class RoutingOutcome(_Record):
     """What the simulated router did with one question.
 
     ``quality`` is the per-question performance contribution in [0, 1].
@@ -464,43 +507,55 @@ class RoutingOutcome:
     generation, so it is 0 there and >= 1 for cascade decisions.
     """
 
-    question_id: str
-    mode: str
-    routed: bool
-    quality: float
-    slm_cost: float
-    llm_cost: float
-    decision_latency_tokens: int
-    accepted_answer: str | None = None
+    __slots__ = (
+        "question_id", "mode", "routed", "quality", "slm_cost", "llm_cost",
+        "decision_latency_tokens", "accepted_answer",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "question_id", _as_str(self.question_id, "question_id"))
-        if self.mode not in ("pre", "cascade"):
-            raise ValidationError(f"mode must be 'pre' or 'cascade', got {self.mode!r}")
-        object.__setattr__(self, "routed", _as_bool(self.routed, "routed"))
-        quality = _as_float(self.quality, "quality")
+    def __init__(
+        self,
+        question_id: str,
+        mode: str,
+        routed: bool,
+        quality: float,
+        slm_cost: float,
+        llm_cost: float,
+        decision_latency_tokens: int,
+        accepted_answer: str | None = None,
+    ) -> None:
+        _as_str(question_id, "question_id")
+        if mode not in ("pre", "cascade"):
+            raise ValidationError(f"mode must be 'pre' or 'cascade', got {mode!r}")
+        _as_bool(routed, "routed")
+        quality = _as_float(quality, "quality")
         if not 0.0 <= quality <= 1.0:
             raise ValidationError(f"quality must lie in [0, 1], got {quality}")
-        object.__setattr__(self, "quality", quality)
-        for name in ("slm_cost", "llm_cost"):
-            cost = _as_float(getattr(self, name), name)
-            if cost < 0:
-                raise ValidationError(f"{name} must be >= 0, got {cost}")
-            object.__setattr__(self, name, cost)
-        latency = _as_int(self.decision_latency_tokens, "decision_latency_tokens")
-        if self.mode == "pre" and latency != 0:
+        slm_cost = _as_float(slm_cost, "slm_cost")
+        if slm_cost < 0:
+            raise ValidationError(f"slm_cost must be >= 0, got {slm_cost}")
+        llm_cost = _as_float(llm_cost, "llm_cost")
+        if llm_cost < 0:
+            raise ValidationError(f"llm_cost must be >= 0, got {llm_cost}")
+        latency = _as_int(decision_latency_tokens, "decision_latency_tokens")
+        if mode == "pre" and latency != 0:
             raise ValidationError("pre-generation decisions carry no token latency")
-        if self.mode == "cascade" and latency < 1:
+        if mode == "cascade" and latency < 1:
             raise ValidationError("cascade decisions require at least one sampled token")
-        object.__setattr__(self, "decision_latency_tokens", latency)
-        if not self.routed and self.llm_cost != 0.0:
+        if not routed and llm_cost != 0.0:
             raise ValidationError("an unrouted question cannot incur LLM cost")
-        if self.routed and self.accepted_answer is not None:
+        if routed and accepted_answer is not None:
             raise ValidationError("a routed question has no accepted SLM answer")
+        for store, value in zip(
+            _set_outcome,
+            (question_id, mode, routed, quality, slm_cost, llm_cost, latency, accepted_answer),
+        ):
+            store(self, value)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+_set_outcome = _setters(RoutingOutcome)
+
+
+class CurvePoint(_Record):
     """One point of a cost/performance trade-off curve.
 
     Grid points carry the ``tau`` that produced them; the two reference
@@ -509,38 +564,50 @@ class CurvePoint:
     cascade policies that pay for samples and still route.
     """
 
-    cost: float
-    performance: float
-    tau: float | None = None
-    label: str | None = None
-    n_routed: int = 0
+    __slots__ = ("cost", "performance", "tau", "label", "n_routed")
 
-    def __post_init__(self) -> None:
-        cost = _as_float(self.cost, "cost")
-        if cost < 0:
-            raise ValidationError(f"cost must be >= 0, got {cost}")
-        object.__setattr__(self, "cost", cost)
-        perf = _as_float(self.performance, "performance")
-        if not 0.0 <= perf <= 1.0:
-            raise ValidationError(f"performance must lie in [0, 1], got {perf}")
-        object.__setattr__(self, "performance", perf)
-        if self.label is not None and self.label not in ("slm_only", "llm_only"):
-            raise ValidationError(f"unknown curve label {self.label!r}")
-        if self.tau is not None and self.label is not None:
-            raise ValidationError("a curve point cannot be both a grid point and an endpoint")
-        if self.tau is not None:
-            tau = _as_float(self.tau, "tau")
-            if not 0.0 <= tau <= 1.0:
-                raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-            object.__setattr__(self, "tau", tau)
-        n_routed = _as_int(self.n_routed, "n_routed")
-        if n_routed < 0:
-            raise ValidationError(f"n_routed must be >= 0, got {n_routed}")
-        object.__setattr__(self, "n_routed", n_routed)
+    def __init__(
+        self,
+        cost: float,
+        performance: float,
+        tau: float | None = None,
+        label: str | None = None,
+        n_routed: int = 0,
+    ) -> None:
+        # Each field is tested inline first: only a value outside its range
+        # or of another type goes through the helper that converts or rejects.
+        if type(cost) is not float or not 0.0 <= cost < math.inf:
+            cost = _as_float(cost, "cost")
+            if cost < 0:
+                raise ValidationError(f"cost must be >= 0, got {cost}")
+        if type(performance) is not float or not 0.0 <= performance <= 1.0:
+            performance = _as_float(performance, "performance")
+            if not 0.0 <= performance <= 1.0:
+                raise ValidationError(f"performance must lie in [0, 1], got {performance}")
+        if label is not None and label not in ("slm_only", "llm_only"):
+            raise ValidationError(f"unknown curve label {label!r}")
+        if tau is not None:
+            if label is not None:
+                raise ValidationError("a curve point cannot be both a grid point and an endpoint")
+            if type(tau) is not float or not 0.0 <= tau <= 1.0:
+                tau = _as_float(tau, "tau")
+                if not 0.0 <= tau <= 1.0:
+                    raise ValidationError(f"tau must lie in [0, 1], got {tau}")
+        if type(n_routed) is not int or not 0 <= n_routed < _FLOAT_SAFE_INT:
+            n_routed = _as_int(n_routed, "n_routed")
+            if n_routed < 0:
+                raise ValidationError(f"n_routed must be >= 0, got {n_routed}")
+        _set_cost(self, cost)
+        _set_performance(self, performance)
+        _set_tau(self, tau)
+        _set_label(self, label)
+        _set_n_routed(self, n_routed)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+_set_cost, _set_performance, _set_tau, _set_label, _set_n_routed = _setters(CurvePoint)
+
+
+class MetricsReport(_Record):
     """Scalar evaluation results for one routing configuration.
 
     ``toa100`` and ``togr`` are None when the run did not include the
@@ -548,26 +615,32 @@ class MetricsReport:
     exposed as properties so they can never drift from their areas.
     """
 
-    toa: float
-    agl: float
-    arol: float
-    mode: str
-    toa100: float | None = None
-    togr: float | None = None
+    __slots__ = ("toa", "agl", "arol", "mode", "toa100", "togr")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("actual", "perfect"):
-            raise ValidationError(f"mode must be 'actual' or 'perfect', got {self.mode!r}")
-        object.__setattr__(self, "toa", _as_float(self.toa, "toa"))
-        for name in ("agl", "arol"):
-            value = _as_float(getattr(self, name), name)
-            if value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        if self.toa100 is not None:
-            object.__setattr__(self, "toa100", _as_float(self.toa100, "toa100"))
-        if self.togr is not None:
-            object.__setattr__(self, "togr", _as_float(self.togr, "togr"))
+    def __init__(
+        self,
+        toa: float,
+        agl: float,
+        arol: float,
+        mode: str,
+        toa100: float | None = None,
+        togr: float | None = None,
+    ) -> None:
+        if mode not in ("actual", "perfect"):
+            raise ValidationError(f"mode must be 'actual' or 'perfect', got {mode!r}")
+        toa = _as_float(toa, "toa")
+        agl = _as_float(agl, "agl")
+        if agl < 0:
+            raise ValidationError(f"agl must be >= 0, got {agl}")
+        arol = _as_float(arol, "arol")
+        if arol < 0:
+            raise ValidationError(f"arol must be >= 0, got {arol}")
+        if toa100 is not None:
+            toa100 = _as_float(toa100, "toa100")
+        if togr is not None:
+            togr = _as_float(togr, "togr")
+        for store, value in zip(_set_report, (toa, agl, arol, mode, toa100, togr)):
+            store(self, value)
 
     @property
     def toga(self) -> float:
@@ -590,8 +663,10 @@ class MetricsReport:
         }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PreferencePair:
+_set_report = _setters(MetricsReport)
+
+
+class PreferencePair(_Record):
     """A DPO training pair built from one question's completions.
 
     The invariant mirrors the construction rule: the rejected completion
@@ -599,11 +674,7 @@ class PreferencePair:
     one, so every stored pair encodes a real brevity gap.
     """
 
-    question_id: str
-    chosen: str
-    rejected: str
-    chosen_tokens: int
-    rejected_tokens: int
+    __slots__ = ("question_id", "chosen", "rejected", "chosen_tokens", "rejected_tokens")
 
     def __init__(
         self, question_id: str, chosen: str, rejected: str, chosen_tokens: int, rejected_tokens: int
@@ -637,8 +708,7 @@ class PreferencePair:
 _set_pair_id, _set_chosen, _set_rejected, _set_chosen_tokens, _set_rejected_tokens = _setters(PreferencePair)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RefusalExample:
+class RefusalExample(_Record):
     """A confidence-conditioned training example.
 
     The prompt must start with the canonical prefix for its threshold;
@@ -646,10 +716,7 @@ class RefusalExample:
     question at this level) or the fixed rejection text.
     """
 
-    question_id: str
-    threshold: float
-    prompt: str
-    target: str
+    __slots__ = ("question_id", "threshold", "prompt", "target")
 
     def __init__(self, question_id: str, threshold: float, prompt: str, target: str) -> None:
         if type(question_id) is not str or not question_id.isascii() or not question_id:
@@ -684,8 +751,7 @@ class RefusalExample:
 _set_example_id, _set_threshold, _set_prompt, _set_target = _setters(RefusalExample)
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(_Record):
     """Mean decision latencies of a cascade run, split by decision.
 
     ``agl`` averages over accepted questions, ``arol`` over rejected
@@ -693,10 +759,16 @@ class LatencyReport:
     tell a fast group from an absent one.
     """
 
-    agl: float
-    arol: float
-    n_accepted: int
-    n_rejected: int
+    __slots__ = ("agl", "arol", "n_accepted", "n_rejected")
+
+    def __init__(self, agl: float, arol: float, n_accepted: int, n_rejected: int) -> None:
+        _set_latency_agl(self, agl)
+        _set_latency_arol(self, arol)
+        _set_n_accepted(self, n_accepted)
+        _set_n_rejected(self, n_rejected)
+
+
+_set_latency_agl, _set_latency_arol, _set_n_accepted, _set_n_rejected = _setters(LatencyReport)
 
 
 def _latency_report(decisions: Iterable[tuple[bool, int]]) -> LatencyReport:
@@ -712,8 +784,7 @@ def _latency_report(decisions: Iterable[tuple[bool, int]]) -> LatencyReport:
     return LatencyReport(agl, arol, len(accepted), len(rejected))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """A sweep's curve, its assume-perfect twin and its latencies.
 
     ``perfect_points`` is the same sweep with every routed question
@@ -723,6 +794,17 @@ class SweepResult:
     a pre sweep has None.
     """
 
-    points: tuple[CurvePoint, ...]
-    perfect_points: tuple[CurvePoint, ...]
-    latency: LatencyReport | None = None
+    __slots__ = ("points", "perfect_points", "latency")
+
+    def __init__(
+        self,
+        points: tuple[CurvePoint, ...],
+        perfect_points: tuple[CurvePoint, ...],
+        latency: LatencyReport | None = None,
+    ) -> None:
+        _set_points(self, points)
+        _set_perfect_points(self, perfect_points)
+        _set_latency(self, latency)
+
+
+_set_points, _set_perfect_points, _set_latency = _setters(SweepResult)

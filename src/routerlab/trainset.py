@@ -21,10 +21,8 @@ target. ``build`` writes each question's rows from those targets
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .records import (
@@ -35,6 +33,7 @@ from .records import (
     PreferencePair,
     RefusalExample,
     ValidationError,
+    _Record,
     _as_bool,
     _as_count,
     _as_str,
@@ -50,13 +49,10 @@ SFT_WEIGHT = 0.2
 ESTIMATE_SAMPLES = 10
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ResponseSample:
+class ResponseSample(_Record):
     """One free-text completion with its grading and token length."""
 
-    text: str
-    correct: bool
-    tokens: int
+    __slots__ = ("text", "correct", "tokens")
 
     def __init__(self, text: str, correct: bool, tokens: int) -> None:
         if type(text) is not str or not text.isascii() or not text:
@@ -73,13 +69,10 @@ class ResponseSample:
 _set_text, _set_correct, _set_tokens = _setters(ResponseSample)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TrainingQuestion:
+class TrainingQuestion(_Record):
     """A question with the graded completions recorded for it."""
 
-    id: str
-    question: str
-    samples: tuple[ResponseSample, ...]
+    __slots__ = ("id", "question", "samples")
 
     def __init__(self, id: str, question: str, samples: Iterable[ResponseSample]) -> None:
         if type(id) is not str or not id.isascii() or not id:
@@ -205,18 +198,30 @@ def build_refusal_examples(
     )
 
 
-def _question_seed(seed: int, question_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{question_id}".encode()).digest()
-    return int.from_bytes(digest, "big")
+# hashlib.sha256, imported by the first _question_seed: a sweep hashes nothing.
+_sha256 = None
 
 
-@dataclass(frozen=True)
-class LossTerms:
+def _question_seed(seed: int, key: str | int) -> int:
+    """The seed of one question's draws: SHA-256 of ``seed:key``, big-endian."""
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
+    return int.from_bytes(_sha256(f"{seed}:{key}".encode()).digest(), "big")
+
+
+class LossTerms(_Record):
     """The preference loss, the supervised anchor, and their blend."""
 
-    dpo: float
-    sft: float
-    total: float
+    __slots__ = ("dpo", "sft", "total")
+
+    def __init__(self, dpo: float, sft: float, total: float) -> None:
+        _set_dpo(self, dpo)
+        _set_sft(self, sft)
+        _set_total(self, total)
+
+
+_set_dpo, _set_sft, _set_total = _setters(LossTerms)
 
 
 def combined_loss(

@@ -1,10 +1,15 @@
-"""Command-line entry points, exercised in process through main(argv)."""
+"""Command-line entry points, exercised in process through main(argv),
+and what a fresh interpreter loads to import them."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import load_dataset
@@ -630,3 +635,53 @@ class TestTopLevel:
             main([])
         capsys.readouterr()
         assert excinfo.value.code == 2
+
+
+# Run in a fresh interpreter: the modules that importing the CLI adds to
+# those ``site`` already loaded, then the same after one first use.
+STARTUP = """
+import sys
+before = set(sys.modules)
+import routerlab.cli
+at_import = set(sys.modules) - before
+import json
+from routerlab import ResponseSample, TrainingQuestion, generate_synthetic, refusal_targets
+question = TrainingQuestion("q1", "Q?", [ResponseSample(f"t{{i}}", i < 6, 5 + i) for i in range(10)])
+result = {use}
+print(json.dumps({{
+    "preloaded": sorted(before), "at_import": sorted(at_import),
+    "after_use": sorted(set(sys.modules) - before), "result": result,
+}}))
+"""
+
+FIRST_USE = {
+    "generate_synthetic": "[q.to_dict() for q in generate_synthetic(3, 5)]",
+    "refusal_targets": "list(refusal_targets(question, 5))",
+}
+
+
+class TestStartup:
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect``,
+    and ``hashlib`` waits for the first seeded draw."""
+
+    @pytest.mark.parametrize("use", sorted(FIRST_USE))
+    def test_import_defers_hashlib_to_its_first_use(self, use):
+        src = str(Path(routerlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP.format(use=FIRST_USE[use])],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        seen = json.loads(done.stdout)
+        assert "routerlab.cli" in seen["at_import"]
+        assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(seen["at_import"])
+        if "hashlib" not in seen["preloaded"]:
+            assert "hashlib" in seen["after_use"]
+        question = routerlab.TrainingQuestion(
+            "q1", "Q?", [routerlab.ResponseSample(f"t{i}", i < 6, 5 + i) for i in range(10)]
+        )
+        expected = {
+            "generate_synthetic": [q.to_dict() for q in routerlab.generate_synthetic(3, 5)],
+            "refusal_targets": list(routerlab.refusal_targets(question, 5)),
+        }[use]
+        assert seen["result"] == expected

@@ -1,6 +1,5 @@
 """Serialization, diagnostics, CSV curves, and the synthetic generator."""
 
-import dataclasses
 import enum
 import inspect
 import json
@@ -47,6 +46,7 @@ from routerlab.records import (
     RefusalExample,
     SampleRecord,
     ValidationError,
+    _Record,
     refusal_prompt,
 )
 from routerlab.trainset import (
@@ -459,8 +459,8 @@ def field_types(value):
     """``value``'s type, with each field's for a record and each element's for a tuple."""
     if isinstance(value, tuple):
         return tuple(field_types(item) for item in value)
-    if dataclasses.is_dataclass(value):
-        return type(value), tuple(field_types(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, _Record):
+        return type(value), tuple(field_types(getattr(value, name)) for name in value._fields)
     return type(value)
 
 
@@ -624,8 +624,9 @@ class TestParseGolden:
 
 class TestKindArgs:
     """``_Kind.args`` hands a record's field values to its constructor by
-    position, in ``dataclasses.fields`` order, and fills absent keys from
-    the field defaults; both must match the constructor's own parameters."""
+    position, in the order of the record's ``_fields``, and fills absent
+    keys from the constructor's defaults (None where it has none); both
+    must match the constructor's own parameters."""
 
     KINDS = [value for value in vars(io).values() if isinstance(value, io._Kind)]
 
@@ -638,13 +639,16 @@ class TestKindArgs:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.cls.__name__)
     def test_fields_are_the_constructor_parameters_in_order(self, kind):
         parameters = list(inspect.signature(kind.cls.__init__).parameters.values())[1:]
-        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(kind.cls)]
-        for parameter, field in zip(parameters, dataclasses.fields(kind.cls)):
+        assert [p.name for p in parameters] == list(kind.cls._fields)
+        assert kind.known == set(kind.cls._fields)
+        for parameter in parameters:
             assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-            if field.default is dataclasses.MISSING:
-                assert parameter.default is inspect.Parameter.empty, field.name
+            if parameter.default is inspect.Parameter.empty:
+                assert kind.defaults[parameter.name] is None, parameter.name
             else:
-                assert parameter.default == field.default, field.name
+                assert kind.defaults[parameter.name] == parameter.default, parameter.name
+        values = {name: object() for name in kind.cls._fields}
+        assert kind.args(values) == tuple(values.values())
 
 
 class TestExactShapeReaders:
@@ -1234,6 +1238,29 @@ class TestSyntheticGenerator:
         for noise in (math.nan, math.inf, -0.1):
             with pytest.raises(Exception):
                 SyntheticParams(pre_score_noise=noise)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("scheme", 1, "scheme must be one of"),
+            ("n_samples", True, "n_samples must be an integer, got True"),
+            ("difficulty_min", "0.1", "difficulty_min must be a number, got '0.1'"),
+            ("difficulty_max", None, "difficulty_max must be a number, got None"),
+            ("easy_fraction", "0.5", "easy_fraction must be a number, got '0.5'"),
+            ("llm_correct_prob", False, "llm_correct_prob must be a number, got False"),
+            ("pre_score_noise", [0.1], "pre_score_noise must be a number, got [0.1]"),
+            ("include_llm", 1, "include_llm must be a boolean, got 1"),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value, message):
+        with pytest.raises(ValidationError) as caught:
+            SyntheticParams(**{"scheme": "sc", field: value})
+        assert str(caught.value).startswith(message)
+
+    def test_integer_settings_become_floats(self):
+        params = SyntheticParams(difficulty_min=0, difficulty_max=1, easy_fraction=0, llm_correct_prob=1)
+        assert (params.difficulty_min, params.difficulty_max) == (0.0, 1.0)
+        assert type(params.easy_fraction) is type(params.llm_correct_prob) is float
 
     def test_refusal_examples_from_synthetic_ids(self):
         # seeding by question id keeps refusal targets stable across corpora

@@ -1,8 +1,9 @@
-"""Record validation, canonicalization, and dataclass invariants."""
+"""Record validation, canonicalization, and frozen-record invariants."""
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -322,6 +323,25 @@ class TestDatasetProfile:
             DatasetProfile.from_questions([make_question(i) for i in ids])
         assert str(caught.value) == "duplicate question ids: a, b, c, e, f"
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("b", "a"), "profile ids must be sorted"),
+            (("a", "b", "b"), "profile ids must be unique"),
+            (("a", "a", "b", "c", "b"), "profile ids must be sorted"),
+            (("b", "b", "a"), "profile ids must be sorted"),
+        ],
+        ids=["unsorted", "duplicate", "duplicate_then_unsorted", "unsorted_after_duplicate"],
+    )
+    def test_ids_must_be_strictly_increasing(self, ids, message):
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile(ids=ids, input_tokens=(1,) * len(ids), avg_llm_tokens=None, n_with_llm=0)
+        assert str(caught.value) == message
+
+    def test_sorted_unique_ids_accepted(self):
+        profile = DatasetProfile(ids=("a", "b", "c"), input_tokens=(1, 2, 3), avg_llm_tokens=None, n_with_llm=0)
+        assert profile.ids == ("a", "b", "c")
+
     def test_no_llm_anywhere(self):
         profile = DatasetProfile.from_questions([make_question("a", with_llm=False)])
         assert profile.avg_llm_tokens is None
@@ -440,6 +460,31 @@ class TestCurvePoint:
             CurvePoint(cost=float("nan"), performance=0.5, tau=0.5, n_routed=0)
         with pytest.raises(ValidationError, match="performance must be a finite number"):
             CurvePoint(cost=0.5, performance=float("nan"), tau=0.5, n_routed=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cost", math.inf, "cost must be a finite number, got inf"),
+            ("cost", True, "cost must be a number, got True"),
+            ("performance", -math.inf, "performance must be a finite number, got -inf"),
+            ("tau", math.nan, "tau must be a finite number, got nan"),
+            ("tau", 1.5, "tau must lie in [0, 1], got 1.5"),
+            ("n_routed", -1, "n_routed must be >= 0, got -1"),
+            ("n_routed", False, "n_routed must be an integer, got False"),
+            ("n_routed", 10**400, "n_routed is too large for a float"),
+        ],
+        ids=lambda value: repr(value)[:20],
+    )
+    def test_values_outside_the_inline_tests_reach_the_helpers(self, field, value, message):
+        values = {"cost": 0.5, "performance": 0.5, "tau": 0.5, "n_routed": 1, field: value}
+        with pytest.raises(ValidationError) as caught:
+            CurvePoint(**values)
+        assert str(caught.value).startswith(message)
+
+    def test_integers_become_floats(self):
+        p = CurvePoint(cost=1, performance=0, tau=1, n_routed=3)
+        assert (p.cost, p.performance, p.tau) == (1.0, 0.0, 1.0)
+        assert type(p.cost) is type(p.performance) is type(p.tau) is float
 
 
 class TestMetricsReport:
@@ -629,18 +674,73 @@ def record_fields():
 
 RECORD_CLASSES = list(record_fields())
 
+# Each record of ``record_fields()`` as its repr reads: the class name,
+# then every field as ``name=value!r`` in declaration order.
+REPRS = {
+    PricingSchedule: "PricingSchedule(slm_in=0.1, slm_out=0.2, llm_in=0.3, llm_out=0.4)",
+    SampleRecord: (
+        "SampleRecord(answer='a', correct=True, tokens=5, confidence_level=0.3, refusal=False)"
+    ),
+    LlmOutcome: "LlmOutcome(correct=False, tokens=7)",
+    QuestionRecord: (
+        "QuestionRecord(id='q', input_tokens=9, slm_samples=(SampleRecord(answer='a', "
+        "correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.5, "
+        "llm=LlmOutcome(correct=True, tokens=4))"
+    ),
+    DatasetProfile: (
+        "DatasetProfile(ids=('a', 'b'), input_tokens=(3, 4), avg_llm_tokens=2.5, n_with_llm=2)"
+    ),
+    RoutingOutcome: (
+        "RoutingOutcome(question_id='q', mode='cascade', routed=False, quality=1.0, "
+        "slm_cost=1e-06, llm_cost=0.0, decision_latency_tokens=3, accepted_answer='a')"
+    ),
+    CurvePoint: "CurvePoint(cost=0.5, performance=0.75, tau=0.3, label=None, n_routed=2)",
+    MetricsReport: (
+        "MetricsReport(toa=0.7, agl=3.0, arol=4.0, mode='actual', toa100=0.8, togr=0.9)"
+    ),
+    PreferencePair: (
+        "PreferencePair(question_id='q', chosen='t', rejected='u', chosen_tokens=80, "
+        "rejected_tokens=150)"
+    ),
+    RefusalExample: (
+        "RefusalExample(question_id='q', threshold=0.3, "
+        "prompt='Please respond with a confidence level of 0.3: Q', target='a')"
+    ),
+    LatencyReport: "LatencyReport(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2)",
+    SweepResult: (
+        "SweepResult(points=(CurvePoint(cost=0.5, performance=0.75, tau=0.3, label=None, "
+        "n_routed=2),), perfect_points=(CurvePoint(cost=0.5, performance=0.75, tau=0.3, "
+        "label=None, n_routed=2),), latency=LatencyReport(agl=2.0, arol=5.0, n_accepted=1, "
+        "n_rejected=2))"
+    ),
+    ResponseSample: "ResponseSample(text='t', correct=True, tokens=5)",
+    TrainingQuestion: (
+        "TrainingQuestion(id='q', question='Q', samples=(ResponseSample(text='t', "
+        "correct=True, tokens=5),))"
+    ),
+    LossTerms: "LossTerms(dpo=0.1, sft=0.2, total=0.3)",
+    SyntheticParams: (
+        "SyntheticParams(scheme='sc', n_samples=3, difficulty_min=0.1, difficulty_max=0.9, "
+        "easy_fraction=0.2, llm_correct_prob=0.8, pre_score_noise=0.1, include_llm=False)"
+    ),
+}
+
 
 class TestRecordGates:
     """What every record class guarantees, however its methods are made:
     it is frozen, it equals a record of its class with equal fields and
-    nothing else, and equal records hash equal."""
+    nothing else, not even a record of a subclass, equal records hash equal, its repr names every field,
+    and pickling or copying it gives an equal record."""
 
     def test_every_record_class_is_covered(self):
         defined = {
             value
             for module in (records, trainset, io)
             for value in vars(module).values()
-            if dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+            if isinstance(value, type)
+            and issubclass(value, records._Record)
+            and value.__module__ == module.__name__
+            and value is not records._Record
         }
         assert defined == set(RECORD_CLASSES)
 
@@ -664,3 +764,19 @@ class TestRecordGates:
         assert hash(record) == hash(twin)
         as_tuple = tuple(values.values())
         assert record != as_tuple and as_tuple != record
+        subclass = type(cls.__name__, (cls,), {"__slots__": ()})
+        same_fields = subclass(**record_fields()[cls])
+        assert repr(same_fields) == repr(record)
+        assert record != same_fields and same_fields != record
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+    def test_repr_names_every_field(self, cls):
+        assert repr(cls(**record_fields()[cls])) == REPRS[cls]
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+    def test_pickle_and_copy_round_trip(self, cls):
+        record = cls(**record_fields()[cls])
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(again) is cls
+            assert again == record
+            assert repr(again) == repr(record)

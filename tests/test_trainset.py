@@ -1,6 +1,5 @@
 """Preference-pair mining, refusal corpus construction, and the loss."""
 
-import dataclasses
 import math
 import random
 
@@ -329,7 +328,7 @@ def training_questions(min_samples, max_samples):
 def assert_constructor_agrees(record):
     """The constructor accepts ``record``'s own fields and makes an
     equal record with the same repr."""
-    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    fields = {name: getattr(record, name) for name in record._fields}
     again = type(record)(**fields)
     assert again == record
     assert repr(again) == repr(record)
