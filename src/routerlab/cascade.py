@@ -242,79 +242,47 @@ def route_cascade(
     assume_perfect: bool = False,
 ) -> RoutingOutcome:
     """Route one question through the cascade at threshold ``tau``."""
-    qid, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality = (
-        _prepare(question, scheme, k, _Weights(alpha), profile, pricing, assume_perfect)
-    )
-    accepted, winner, _share, latency, _stopped = cascade_vote(
-        codes, weights, tokens, tau
-    )
+    _check_alpha(alpha)  # before the samples, as in sweep_cascade
+    samples = select_samples(question, scheme, k)
+    accepted, answer, _share, latency, _stopped = simulate_parallel(samples, tau, alpha)
+    slm_cost = slm_question_cost(question, float(sum(s.tokens for s in samples)), pricing)
+    llm_cost = llm_question_cost(question, profile, pricing)
+    quality = llm_quality(question, assume_perfect)
     if accepted:
-        if winner >= 0:
-            quality = float(correct_by_code[winner])
-            answer = answers[winner]
-        else:
-            quality = 0.0
-            answer = None
-        return RoutingOutcome(
-            question_id=qid,
-            mode="cascade",
-            routed=False,
-            quality=quality,
-            slm_cost=slm_cost,
-            llm_cost=0.0,
-            decision_latency_tokens=latency,
-            accepted_answer=answer,
-        )
+        llm_cost = 0.0
+        # With no answer (every sample refused) this matches only refusals,
+        # which are never correct.
+        quality = float(any(s.correct for s in samples if s.answer == answer))
+    else:
+        answer = None
     return RoutingOutcome(
-        question_id=qid,
+        question_id=question.id,
         mode="cascade",
-        routed=True,
-        quality=route_quality,
+        routed=not accepted,
+        quality=quality,
         slm_cost=slm_cost,
         llm_cost=llm_cost,
         decision_latency_tokens=latency,
-        accepted_answer=None,
+        accepted_answer=answer,
     )
 
 
-# Everything a question contributes to a sweep at any threshold, as one
-# tuple: (id, codes, weights, tokens, answers, correct_by_code, slm_cost,
-# llm_cost, route_quality).
-def _prepare(
-    question: QuestionRecord,
-    scheme: str,
-    k: int,
-    weight_of: _Weights,
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    assume_perfect: bool,
-) -> tuple:
+def _cascade_row(
+    question: QuestionRecord, scheme: str, k: int, weight_of: _Weights,
+    profile: DatasetProfile, pricing: PricingSchedule, assume_perfect: bool, latency_tau: float,
+) -> tuple[tuple, tuple[bool, int]]:
+    """Engine row of one question, scored by its full-tally winner share,
+    and its ``(accepted, latency)`` at ``latency_tau``. The cascade
+    accepts exactly when that share reaches tau, so one vote serves every
+    tau; costs and qualities are those ``route_cascade`` gives."""
     samples = select_samples(question, scheme, k)
     answers, codes, weights, tokens = _encode(samples, weight_of)
-    correct_of = {}
-    for sample in samples:
-        if sample.answer is not None:
-            correct_of.setdefault(sample.answer, sample.correct)
-    correct_by_code = tuple(correct_of[answer] for answer in answers)
+    accepted, winner, share, latency, _stopped = cascade_vote(codes, weights, tokens, latency_tau)
+    winner_correct = winner >= 0 and next(s.correct for s in samples if s.answer == answers[winner])
     slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
-    llm_cost = llm_question_cost(question, profile, pricing)
-    route_quality = llm_quality(question, assume_perfect)
-    return (question.id, codes, weights, tokens, answers, correct_by_code, slm_cost, llm_cost, route_quality)
-
-
-def _sweep_columns(prepared: tuple, latency_tau: float) -> tuple[tuple, tuple[bool, int]]:
-    """Engine row of one prepared question, scored by its full-tally winner
-    share, and its ``(accepted, latency)`` at ``latency_tau``.
-
-    The cascade accepts exactly when that share reaches tau, so it routes
-    exactly when the share is below tau. The share is the same at every
-    tau, so one vote gives both."""
-    qid, codes, weights, tokens, _answers, correct_by_code, slm_cost, llm_cost, route_quality = prepared
-    accepted, winner, share, latency, _stopped = cascade_vote(
-        codes, weights, tokens, latency_tau
-    )
-    quality = float(correct_by_code[winner]) if winner >= 0 else 0.0
-    return (share, qid, slm_cost, quality, slm_cost + llm_cost, route_quality), (accepted, latency)
+    route_cost = slm_cost + llm_question_cost(question, profile, pricing)
+    row = (share, question.id, slm_cost, float(winner_correct), route_cost, llm_quality(question, assume_perfect))
+    return row, (accepted, latency)
 
 
 def sweep_cascade(
@@ -345,7 +313,7 @@ def sweep_cascade(
 
     weight_of = _Weights(alpha)
     columns = [
-        _sweep_columns(_prepare(q, scheme, k, weight_of, profile, pricing, assume_perfect), latency_tau)
+        _cascade_row(q, scheme, k, weight_of, profile, pricing, assume_perfect, latency_tau)
         for q in questions
     ]
     latency = _latency_report(decision for _, decision in columns)

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_taus_arg,
         default=DEFAULT_TAUS,
         metavar="START:END:STEP",
-        help="threshold grid, inclusive ends (default: 0:1:0.1)",
+        help="threshold grid; END is included only when a whole number of steps reaches it (default: 0:1:0.1)",
     )
     p.add_argument("--scheme", choices=SCHEMES, default="rcv", help="cascade sampling scheme (default: rcv)")
     p.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="cascade samples per question (default: 10)")

@@ -319,9 +319,9 @@ def write_curve(points: Iterable[CurvePoint], path: str) -> None:
 
 
 def read_curve(path: str) -> tuple[CurvePoint, ...]:
-    """Read a curve CSV back into points (at the file's precision)."""
+    """Read a curve CSV, which may start with a byte-order mark, back into points (at its precision)."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             # Each record with the file line it ends on, which a quoted
             # cell holding a newline puts past the record's count.

@@ -113,6 +113,11 @@ class TestSimulateParallel:
         result = simulate_parallel(samples, 0.5, alpha=0.5)
         assert result == (*reference_vote(samples, 0.5, 0.5), 44, False)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            simulate_parallel([], 0.5)
+        assert str(caught.value) == "a cascade vote needs at least one sample"
+
     def test_fcv_all_refuse_stops_at_first_completion(self):
         samples = [
             make_sample(tokens=t, confidence=1.0, refusal=True)
@@ -190,6 +195,11 @@ class TestSelectSamples:
         q = make_question(samples=make_ladder(5))
         with pytest.raises(ValidationError):
             select_samples(q, "sc", 10)
+
+    def test_zero_k_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            select_samples(make_question(), "sc", 0)
+        assert str(caught.value) == "k must be a positive integer, got 0"
 
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
@@ -412,7 +422,7 @@ class TestSweepLatency:
     def test_cli_votes_each_question_once(self, tmp_path, capsys, monkeypatch):
         dataset = tmp_path / "q.jsonl"
         assert cli.main(["synth", str(dataset), "--n", "30", "--seed", "4"]) == 0
-        calls = {"_prepare": 0, "cascade_vote": 0, "vote_weight": 0}
+        calls = {"_cascade_row": 0, "cascade_vote": 0, "vote_weight": 0}
         for name in calls:
             original = getattr(cascade, name)
 
@@ -424,6 +434,6 @@ class TestSweepLatency:
         argv = ["sweep", str(dataset), "--mode", "cascade", "--golden", "--out-dir", str(tmp_path / "run")]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert calls["_prepare"] == 30
+        assert calls["_cascade_row"] == 30
         assert calls["cascade_vote"] == 30
         assert calls["vote_weight"] <= len(CONFIDENCE_LEVELS)

@@ -154,6 +154,14 @@ class TestSweep:
         taus = [r.split(",")[0] for r in rows[1:]]
         assert taus == ["slm_only", "0", "0.25", "0.5", "0.75", "1", "llm_only"]
 
+    def test_end_off_the_step_grid_is_left_out(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "grid"
+        argv = ["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir), "--taus", "0:1:0.3"]
+        assert run(argv, capsys)[0] == 0
+        rows = (out_dir / "curve.csv").read_text().strip().splitlines()
+        taus = [r.split(",")[0] for r in rows[1:]]
+        assert taus == ["slm_only", "0", "0.3", "0.6", "0.9", "llm_only"]
+
     def test_latency_tau_must_sit_on_grid(self, dataset, tmp_path, capsys):
         code, out, err = run(
             [
@@ -254,6 +262,22 @@ class TestSweep:
             )
         capsys.readouterr()
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            ("a:b:c", "argument --taus: expected three numbers, got 'a:b:c'"),
+            ("0.5:0.2:0.1", "argument --taus: thresholds must satisfy 0 <= start <= end <= 1"),
+        ],
+        ids=["not_numbers", "backwards"],
+    )
+    def test_bad_taus_exit_two(self, dataset, tmp_path, capsys, taus, message):
+        out_dir = tmp_path / "x"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir), "--taus", taus])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("taus", ["0:1:nan", "0:1:0", "0:1:inf"])
     def test_non_positive_tau_step_exits_two(self, dataset, tmp_path, capsys, taus):
@@ -547,6 +571,14 @@ class TestSynth:
             main(["synth", str(tmp_path / "x.jsonl"), "--n", "0"])
         capsys.readouterr()
         assert excinfo.value.code == 2
+
+    def test_non_integer_count_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", str(path), "--n", "abc"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --n: expected an integer, got 'abc'\n")
+        assert not path.exists()
 
     def test_non_finite_pre_noise_rejected(self, tmp_path, capsys):
         path = tmp_path / "x.jsonl"

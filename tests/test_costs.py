@@ -127,6 +127,13 @@ class TestNormalizedCost:
         value = normalized_cascade_cost(outcomes, profile, pricing)
         assert value == pytest.approx(4e-5 / total_llm_cost(profile, pricing), rel=1e-12)
 
+    @pytest.mark.parametrize("normalize", [normalized_pre_cost, normalized_cascade_cost])
+    def test_empty_outcomes_rejected(self, pricing, normalize):
+        profile = DatasetProfile.from_questions([make_question("a")])
+        with pytest.raises(ValidationError) as caught:
+            normalize([], profile, pricing)
+        assert str(caught.value) == "cannot normalise an empty outcome collection"
+
     def test_mode_mismatch_rejected(self, pricing):
         qs = [make_question("a")]
         profile = DatasetProfile.from_questions(qs)

@@ -850,6 +850,11 @@ class TestScanDataset:
         assert any(":2:" in p for p in problems)
         assert any(":3:" in p for p in problems)
 
+    def test_blank_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert scan_dataset(str(path)) == (0, [f"{path}: no questions found"])
+
 
 class TestPricingFile:
     def test_round_trip(self, tmp_path):
@@ -959,6 +964,36 @@ class TestCurveCsv:
         path = tmp_path / "curve.csv"
         path.write_bytes(b"tau,cost,performance,n_routed\nslm_only\xe9,0.1,0.5,0\n")
         with pytest.raises(DatasetError, match=r"curve\.csv: not valid UTF-8"):
+            read_curve(str(path))
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        write_curve(self.points(), str(plain))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_curve(str(marked)) == read_curve(str(plain))
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(
+            "tau,cost,performance,n_routed\nslm_only,0.1,0.5,0\n\nllm_only,1.0,0.9,3\n",
+            encoding="utf-8",
+        )
+        assert [p.label for p in read_curve(str(path))] == ["slm_only", "llm_only"]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("slm_only,0.1,0.5\n", r"curve\.csv:2: expected 4 columns$"),
+            ("", r"curve\.csv: no curve points found$"),
+            ("slm_only,0.1,0.5,1.5\n", r"curve\.csv:2: n_routed is not an integer: '1\.5'$"),
+        ],
+        ids=["short_row", "header_only", "fractional_n_routed"],
+    )
+    def test_bad_body_rejected(self, tmp_path, body, message):
+        path = tmp_path / "curve.csv"
+        path.write_text("tau,cost,performance,n_routed\n" + body, encoding="utf-8")
+        with pytest.raises(DatasetError, match=message):
             read_curve(str(path))
 
 
@@ -1147,6 +1182,11 @@ class TestSyntheticGenerator:
         write_dataset(generate_synthetic(5, seed=3, params=params), str(path))
         assert path.read_bytes() == (SYNTH_GOLDEN / f"{name}.jsonl").read_bytes()
 
+    def test_zero_questions_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            generate_synthetic(0, seed=3)
+        assert str(caught.value) == "n must be a positive integer, got 0"
+
     def test_deterministic(self):
         a = generate_synthetic(40, seed=3)
         b = generate_synthetic(40, seed=3)
@@ -1235,6 +1275,8 @@ class TestSyntheticGenerator:
             SyntheticParams(answer_keys=("a",))
         with pytest.raises(Exception):
             SyntheticParams(scheme="sc", n_samples=0)
+        with pytest.raises(ValidationError, match=r"^rcv generates the full confidence ladder; n_samples must be 10$"):
+            SyntheticParams(scheme="rcv", n_samples=5)
         for noise in (math.nan, math.inf, -0.1):
             with pytest.raises(Exception):
                 SyntheticParams(pre_score_noise=noise)
@@ -1250,6 +1292,10 @@ class TestSyntheticGenerator:
             ("llm_correct_prob", False, "llm_correct_prob must be a number, got False"),
             ("pre_score_noise", [0.1], "pre_score_noise must be a number, got [0.1]"),
             ("include_llm", 1, "include_llm must be a boolean, got 1"),
+            ("easy_fraction", 1.5, "easy_fraction must lie in [0, 1], got 1.5"),
+            ("easy_fraction", -0.1, "easy_fraction must lie in [0, 1], got -0.1"),
+            ("llm_correct_prob", 1.5, "llm_correct_prob must lie in [0, 1], got 1.5"),
+            ("llm_correct_prob", -0.5, "llm_correct_prob must lie in [0, 1], got -0.5"),
         ],
     )
     def test_bad_value_names_its_field(self, field, value, message):

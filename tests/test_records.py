@@ -260,6 +260,11 @@ class TestQuestionRecord:
         with pytest.raises(ValidationError, match="slm_samples must hold SampleRecord values"):
             QuestionRecord("q", 5, make_sample("a", True))
 
+    def test_non_record_item_rejected(self):
+        with pytest.raises(ValidationError) as excinfo:
+            QuestionRecord("q", 5, [make_sample("a", True), {"answer": "b"}])
+        assert str(excinfo.value) == "question 'q': slm_samples must hold SampleRecord values"
+
     def test_round_trip(self):
         q = make_question(samples=make_ladder(6))
         assert parse_question(q.to_dict()) == q
@@ -356,6 +361,21 @@ class TestDatasetProfile:
         with pytest.raises(ValidationError, match="avg_llm_tokens must be positive"):
             DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=avg, n_with_llm=1)
 
+    @pytest.mark.parametrize(
+        "ids, input_tokens, n_with_llm, message",
+        [
+            (("a", "b"), (5,), 0, "profile ids and input_tokens must align"),
+            ((), (), 0, "profile requires at least one question"),
+            (("a",), (5,), 2, "n_with_llm out of range"),
+            (("a",), (5,), -1, "n_with_llm out of range"),
+        ],
+        ids=["misaligned", "empty", "llm_count_above", "llm_count_below"],
+    )
+    def test_bad_shape_rejected(self, ids, input_tokens, n_with_llm, message):
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile(ids=ids, input_tokens=input_tokens, avg_llm_tokens=None, n_with_llm=n_with_llm)
+        assert str(caught.value) == message
+
 
 class TestRoutingOutcome:
     def test_unrouted_cannot_carry_llm_cost(self):
@@ -411,6 +431,31 @@ class TestRoutingOutcome:
         fields[name] = float("nan")
         with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
             RoutingOutcome(**fields)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("mode", "golden", "mode must be 'pre' or 'cascade', got 'golden'"),
+            ("quality", 1.5, "quality must lie in [0, 1], got 1.5"),
+            ("quality", -0.5, "quality must lie in [0, 1], got -0.5"),
+            ("slm_cost", -1.0, "slm_cost must be >= 0, got -1.0"),
+            ("llm_cost", -1.0, "llm_cost must be >= 0, got -1.0"),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value, message):
+        fields = dict(
+            question_id="q",
+            mode="cascade",
+            routed=True,
+            slm_cost=1e-6,
+            llm_cost=1e-6,
+            quality=1.0,
+            decision_latency_tokens=5,
+        )
+        fields[name] = value
+        with pytest.raises(ValidationError) as caught:
+            RoutingOutcome(**fields)
+        assert str(caught.value) == message
 
     def test_cascade_latency_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -517,6 +562,14 @@ class TestMetricsReport:
         values[name] = float("nan")
         with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
             MetricsReport(**values)
+
+    @pytest.mark.parametrize("name", ["agl", "arol"])
+    def test_negative_latency_rejected(self, name):
+        values = dict(toa=0.5, agl=0.0, arol=0.0, mode="actual")
+        values[name] = -1.0
+        with pytest.raises(ValidationError) as caught:
+            MetricsReport(**values)
+        assert str(caught.value) == f"{name} must be >= 0, got -1.0"
 
 
 class TestPreferencePair:

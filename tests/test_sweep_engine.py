@@ -9,6 +9,7 @@ Settings are derandomized so every run draws the same examples.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from routerlab.records import (
     LlmOutcome,
     PricingSchedule,
     QuestionRecord,
+    ValidationError,
     normalize_taus,
 )
 
@@ -222,3 +224,19 @@ def test_twin_is_the_sweep_of_perfect_rows(data):
     assert result.perfect_points == perfect.points
     assert perfect.perfect_points is perfect.points
     assert (result.perfect_points is result.points) == all(row[5] == 1.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (sweep_cascade, "cannot sweep an empty dataset"),
+        (sweep_pre, "cannot sweep an empty dataset"),
+        (golden_curve, "cannot build a golden curve for an empty dataset"),
+    ],
+    ids=["cascade", "pre", "golden"],
+)
+def test_empty_dataset_rejected(build, message):
+    profile = DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=3.0, n_with_llm=1)
+    with pytest.raises(ValidationError) as caught:
+        build([], profile, PRICING)
+    assert str(caught.value) == message

@@ -303,6 +303,11 @@ class TestValidation:
             TrainingQuestion("t", "Q", samples)
         assert str(excinfo.value) == "question 't': samples must hold ResponseSample values"
 
+    def test_training_non_record_item_rejected(self):
+        with pytest.raises(ValidationError) as excinfo:
+            TrainingQuestion("t", "Q", [resp("a", True, 1), {"text": "b"}])
+        assert str(excinfo.value) == "question 't': samples must hold ResponseSample values"
+
     def test_pair_question_id(self):
         # The one pair field that does not come from a checked sample.
         with pytest.raises(ValidationError, match="question_id must be a non-empty string"):
