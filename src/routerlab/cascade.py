@@ -28,6 +28,7 @@ from .records import (
     SampleRecord,
     SweepResult,
     ValidationError,
+    _as_number,
     _latency_report,
     confidence_ladder,
     normalize_taus,
@@ -61,7 +62,7 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 0):
+    if not (math.isfinite(_as_number(alpha, "alpha")) and alpha >= 0):
         raise ValidationError(f"alpha must be a finite number >= 0, got {alpha}")
 
 
@@ -242,7 +243,8 @@ def route_cascade(
     assume_perfect: bool = False,
 ) -> RoutingOutcome:
     """Route one question through the cascade at threshold ``tau``."""
-    _check_alpha(alpha)  # before the samples, as in sweep_cascade
+    (tau,) = normalize_taus((tau,))  # then alpha, then the samples, as in sweep_cascade
+    _check_alpha(alpha)
     samples = select_samples(question, scheme, k)
     accepted, answer, _share, latency, _stopped = simulate_parallel(samples, tau, alpha)
     slm_cost = slm_question_cost(question, float(sum(s.tokens for s in samples)), pricing)

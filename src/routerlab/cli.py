@@ -37,6 +37,7 @@ from .prerouting import SCORE_SOURCES, sweep_pre
 from .records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
+    REJECTED_TOKEN_RATIO,
     SCHEMES,
     MetricsReport,
     PricingSchedule,
@@ -116,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-ratio",
         type=float,
-        default=1.5,
-        help="required rejected/chosen token ratio, at least 1.5 (default: 1.5)",
+        default=REJECTED_TOKEN_RATIO,
+        help=f"required rejected/chosen token ratio, at least {REJECTED_TOKEN_RATIO} "
+        f"(default: {REJECTED_TOKEN_RATIO})",
     )
     p.add_argument(
         "--include-correct-rejected",

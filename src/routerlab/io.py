@@ -13,12 +13,12 @@ record's keys, as the writers write it, is read as it is; any other is
 merged with the record's defaults. Every record is made by its
 constructor, so a loaded record is one its constructor accepts.
 
-Each output row is written from one f-string template. Refusal rows are
-written either from ``RefusalExample`` records
-(``write_refusal_examples``) or, as ``build`` does, straight from a
-checked ``TrainingQuestion`` and the targets ``refusal_targets`` drew for
-it (the private ``_write_refusal_rows``), which makes no record per row;
-both write the same bytes.
+JSON rows are written with ``_ENCODE``, except on ``build``'s path:
+``write_pairs`` and the private ``_write_refusal_rows`` write each row
+from an f-string template. ``_write_refusal_rows`` writes a checked
+``TrainingQuestion``'s rows from the targets ``refusal_targets`` drew,
+with no record per row, and must give the bytes ``write_refusal_examples``
+writes for those rows' ``RefusalExample`` records.
 """
 
 from __future__ import annotations
@@ -414,15 +414,7 @@ def write_pairs(pairs: Iterable[PreferencePair], path: str) -> None:
 
 
 def write_refusal_examples(examples: Iterable[RefusalExample], path: str) -> None:
-    """One line per example, byte for byte ``_ENCODE(example.to_dict())``."""
-    _write_jsonl(
-        (
-            f'{{"id": {_STR(e.question_id)}, "threshold": {_FLOAT(e.threshold)}, '
-            f'"prompt": {_STR(e.prompt)}, "target": {_STR(e.target)}}}\n'
-            for e in examples
-        ),
-        path,
-    )
+    _write_jsonl((_ENCODE(e.to_dict()) + "\n" for e in examples), path)
 
 
 # Each confidence level's row text from the threshold to the question in

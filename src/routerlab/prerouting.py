@@ -89,6 +89,7 @@ def route_pre(
     one is scored and charged as the mean over all stored samples, so the
     simulated deployment answers with a typical single draw.
     """
+    (tau,) = normalize_taus((tau,))  # first, as in sweep_pre
     if question_score(question, score_source) < tau:
         return RoutingOutcome(
             question_id=question.id,

@@ -7,10 +7,13 @@ record instance it holds is well formed. All records are immutable.
 The constructor is the only way to make a record; ``io``'s loaders and
 the ``trainset`` builders call it too. Each record is a slotted
 ``_Record`` with a hand-written ``__init__`` that holds all of its
-rules: it tests the common exact types inline, calls the ``_as_*``
-helpers to convert or reject any other value, and stores each field
-through its slot descriptor's ``__set__``, bound once per class by
-``_setters``.
+rules: it checks each value through the ``_as_*`` helpers, which
+convert or reject it, and stores each field through its slot
+descriptor's ``__set__``, bound once per class by ``_setters``. Only
+the five records the loaders build once per line or per sample
+(``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``, and
+``trainset``'s ``ResponseSample`` and ``TrainingQuestion``) test the
+common exact types inline first, calling a helper for any other value.
 
 No record uses ``dataclasses``: importing it (with ``inspect``) and
 generating 16 classes cost about 20 ms at every start of the CLI,
@@ -46,12 +49,10 @@ REJECTION_TEXT = "Sorry, I can't answer that."
 
 _GRID_TOLERANCE = 1e-9
 
-# Each grid level by its own value: an exact level snaps without the scan.
+# Each grid level by its own value: SampleRecord takes an exact level without the scan.
 _ON_GRID = {level: level for level in CONFIDENCE_LEVELS}
 
-# The refusal prompt prefix, and the prefix of each grid level made once.
 _PREFIX = "Please respond with a confidence level of {:.1f}:"
-_PREFIXES = {level: _PREFIX.format(level) for level in CONFIDENCE_LEVELS}
 
 # Every integer smaller than this in magnitude converts to a float.
 _FLOAT_SAFE_INT = 2**1023
@@ -71,9 +72,6 @@ def snap_confidence(value: float) -> float:
     Values further than 1e-9 from every grid point are rejected; this
     catches data written with the wrong scale (percentages, logits).
     """
-    level = _ON_GRID.get(value)
-    if level is not None:
-        return level
     for level in CONFIDENCE_LEVELS:
         if abs(value - level) <= _GRID_TOLERANCE:
             return level
@@ -112,19 +110,26 @@ def refusal_prompt(threshold: float, question: str) -> str:
 
 
 def refusal_prompt_prefix(threshold: float) -> str:
-    prefix = _PREFIXES.get(threshold)
-    return _PREFIX.format(threshold) if prefix is None else prefix
+    return _PREFIX.format(threshold)
 
 
 def _as_float(value: Any, name: str) -> float:
     if type(value) is float and math.isfinite(value):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    number = _to_float(value, name)
+    number = float(_as_number(value, name))
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _as_number(value: Any, name: str) -> int | float:
+    """An int or a float as it is given, nan and inf too, for the caller's
+    range check; a bool, any other type or an int too large for a float
+    is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    _to_float(value, name)
+    return value
 
 
 def _as_int(value: Any, name: str) -> int:
@@ -463,9 +468,11 @@ class DatasetProfile(_Record):
         if not all(map(lt, ids, ids[1:])):
             unsorted = not all(map(le, ids, ids[1:]))
             raise ValidationError(f"profile ids must be {'sorted' if unsorted else 'unique'}")
-        if avg_llm_tokens is not None and not (math.isfinite(avg_llm_tokens) and avg_llm_tokens > 0):
+        if avg_llm_tokens is not None and not (
+            math.isfinite(_as_number(avg_llm_tokens, "avg_llm_tokens")) and avg_llm_tokens > 0
+        ):
             raise ValidationError("avg_llm_tokens must be positive when present")
-        if not 0 <= n_with_llm <= len(ids):
+        if not 0 <= _as_int(n_with_llm, "n_with_llm") <= len(ids):
             raise ValidationError("n_with_llm out of range")
         _set_ids(self, ids)
         _set_profile_tokens(self, input_tokens)
@@ -574,29 +581,23 @@ class CurvePoint(_Record):
         label: str | None = None,
         n_routed: int = 0,
     ) -> None:
-        # Each field is tested inline first: only a value outside its range
-        # or of another type goes through the helper that converts or rejects.
-        if type(cost) is not float or not 0.0 <= cost < math.inf:
-            cost = _as_float(cost, "cost")
-            if cost < 0:
-                raise ValidationError(f"cost must be >= 0, got {cost}")
-        if type(performance) is not float or not 0.0 <= performance <= 1.0:
-            performance = _as_float(performance, "performance")
-            if not 0.0 <= performance <= 1.0:
-                raise ValidationError(f"performance must lie in [0, 1], got {performance}")
+        cost = _as_float(cost, "cost")
+        if cost < 0:
+            raise ValidationError(f"cost must be >= 0, got {cost}")
+        performance = _as_float(performance, "performance")
+        if not 0.0 <= performance <= 1.0:
+            raise ValidationError(f"performance must lie in [0, 1], got {performance}")
         if label is not None and label not in ("slm_only", "llm_only"):
             raise ValidationError(f"unknown curve label {label!r}")
         if tau is not None:
             if label is not None:
                 raise ValidationError("a curve point cannot be both a grid point and an endpoint")
-            if type(tau) is not float or not 0.0 <= tau <= 1.0:
-                tau = _as_float(tau, "tau")
-                if not 0.0 <= tau <= 1.0:
-                    raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-        if type(n_routed) is not int or not 0 <= n_routed < _FLOAT_SAFE_INT:
-            n_routed = _as_int(n_routed, "n_routed")
-            if n_routed < 0:
-                raise ValidationError(f"n_routed must be >= 0, got {n_routed}")
+            tau = _as_float(tau, "tau")
+            if not 0.0 <= tau <= 1.0:
+                raise ValidationError(f"tau must lie in [0, 1], got {tau}")
+        n_routed = _as_int(n_routed, "n_routed")
+        if n_routed < 0:
+            raise ValidationError(f"n_routed must be >= 0, got {n_routed}")
         _set_cost(self, cost)
         _set_performance(self, performance)
         _set_tau(self, tau)
@@ -719,21 +720,15 @@ class RefusalExample(_Record):
     __slots__ = ("question_id", "threshold", "prompt", "target")
 
     def __init__(self, question_id: str, threshold: float, prompt: str, target: str) -> None:
-        if type(question_id) is not str or not question_id.isascii() or not question_id:
-            _as_str(question_id, "question_id")
-        # A grid level is a key of _PREFIXES; any other value is snapped first.
-        prefix = _PREFIXES.get(threshold) if type(threshold) is float else None
-        if prefix is None:
-            threshold = snap_confidence(_as_float(threshold, "threshold"))
-            prefix = _PREFIXES[threshold]
-        if type(prompt) is not str or not prompt.isascii() or not prompt:
-            _as_str(prompt, "prompt")
+        _as_str(question_id, "question_id")
+        threshold = snap_confidence(_as_float(threshold, "threshold"))
+        prefix = refusal_prompt_prefix(threshold)
+        _as_str(prompt, "prompt")
         if not prompt.startswith(prefix):
             raise ValidationError(
                 f"prompt for threshold {threshold:.1f} must start with {prefix!r}"
             )
-        if type(target) is not str or not target.isascii() or not target:
-            _as_str(target, "target")
+        _as_str(target, "target")
         _set_example_id(self, question_id)
         _set_threshold(self, threshold)
         _set_prompt(self, prompt)

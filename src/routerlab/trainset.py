@@ -36,6 +36,7 @@ from .records import (
     _Record,
     _as_bool,
     _as_count,
+    _as_number,
     _as_str,
     _setters,
     refusal_prompt,
@@ -116,7 +117,7 @@ def build_dpo_pair(
     ``min_ratio`` may be raised above the stored-pair guarantee of
     1.5 but never below it.
     """
-    if not (math.isfinite(min_ratio) and min_ratio >= REJECTED_TOKEN_RATIO):
+    if not (math.isfinite(_as_number(min_ratio, "min_ratio")) and min_ratio >= REJECTED_TOKEN_RATIO):
         raise ValidationError(
             f"min_ratio must be a finite number >= {REJECTED_TOKEN_RATIO}, got "
             f"{min_ratio}; stored pairs guarantee at least that length gap"
@@ -241,9 +242,9 @@ def combined_loss(
     under the policy, weighted by ``sft_weight``; it keeps the policy
     from drifting off the chosen behaviour while the margin grows.
     """
-    if not (math.isfinite(beta) and beta > 0):
+    if not (math.isfinite(_as_number(beta, "beta")) and beta > 0):
         raise ValidationError(f"beta must be positive, got {beta}")
-    if not (math.isfinite(sft_weight) and sft_weight >= 0):
+    if not (math.isfinite(_as_number(sft_weight, "sft_weight")) and sft_weight >= 0):
         raise ValidationError(f"sft_weight must be >= 0, got {sft_weight}")
     if (
         isinstance(chosen_token_count, bool)

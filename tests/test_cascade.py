@@ -1,5 +1,7 @@
 """Cascade voting: weights, tallies, early stopping, costs, and sweeps."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,36 @@ class TestVoteWeight:
         # alpha large enough to drive low-confidence weights below zero
         with pytest.raises(ValidationError):
             vote_weight(0.1, 2.0)
+
+    def test_int_alpha_weighs_as_its_float(self):
+        assert vote_weight(0.1, 1) == vote_weight(0.1, 1.0)
+
+
+def _alpha_calls(synth_rcv, pricing):
+    questions, profile = synth_rcv
+    return {
+        "vote_weight": lambda alpha: vote_weight(0.5, alpha),
+        "sweep_cascade": lambda alpha: sweep_cascade(questions, profile, pricing, alpha=alpha),
+        "route_cascade": lambda alpha: route_cascade(questions[0], 0.5, profile, pricing, alpha=alpha),
+    }
+
+
+@pytest.mark.parametrize("where", ["vote_weight", "sweep_cascade", "route_cascade"])
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ("0.5", "alpha must be a number, got '0.5'"),
+        (True, "alpha must be a number, got True"),
+        (10**400, "alpha is too large for a float, got an integer of 1329 bits"),
+        (math.nan, "alpha must be a finite number >= 0, got nan"),
+        (-1, "alpha must be a finite number >= 0, got -1"),
+    ],
+    ids=["string", "bool", "huge_int", "nan", "negative_int"],
+)
+def test_bad_alpha_names_alpha(synth_rcv, pricing, where, alpha, message):
+    with pytest.raises(ValidationError) as caught:
+        _alpha_calls(synth_rcv, pricing)[where](alpha)
+    assert str(caught.value) == message
 
 
 def vote(samples, tau=0.0, alpha=DEFAULT_ALPHA):
@@ -276,6 +308,25 @@ class TestRouteCascade:
         profile = DatasetProfile.from_questions([q])
         with pytest.raises(ValidationError):
             route_cascade(q, 0.5, profile, pricing, scheme="rcv", k=5)
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            (math.nan, "thresholds must lie in [0, 1], got nan"),
+            (1.5, "thresholds must lie in [0, 1], got 1.5"),
+            (-3.0, "thresholds must lie in [0, 1], got -3.0"),
+            (True, "thresholds must be numbers in [0, 1], got True"),
+            ("0.5", "thresholds must be numbers in [0, 1], got '0.5'"),
+        ],
+        ids=["nan", "above_one", "negative", "bool", "string"],
+    )
+    def test_bad_tau_rejected_first(self, pricing, tau, message):
+        # alpha and the scheme are bad too: tau is checked first, as
+        # sweep_cascade checks its thresholds before anything else.
+        q, profile = self.accepted_fixture(pricing)
+        with pytest.raises(ValidationError) as caught:
+            route_cascade(q, tau, profile, pricing, scheme="nope", alpha=-1.0)
+        assert str(caught.value) == message
 
 
 class TestSweepCascade:

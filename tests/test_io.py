@@ -987,8 +987,17 @@ class TestCurveCsv:
             ("slm_only,0.1,0.5\n", r"curve\.csv:2: expected 4 columns$"),
             ("", r"curve\.csv: no curve points found$"),
             ("slm_only,0.1,0.5,1.5\n", r"curve\.csv:2: n_routed is not an integer: '1\.5'$"),
+            ("slm_only,-0.1,0.5,0\n", r"curve\.csv:2: cost must be >= 0, got -0\.1$"),
+            ("slm_only,nan,0.5,0\n", r"curve\.csv:2: cost must be a finite number, got nan$"),
+            ("slm_only,inf,0.5,0\n", r"curve\.csv:2: cost must be a finite number, got inf$"),
+            ("slm_only,0.1,1.5,0\n", r"curve\.csv:2: performance must lie in \[0, 1\], got 1\.5$"),
+            ("2,0.1,0.5,0\n", r"curve\.csv:2: tau must lie in \[0, 1\], got 2\.0$"),
+            ("slm_only,0.1,0.5,-1\n", r"curve\.csv:2: n_routed must be >= 0, got -1$"),
         ],
-        ids=["short_row", "header_only", "fractional_n_routed"],
+        ids=[
+            "short_row", "header_only", "fractional_n_routed", "negative_cost", "nan_cost",
+            "inf_cost", "performance_above_one", "tau_above_one", "negative_n_routed",
+        ],
     )
     def test_bad_body_rejected(self, tmp_path, body, message):
         path = tmp_path / "curve.csv"

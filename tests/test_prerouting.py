@@ -1,5 +1,7 @@
 """Pre-generation routing: scores, strict thresholding, and sweeps."""
 
+import math
+
 import pytest
 
 from routerlab.costs import llm_question_cost, slm_question_cost
@@ -140,6 +142,25 @@ class TestRoutePre:
         profile = DatasetProfile.from_questions([q])
         assert route_pre(q, 0.4, profile, pricing, score_source="refusal").routed is False
         assert route_pre(q, 0.5, profile, pricing, score_source="refusal").routed is True
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            (math.nan, "thresholds must lie in [0, 1], got nan"),
+            (1.5, "thresholds must lie in [0, 1], got 1.5"),
+            (-3.0, "thresholds must lie in [0, 1], got -3.0"),
+            (True, "thresholds must be numbers in [0, 1], got True"),
+            ("0.5", "thresholds must be numbers in [0, 1], got '0.5'"),
+        ],
+        ids=["nan", "above_one", "negative", "bool", "string"],
+    )
+    def test_bad_tau_rejected_first(self, pricing, tau, message):
+        # The score source is bad too: tau is checked first, as sweep_pre
+        # checks its thresholds before anything else.
+        q, profile = self.fixture()
+        with pytest.raises(ValidationError) as caught:
+            route_pre(q, tau, profile, pricing, score_source="nope")
+        assert str(caught.value) == message
 
 
 class TestSweepPre:

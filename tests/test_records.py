@@ -136,12 +136,6 @@ class TestRefusalPrompt:
                 == f"Please respond with a confidence level of {level:.1f}:"
             )
 
-    def test_prefix_table_holds_the_template_of_each_level(self):
-        assert records._PREFIXES == {
-            level: f"Please respond with a confidence level of {level:.1f}:"
-            for level in CONFIDENCE_LEVELS
-        }
-
     @pytest.mark.parametrize("threshold, shown", [(0.15, "0.1"), (0.05, "0.1"), (1, "1.0")])
     def test_off_grid_and_int_thresholds_keep_their_text(self, threshold, shown):
         expected = f"Please respond with a confidence level of {shown}:"
@@ -375,6 +369,27 @@ class TestDatasetProfile:
         with pytest.raises(ValidationError) as caught:
             DatasetProfile(ids=ids, input_tokens=input_tokens, avg_llm_tokens=None, n_with_llm=n_with_llm)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "avg, n_with_llm, message",
+        [
+            ("5", 1, "avg_llm_tokens must be a number, got '5'"),
+            (True, 1, "avg_llm_tokens must be a number, got True"),
+            (10**400, 1, "avg_llm_tokens is too large for a float, got an integer of 1329 bits"),
+            (5.0, "1", "n_with_llm must be an integer, got '1'"),
+            (5.0, True, "n_with_llm must be an integer, got True"),
+            (5.0, 1.0, "n_with_llm must be an integer, got 1.0"),
+        ],
+        ids=["string_avg", "bool_avg", "huge_int_avg", "string_count", "bool_count", "float_count"],
+    )
+    def test_non_number_fields_rejected(self, avg, n_with_llm, message):
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=avg, n_with_llm=n_with_llm)
+        assert str(caught.value) == message
+
+    def test_int_average_stored_as_given(self):
+        profile = DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=5, n_with_llm=1)
+        assert type(profile.avg_llm_tokens) is int and profile.avg_llm_tokens == 5
 
 
 class TestRoutingOutcome:

@@ -105,6 +105,22 @@ class TestBuildDpoPair:
     def test_min_ratio_can_be_raised(self):
         q = question([resp("right", True, 80), resp("wrong", False, 150)])
         assert build_dpo_pair(q.id, q.samples, min_ratio=2.0) is None
+        assert build_dpo_pair(q.id, q.samples, min_ratio=2) is None
+
+    @pytest.mark.parametrize(
+        "min_ratio, message",
+        [
+            ("2", "min_ratio must be a number, got '2'"),
+            (True, "min_ratio must be a number, got True"),
+            (10**400, "min_ratio is too large for a float, got an integer of 1329 bits"),
+        ],
+        ids=["string", "bool", "huge_int"],
+    )
+    def test_non_number_min_ratio_rejected(self, min_ratio, message):
+        q = question([resp("right", True, 80), resp("wrong", False, 200)])
+        with pytest.raises(ValidationError) as caught:
+            build_dpo_pair(q.id, q.samples, min_ratio=min_ratio)
+        assert str(caught.value) == message
 
     def test_correct_rejected_opt_in(self):
         q = question([resp("terse", True, 10), resp("rambling", True, 100)])
@@ -258,6 +274,26 @@ class TestCombinedLoss:
     def test_non_finite_knobs_rejected(self, knob, value, message):
         with pytest.raises(ValidationError, match=message):
             combined_loss(-1.0, -2.0, -3.0, -4.0, chosen_token_count=1, **{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("beta", "1", "beta must be a number, got '1'"),
+            ("beta", 10**400, "beta is too large for a float, got an integer of 1329 bits"),
+            ("sft_weight", True, "sft_weight must be a number, got True"),
+            ("sft_weight", "0.2", "sft_weight must be a number, got '0.2'"),
+        ],
+        ids=["string_beta", "huge_int_beta", "bool_sft_weight", "string_sft_weight"],
+    )
+    def test_non_number_knobs_rejected(self, knob, value, message):
+        with pytest.raises(ValidationError) as caught:
+            combined_loss(-1.0, -2.0, -3.0, -4.0, chosen_token_count=1, **{knob: value})
+        assert str(caught.value) == message
+
+    def test_int_knobs_accepted(self):
+        assert combined_loss(-1.0, -2.0, -3.0, -4.0, 1, beta=2, sft_weight=0) == combined_loss(
+            -1.0, -2.0, -3.0, -4.0, 1, beta=2.0, sft_weight=0.0
+        )
 
 
 class TestTrainingConfig:
