@@ -49,7 +49,6 @@ from .records import (
     _as_bool,
     _as_float,
     _as_int,
-    _setters,
     refusal_prompt,
 )
 from .trainset import ResponseSample, TrainingQuestion, _question_seed
@@ -517,15 +516,10 @@ class SyntheticParams(_Record):
                 f"pre_score_noise must be a finite number >= 0, got {pre_score_noise}"
             )
         _as_bool(include_llm, "include_llm")
-        values = (
+        self._store(
             scheme, n_samples, difficulty_min, difficulty_max, easy_fraction,
             llm_correct_prob, pre_score_noise, include_llm,
         )
-        for store, value in zip(_set_synth, values):
-            store(self, value)
-
-
-_set_synth = _setters(SyntheticParams)
 
 
 def _synth_number(value: Any, name: str) -> float:

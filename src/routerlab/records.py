@@ -8,12 +8,14 @@ The constructor is the only way to make a record; ``io``'s loaders and
 the ``trainset`` builders call it too. Each record is a slotted
 ``_Record`` with a hand-written ``__init__`` that holds all of its
 rules: it checks each value through the ``_as_*`` helpers, which
-convert or reject it, and stores each field through its slot
-descriptor's ``__set__``, bound once per class by ``_setters``. Only
-the five records the loaders build once per line or per sample
-(``SampleRecord``, ``LlmOutcome``, ``QuestionRecord``, and
-``trainset``'s ``ResponseSample`` and ``TrainingQuestion``) test the
-common exact types inline first, calling a helper for any other value.
+convert or reject it, and ends with one ``self._store(...)`` of the
+checked values in field order. Only the five records the loaders build
+once per line or per sample (``SampleRecord``, ``LlmOutcome``,
+``QuestionRecord``, and ``trainset``'s ``ResponseSample`` and
+``TrainingQuestion``) differ, in two ways that each pay only at that
+traffic: they test the common exact types inline first, calling a
+helper for any other value, and they store each field with its own
+call, through module-level names unpacked from the class's ``_stores``.
 
 No record uses ``dataclasses``: importing it (with ``inspect``) and
 generating 16 classes cost about 20 ms at every start of the CLI,
@@ -188,6 +190,8 @@ class _Record:
     else, hashes as the tuple of its fields, and reprs as
     ``Name(field=value, ...)``. Pickling and copying go through the
     constructor, whose parameters are the fields in slot order.
+    ``_stores`` holds the ``__set__`` of each field's slot descriptor,
+    in field order: the only way to store a field of a frozen record.
     """
 
     __slots__ = ()
@@ -196,6 +200,12 @@ class _Record:
     def __init_subclass__(cls) -> None:
         cls._fields += cls.__dict__.get("__slots__", ())
         cls._values = attrgetter(*cls._fields)
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _store(self, *values: Any) -> None:
+        """Store one value per field, in field order."""
+        for store, value in zip(self._stores, values, strict=True):
+            store(self, value)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
@@ -220,12 +230,6 @@ class _Record:
         return type(self), self._values(self)
 
 
-def _setters(cls: type) -> tuple[Any, ...]:
-    """The ``__set__`` of each of ``cls``'s slot descriptors, in slot order:
-    a frozen record's ``__init__`` stores its fields through them."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
 class PricingSchedule(_Record):
     """Per-million-token prices in USD for both models.
 
@@ -239,11 +243,13 @@ class PricingSchedule(_Record):
     def __init__(
         self, slm_in: float = 0.02, slm_out: float = 0.08, llm_in: float = 0.275, llm_out: float = 1.10
     ) -> None:
-        for name, price, store in zip(self._fields, (slm_in, slm_out, llm_in, llm_out), _set_prices):
+        prices = []
+        for name, price in zip(self._fields, (slm_in, slm_out, llm_in, llm_out)):
             price = _as_float(price, name)
             if price <= 0:
                 raise ValidationError(f"{name} must be positive, got {price}")
-            store(self, price)
+            prices.append(price)
+        self._store(*prices)
 
     def to_dict(self) -> dict[str, float]:
         return {
@@ -252,9 +258,6 @@ class PricingSchedule(_Record):
             "llm_in": self.llm_in,
             "llm_out": self.llm_out,
         }
-
-
-_set_prices = _setters(PricingSchedule)
 
 
 class SampleRecord(_Record):
@@ -315,7 +318,7 @@ class SampleRecord(_Record):
         }
 
 
-_set_answer, _set_correct, _set_tokens, _set_level, _set_refusal = _setters(SampleRecord)
+_set_answer, _set_correct, _set_tokens, _set_level, _set_refusal = SampleRecord._stores
 
 
 class LlmOutcome(_Record):
@@ -335,7 +338,7 @@ class LlmOutcome(_Record):
         return {"correct": self.correct, "tokens": self.tokens}
 
 
-_set_llm_correct, _set_llm_tokens = _setters(LlmOutcome)
+_set_llm_correct, _set_llm_tokens = LlmOutcome._stores
 
 
 class QuestionRecord(_Record):
@@ -411,7 +414,7 @@ class QuestionRecord(_Record):
         }
 
 
-_set_id, _set_input_tokens, _set_samples, _set_pre_score, _set_llm = _setters(QuestionRecord)
+_set_id, _set_input_tokens, _set_samples, _set_pre_score, _set_llm = QuestionRecord._stores
 
 
 def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
@@ -474,10 +477,7 @@ class DatasetProfile(_Record):
             raise ValidationError("avg_llm_tokens must be positive when present")
         if not 0 <= _as_int(n_with_llm, "n_with_llm") <= len(ids):
             raise ValidationError("n_with_llm out of range")
-        _set_ids(self, ids)
-        _set_profile_tokens(self, input_tokens)
-        _set_avg_llm_tokens(self, avg_llm_tokens)
-        _set_n_with_llm(self, n_with_llm)
+        self._store(ids, input_tokens, avg_llm_tokens, n_with_llm)
 
     @property
     def n_questions(self) -> int:
@@ -500,9 +500,6 @@ class DatasetProfile(_Record):
             avg_llm_tokens=avg,
             n_with_llm=len(llm_tokens),
         )
-
-
-_set_ids, _set_profile_tokens, _set_avg_llm_tokens, _set_n_with_llm = _setters(DatasetProfile)
 
 
 class RoutingOutcome(_Record):
@@ -552,14 +549,7 @@ class RoutingOutcome(_Record):
             raise ValidationError("an unrouted question cannot incur LLM cost")
         if routed and accepted_answer is not None:
             raise ValidationError("a routed question has no accepted SLM answer")
-        for store, value in zip(
-            _set_outcome,
-            (question_id, mode, routed, quality, slm_cost, llm_cost, latency, accepted_answer),
-        ):
-            store(self, value)
-
-
-_set_outcome = _setters(RoutingOutcome)
+        self._store(question_id, mode, routed, quality, slm_cost, llm_cost, latency, accepted_answer)
 
 
 class CurvePoint(_Record):
@@ -598,14 +588,7 @@ class CurvePoint(_Record):
         n_routed = _as_int(n_routed, "n_routed")
         if n_routed < 0:
             raise ValidationError(f"n_routed must be >= 0, got {n_routed}")
-        _set_cost(self, cost)
-        _set_performance(self, performance)
-        _set_tau(self, tau)
-        _set_label(self, label)
-        _set_n_routed(self, n_routed)
-
-
-_set_cost, _set_performance, _set_tau, _set_label, _set_n_routed = _setters(CurvePoint)
+        self._store(cost, performance, tau, label, n_routed)
 
 
 class MetricsReport(_Record):
@@ -640,8 +623,7 @@ class MetricsReport(_Record):
             toa100 = _as_float(toa100, "toa100")
         if togr is not None:
             togr = _as_float(togr, "togr")
-        for store, value in zip(_set_report, (toa, agl, arol, mode, toa100, togr)):
-            store(self, value)
+        self._store(toa, agl, arol, mode, toa100, togr)
 
     @property
     def toga(self) -> float:
@@ -662,9 +644,6 @@ class MetricsReport(_Record):
             "arol": self.arol,
             "mode": self.mode,
         }
-
-
-_set_report = _setters(MetricsReport)
 
 
 class PreferencePair(_Record):
@@ -690,11 +669,7 @@ class PreferencePair(_Record):
                 f"rejected completion must exceed {REJECTED_TOKEN_RATIO}x the chosen "
                 f"length; got {rejected_tokens} vs {chosen_tokens} tokens"
             )
-        _set_pair_id(self, question_id)
-        _set_chosen(self, chosen)
-        _set_rejected(self, rejected)
-        _set_chosen_tokens(self, chosen_tokens)
-        _set_rejected_tokens(self, rejected_tokens)
+        self._store(question_id, chosen, rejected, chosen_tokens, rejected_tokens)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -704,9 +679,6 @@ class PreferencePair(_Record):
             "chosen_tokens": self.chosen_tokens,
             "rejected_tokens": self.rejected_tokens,
         }
-
-
-_set_pair_id, _set_chosen, _set_rejected, _set_chosen_tokens, _set_rejected_tokens = _setters(PreferencePair)
 
 
 class RefusalExample(_Record):
@@ -729,10 +701,7 @@ class RefusalExample(_Record):
                 f"prompt for threshold {threshold:.1f} must start with {prefix!r}"
             )
         _as_str(target, "target")
-        _set_example_id(self, question_id)
-        _set_threshold(self, threshold)
-        _set_prompt(self, prompt)
-        _set_target(self, target)
+        self._store(question_id, threshold, prompt, target)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -741,9 +710,6 @@ class RefusalExample(_Record):
             "prompt": self.prompt,
             "target": self.target,
         }
-
-
-_set_example_id, _set_threshold, _set_prompt, _set_target = _setters(RefusalExample)
 
 
 class LatencyReport(_Record):
@@ -757,13 +723,7 @@ class LatencyReport(_Record):
     __slots__ = ("agl", "arol", "n_accepted", "n_rejected")
 
     def __init__(self, agl: float, arol: float, n_accepted: int, n_rejected: int) -> None:
-        _set_latency_agl(self, agl)
-        _set_latency_arol(self, arol)
-        _set_n_accepted(self, n_accepted)
-        _set_n_rejected(self, n_rejected)
-
-
-_set_latency_agl, _set_latency_arol, _set_n_accepted, _set_n_rejected = _setters(LatencyReport)
+        self._store(agl, arol, n_accepted, n_rejected)
 
 
 def _latency_report(decisions: Iterable[tuple[bool, int]]) -> LatencyReport:
@@ -797,9 +757,4 @@ class SweepResult(_Record):
         perfect_points: tuple[CurvePoint, ...],
         latency: LatencyReport | None = None,
     ) -> None:
-        _set_points(self, points)
-        _set_perfect_points(self, perfect_points)
-        _set_latency(self, latency)
-
-
-_set_points, _set_perfect_points, _set_latency = _setters(SweepResult)
+        self._store(points, perfect_points, latency)

@@ -38,7 +38,6 @@ from .records import (
     _as_count,
     _as_number,
     _as_str,
-    _setters,
     refusal_prompt,
 )
 
@@ -67,7 +66,7 @@ class ResponseSample(_Record):
         _set_tokens(self, tokens)
 
 
-_set_text, _set_correct, _set_tokens = _setters(ResponseSample)
+_set_text, _set_correct, _set_tokens = ResponseSample._stores
 
 
 class TrainingQuestion(_Record):
@@ -98,7 +97,7 @@ class TrainingQuestion(_Record):
         _set_samples(self, samples)
 
 
-_set_id, _set_question, _set_samples = _setters(TrainingQuestion)
+_set_id, _set_question, _set_samples = TrainingQuestion._stores
 
 
 def build_dpo_pair(
@@ -217,12 +216,7 @@ class LossTerms(_Record):
     __slots__ = ("dpo", "sft", "total")
 
     def __init__(self, dpo: float, sft: float, total: float) -> None:
-        _set_dpo(self, dpo)
-        _set_sft(self, sft)
-        _set_total(self, total)
-
-
-_set_dpo, _set_sft, _set_total = _setters(LossTerms)
+        self._store(dpo, sft, total)
 
 
 def combined_loss(
