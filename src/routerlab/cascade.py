@@ -28,6 +28,7 @@ from .records import (
     SampleRecord,
     SweepResult,
     ValidationError,
+    _as_float,
     _as_number,
     _latency_report,
     confidence_ladder,
@@ -48,10 +49,11 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
 
     Linear in the level: ``0.55 + alpha * (level - 0.55)``. At alpha = 0
     every level votes with the same weight; larger alpha spreads weights
-    apart around the anchor.
+    apart around the anchor. Alpha is checked first, then the level,
+    which must be a finite number.
     """
     _check_alpha(alpha)
-    level = float(confidence_level)
+    level = _as_float(confidence_level, "confidence_level")
     weight = WEIGHT_ANCHOR + alpha * (level - WEIGHT_ANCHOR)
     if not weight > 0:
         raise ValidationError(
@@ -193,6 +195,7 @@ def simulate_parallel(
     ``(accepted, answer, share, latency_tokens, stopped_early)``, where
     ``answer`` is None when every sample refused.
     """
+    (tau,) = normalize_taus((tau,))  # then alpha, then the samples, as in route_cascade
     answers, codes, weights, tokens = _encode(samples, _Weights(alpha))
     accepted, winner, share, latency, stopped_early = cascade_vote(
         codes, weights, tokens, tau

@@ -47,8 +47,8 @@ from .records import (
     ValidationError,
     _Record,
     _as_bool,
-    _as_float,
     _as_int,
+    _as_number,
     refusal_prompt,
 )
 from .trainset import ResponseSample, TrainingQuestion, _question_seed
@@ -497,20 +497,20 @@ class SyntheticParams(_Record):
             raise ValidationError("rcv generates the full confidence ladder; n_samples must be 10")
         if n_samples < 1:
             raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-        difficulty_min = _synth_number(difficulty_min, "difficulty_min")
-        difficulty_max = _synth_number(difficulty_max, "difficulty_max")
+        difficulty_min = float(_as_number(difficulty_min, "difficulty_min"))
+        difficulty_max = float(_as_number(difficulty_max, "difficulty_max"))
         if not 0.0 <= difficulty_min <= difficulty_max <= 1.0:
             raise ValidationError(
                 "difficulty bounds must satisfy 0 <= min <= max <= 1, got "
                 f"{difficulty_min}..{difficulty_max}"
             )
-        easy_fraction = _synth_number(easy_fraction, "easy_fraction")
+        easy_fraction = float(_as_number(easy_fraction, "easy_fraction"))
         if not 0.0 <= easy_fraction <= 1.0:
             raise ValidationError(f"easy_fraction must lie in [0, 1], got {easy_fraction}")
-        llm_correct_prob = _synth_number(llm_correct_prob, "llm_correct_prob")
+        llm_correct_prob = float(_as_number(llm_correct_prob, "llm_correct_prob"))
         if not 0.0 <= llm_correct_prob <= 1.0:
             raise ValidationError(f"llm_correct_prob must lie in [0, 1], got {llm_correct_prob}")
-        pre_score_noise = _synth_number(pre_score_noise, "pre_score_noise")
+        pre_score_noise = float(_as_number(pre_score_noise, "pre_score_noise"))
         if not (math.isfinite(pre_score_noise) and pre_score_noise >= 0):
             raise ValidationError(
                 f"pre_score_noise must be a finite number >= 0, got {pre_score_noise}"
@@ -520,12 +520,6 @@ class SyntheticParams(_Record):
             scheme, n_samples, difficulty_min, difficulty_max, easy_fraction,
             llm_correct_prob, pre_score_noise, include_llm,
         )
-
-
-def _synth_number(value: Any, name: str) -> float:
-    """A float as it is, nan and inf too, for the range check that names
-    its value; any other value as ``_as_float`` converts or rejects it."""
-    return value if type(value) is float else _as_float(value, name)
 
 
 def generate_synthetic(

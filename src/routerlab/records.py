@@ -466,6 +466,15 @@ class DatasetProfile(_Record):
             raise ValidationError("profile ids and input_tokens must align")
         if not ids:
             raise ValidationError("profile requires at least one question")
+        # The exact-type pass keeps from_questions, whose items are checked, cheap.
+        if not (
+            all(type(qid) is str and qid.isascii() and qid for qid in ids)
+            and all(type(t) is int and 0 < t < _FLOAT_SAFE_INT for t in input_tokens)
+        ):
+            for i, qid in enumerate(ids):
+                _as_str(qid, f"ids[{i}]")
+            for i, tokens in enumerate(input_tokens):
+                _as_count(tokens, f"input_tokens[{i}]")
         # Strictly increasing is sorted and unique; an unsorted run is
         # reported first, even where it also repeats an id.
         if not all(map(lt, ids, ids[1:])):

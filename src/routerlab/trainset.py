@@ -36,6 +36,7 @@ from .records import (
     _Record,
     _as_bool,
     _as_count,
+    _as_float,
     _as_number,
     _as_str,
     refusal_prompt,
@@ -235,7 +236,12 @@ def combined_loss(
     The anchor is the chosen completion's mean negative log-likelihood
     under the policy, weighted by ``sft_weight``; it keeps the policy
     from drifting off the chosen behaviour while the margin grows.
+    Each log-probability must be a finite number.
     """
+    chosen_logp_policy = _as_float(chosen_logp_policy, "chosen_logp_policy")
+    chosen_logp_ref = _as_float(chosen_logp_ref, "chosen_logp_ref")
+    rejected_logp_policy = _as_float(rejected_logp_policy, "rejected_logp_policy")
+    rejected_logp_ref = _as_float(rejected_logp_ref, "rejected_logp_ref")
     if not (math.isfinite(_as_number(beta, "beta")) and beta > 0):
         raise ValidationError(f"beta must be positive, got {beta}")
     if not (math.isfinite(_as_number(sft_weight, "sft_weight")) and sft_weight >= 0):

@@ -67,6 +67,33 @@ class TestVoteWeight:
     def test_int_alpha_weighs_as_its_float(self):
         assert vote_weight(0.1, 1) == vote_weight(0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            ("0.5", "confidence_level must be a number, got '0.5'"),
+            (True, "confidence_level must be a number, got True"),
+            (math.nan, "confidence_level must be a finite number, got nan"),
+            (math.inf, "confidence_level must be a finite number, got inf"),
+        ],
+        ids=["string", "bool", "nan", "inf"],
+    )
+    def test_bad_level_names_the_level(self, level, message):
+        with pytest.raises(ValidationError) as caught:
+            vote_weight(level, 0.5)
+        assert str(caught.value) == message
+
+    def test_alpha_checked_before_the_level(self):
+        with pytest.raises(ValidationError) as caught:
+            vote_weight("0.5", -1.0)
+        assert str(caught.value) == "alpha must be a finite number >= 0, got -1.0"
+
+    def test_finite_level_keeps_the_nonpositive_weight_message(self):
+        with pytest.raises(ValidationError) as caught:
+            vote_weight(0, 2.0)
+        assert str(caught.value) == (
+            "alpha=2.0 gives a nonpositive vote weight for confidence 0.0; weights must stay positive"
+        )
+
 
 def _alpha_calls(synth_rcv, pricing):
     questions, profile = synth_rcv
@@ -140,6 +167,25 @@ class TestDecide:
 
 
 class TestSimulateParallel:
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            (math.nan, "thresholds must lie in [0, 1], got nan"),
+            (1.5, "thresholds must lie in [0, 1], got 1.5"),
+            (-3.0, "thresholds must lie in [0, 1], got -3.0"),
+            (True, "thresholds must be numbers in [0, 1], got True"),
+            ("0.5", "thresholds must be numbers in [0, 1], got '0.5'"),
+        ],
+        ids=["nan", "above_one", "negative", "bool", "string"],
+    )
+    def test_bad_tau_rejected_first(self, tau, message):
+        # With no samples and a bad alpha too, tau is still named first,
+        # as in route_cascade.
+        for samples, alpha in ((sc_votes(["a"] * 10), DEFAULT_ALPHA), ([], -1.0)):
+            with pytest.raises(ValidationError) as caught:
+                simulate_parallel(samples, tau, alpha)
+            assert str(caught.value) == message
+
     def test_matches_reference_vote(self):
         samples = sc_votes(["a", "a", "b", "c"], tokens=[10, 44, 20, 5])
         result = simulate_parallel(samples, 0.5, alpha=0.5)

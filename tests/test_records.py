@@ -391,6 +391,36 @@ class TestDatasetProfile:
         profile = DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=5, n_with_llm=1)
         assert type(profile.avg_llm_tokens) is int and profile.avg_llm_tokens == 5
 
+    @pytest.mark.parametrize(
+        "ids, input_tokens, message",
+        [
+            (("a",), ("x",), "input_tokens[0] must be an integer, got 'x'"),
+            (("a", "b"), (1, True), "input_tokens[1] must be an integer, got True"),
+            (("a", "b"), (1, 2.0), "input_tokens[1] must be an integer, got 2.0"),
+            (("a", "b"), (1, 0), "input_tokens[1] must be >= 1, got 0"),
+            (("a", 1), (1, 2), "ids[1] must be a non-empty string, got 1"),
+            (("", "a"), (1, 2), "ids[0] must be a non-empty string, got ''"),
+            (
+                ("a", "\ud800"), (1, 2),
+                "ids[1] holds a lone surrogate U+D800 at index 0, which UTF-8 cannot encode",
+            ),
+            (("b", "a"), ("x", 1), "input_tokens[0] must be an integer, got 'x'"),
+            (("b", 1), ("x", 2), "ids[1] must be a non-empty string, got 1"),
+        ],
+        ids=[
+            "string_count", "bool_count", "float_count", "zero_count", "int_id", "empty_id",
+            "lone_surrogate_id", "count_before_order", "id_before_count",
+        ],
+    )
+    def test_bad_items_rejected_before_the_order_check(self, ids, input_tokens, message):
+        with pytest.raises(ValidationError) as caught:
+            DatasetProfile(ids=ids, input_tokens=input_tokens, avg_llm_tokens=None, n_with_llm=0)
+        assert str(caught.value) == message
+
+    def test_non_ascii_ids_accepted(self):
+        profile = DatasetProfile(ids=("a", "é"), input_tokens=(1, 2), avg_llm_tokens=None, n_with_llm=0)
+        assert profile.ids == ("a", "é")
+
 
 class TestRoutingOutcome:
     def test_unrouted_cannot_carry_llm_cost(self):
@@ -697,10 +727,12 @@ class TestLlmOutcome:
 
 def record_fields():
     """Keyword arguments for one record of every record class, made anew
-    on each call so that two records are equal without being the same."""
+    on each call so that two records are equal without being the same.
+    A record's values are pairwise unequal, so a record that stores them
+    in another order fails the gates below."""
 
-    def point():
-        return CurvePoint(cost=0.5, performance=0.75, tau=0.3, n_routed=2)
+    def point(performance):
+        return CurvePoint(cost=0.5, performance=performance, tau=0.3, n_routed=2)
 
     return {
         PricingSchedule: dict(slm_in=0.1, slm_out=0.2, llm_in=0.3, llm_out=0.4),
@@ -712,8 +744,8 @@ def record_fields():
         ),
         DatasetProfile: dict(ids=("a", "b"), input_tokens=(3, 4), avg_llm_tokens=2.5, n_with_llm=2),
         RoutingOutcome: dict(
-            question_id="q", mode="cascade", routed=False, quality=1.0, slm_cost=1e-6,
-            llm_cost=0.0, decision_latency_tokens=3, accepted_answer="a",
+            question_id="q", mode="cascade", routed=True, quality=0.75, slm_cost=1e-6,
+            llm_cost=2e-6, decision_latency_tokens=3, accepted_answer=None,
         ),
         CurvePoint: dict(cost=0.5, performance=0.75, tau=0.3, label=None, n_routed=2),
         MetricsReport: dict(toa=0.7, agl=3.0, arol=4.0, mode="actual", toa100=0.8, togr=0.9),
@@ -723,10 +755,10 @@ def record_fields():
         RefusalExample: dict(
             question_id="q", threshold=0.3, prompt=refusal_prompt(0.3, "Q"), target="a"
         ),
-        LatencyReport: dict(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2),
+        LatencyReport: dict(agl=2.5, arol=5.0, n_accepted=1, n_rejected=2),
         SweepResult: dict(
-            points=(point(),), perfect_points=(point(),),
-            latency=LatencyReport(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2),
+            points=(point(0.75),), perfect_points=(point(1.0),),
+            latency=LatencyReport(agl=2.5, arol=5.0, n_accepted=1, n_rejected=2),
         ),
         ResponseSample: dict(text="t", correct=True, tokens=5),
         TrainingQuestion: dict(
@@ -735,7 +767,7 @@ def record_fields():
         LossTerms: dict(dpo=0.1, sft=0.2, total=0.3),
         SyntheticParams: dict(
             scheme="sc", n_samples=3, difficulty_min=0.1, difficulty_max=0.9, easy_fraction=0.2,
-            llm_correct_prob=0.8, pre_score_noise=0.1, include_llm=False,
+            llm_correct_prob=0.8, pre_score_noise=0.3, include_llm=False,
         ),
     }
 
@@ -759,8 +791,8 @@ REPRS = {
         "DatasetProfile(ids=('a', 'b'), input_tokens=(3, 4), avg_llm_tokens=2.5, n_with_llm=2)"
     ),
     RoutingOutcome: (
-        "RoutingOutcome(question_id='q', mode='cascade', routed=False, quality=1.0, "
-        "slm_cost=1e-06, llm_cost=0.0, decision_latency_tokens=3, accepted_answer='a')"
+        "RoutingOutcome(question_id='q', mode='cascade', routed=True, quality=0.75, "
+        "slm_cost=1e-06, llm_cost=2e-06, decision_latency_tokens=3, accepted_answer=None)"
     ),
     CurvePoint: "CurvePoint(cost=0.5, performance=0.75, tau=0.3, label=None, n_routed=2)",
     MetricsReport: (
@@ -774,11 +806,11 @@ REPRS = {
         "RefusalExample(question_id='q', threshold=0.3, "
         "prompt='Please respond with a confidence level of 0.3: Q', target='a')"
     ),
-    LatencyReport: "LatencyReport(agl=2.0, arol=5.0, n_accepted=1, n_rejected=2)",
+    LatencyReport: "LatencyReport(agl=2.5, arol=5.0, n_accepted=1, n_rejected=2)",
     SweepResult: (
         "SweepResult(points=(CurvePoint(cost=0.5, performance=0.75, tau=0.3, label=None, "
-        "n_routed=2),), perfect_points=(CurvePoint(cost=0.5, performance=0.75, tau=0.3, "
-        "label=None, n_routed=2),), latency=LatencyReport(agl=2.0, arol=5.0, n_accepted=1, "
+        "n_routed=2),), perfect_points=(CurvePoint(cost=0.5, performance=1.0, tau=0.3, "
+        "label=None, n_routed=2),), latency=LatencyReport(agl=2.5, arol=5.0, n_accepted=1, "
         "n_rejected=2))"
     ),
     ResponseSample: "ResponseSample(text='t', correct=True, tokens=5)",
@@ -789,7 +821,7 @@ REPRS = {
     LossTerms: "LossTerms(dpo=0.1, sft=0.2, total=0.3)",
     SyntheticParams: (
         "SyntheticParams(scheme='sc', n_samples=3, difficulty_min=0.1, difficulty_max=0.9, "
-        "easy_fraction=0.2, llm_correct_prob=0.8, pre_score_noise=0.1, include_llm=False)"
+        "easy_fraction=0.2, llm_correct_prob=0.8, pre_score_noise=0.3, include_llm=False)"
     ),
 }
 

@@ -290,6 +290,37 @@ class TestCombinedLoss:
             combined_loss(-1.0, -2.0, -3.0, -4.0, chosen_token_count=1, **{knob: value})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "name", ["chosen_logp_policy", "chosen_logp_ref", "rejected_logp_policy", "rejected_logp_ref"]
+    )
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (math.nan, "must be a finite number, got nan"),
+            (-math.inf, "must be a finite number, got -inf"),
+            ("-1.0", "must be a number, got '-1.0'"),
+            (True, "must be a number, got True"),
+        ],
+        ids=["nan", "minus_inf", "string", "bool"],
+    )
+    def test_bad_log_probability_named_first(self, name, value, problem):
+        # The count and both knobs are bad too: the log-probabilities come first.
+        logps = dict(
+            chosen_logp_policy=-1.0, chosen_logp_ref=-2.0, rejected_logp_policy=-3.0, rejected_logp_ref=-4.0
+        )
+        logps[name] = value
+        with pytest.raises(ValidationError) as caught:
+            combined_loss(**logps, chosen_token_count=0, beta=0.0, sft_weight=-1.0)
+        assert str(caught.value) == f"{name} {problem}"
+
+    def test_log_probabilities_checked_in_signature_order(self):
+        with pytest.raises(ValidationError) as caught:
+            combined_loss(-1.0, "x", math.nan, "y", chosen_token_count=1)
+        assert str(caught.value) == "chosen_logp_ref must be a number, got 'x'"
+
+    def test_int_log_probabilities_accepted(self):
+        assert combined_loss(-1, -2, -3, -4, 1) == combined_loss(-1.0, -2.0, -3.0, -4.0, 1)
+
     def test_int_knobs_accepted(self):
         assert combined_loss(-1.0, -2.0, -3.0, -4.0, 1, beta=2, sft_weight=0) == combined_loss(
             -1.0, -2.0, -3.0, -4.0, 1, beta=2.0, sft_weight=0.0
