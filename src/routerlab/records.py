@@ -12,10 +12,11 @@ convert or reject it, and ends with one ``self._store(...)`` of the
 checked values in field order. Only the five records the loaders build
 once per line or per sample (``SampleRecord``, ``LlmOutcome``,
 ``QuestionRecord``, and ``trainset``'s ``ResponseSample`` and
-``TrainingQuestion``) differ, in two ways that each pay only at that
-traffic: they test the common exact types inline first, calling a
-helper for any other value, and they store each field with its own
-call, through module-level names unpacked from the class's ``_stores``.
+``TrainingQuestion``) differ, in two ways that are each worth their
+code only at that traffic: they test the common exact types inline
+first, calling a helper for any other value, and they store each field
+with its own call, through module-level names unpacked from the class's
+``_stores``.
 
 No record uses ``dataclasses``: importing it (with ``inspect``) and
 generating 16 classes cost about 20 ms at every start of the CLI,
