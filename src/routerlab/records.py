@@ -204,7 +204,8 @@ class _Record:
         cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _store(self, *values: Any) -> None:
-        """Store one value per field, in field order."""
+        """Store one value per field, in field order; for ``__init__`` only,
+        as a wrong count raises after storing the leading values."""
         for store, value in zip(self._stores, values, strict=True):
             store(self, value)
 
@@ -467,15 +468,10 @@ class DatasetProfile(_Record):
             raise ValidationError("profile ids and input_tokens must align")
         if not ids:
             raise ValidationError("profile requires at least one question")
-        # The exact-type pass keeps from_questions, whose items are checked, cheap.
-        if not (
-            all(type(qid) is str and qid.isascii() and qid for qid in ids)
-            and all(type(t) is int and 0 < t < _FLOAT_SAFE_INT for t in input_tokens)
-        ):
-            for i, qid in enumerate(ids):
-                _as_str(qid, f"ids[{i}]")
-            for i, tokens in enumerate(input_tokens):
-                _as_count(tokens, f"input_tokens[{i}]")
+        for i, qid in enumerate(ids):
+            _as_str(qid, f"ids[{i}]")
+        for i, tokens in enumerate(input_tokens):
+            _as_count(tokens, f"input_tokens[{i}]")
         # Strictly increasing is sorted and unique; an unsorted run is
         # reported first, even where it also repeats an id.
         if not all(map(lt, ids, ids[1:])):
