@@ -30,8 +30,8 @@ from .records import (
     ValidationError,
     _as_float,
     _as_number,
+    _ladder,
     _latency_report,
-    confidence_ladder,
     normalize_taus,
 )
 
@@ -50,10 +50,12 @@ def vote_weight(confidence_level: float, alpha: float = DEFAULT_ALPHA) -> float:
     Linear in the level: ``0.55 + alpha * (level - 0.55)``. At alpha = 0
     every level votes with the same weight; larger alpha spreads weights
     apart around the anchor. Alpha is checked first, then the level,
-    which must be a finite number.
+    which must be a number in [0, 1].
     """
     _check_alpha(alpha)
     level = _as_float(confidence_level, "confidence_level")
+    if not 0.0 <= level <= 1.0:
+        raise ValidationError(f"confidence_level must lie in [0, 1], got {level}")
     weight = WEIGHT_ANCHOR + alpha * (level - WEIGHT_ANCHOR)
     if not weight > 0:
         raise ValidationError(
@@ -85,21 +87,21 @@ class _Weights(dict):
 
 
 def _encode(
-    samples: Sequence[SampleRecord], weight_of: _Weights
-) -> tuple[tuple[str, ...], list[int], list[float], list[int]]:
-    """Flatten samples into the parallel lists the vote consumes.
+    answers: Sequence[str | None], levels: Sequence[float | None], weight_of: _Weights
+) -> tuple[tuple[str, ...], list[int], list[float]]:
+    """Candidate answers, and one candidate code and one vote weight per
+    sample, from the samples' answers and confidence levels.
 
     Candidate codes are assigned in sorted-answer order, so the vote's
     lowest-code tie-break is exactly a lexicographic tie-break.
     """
-    if not samples:
+    if not answers:
         raise ValidationError("a cascade vote needs at least one sample")
-    answers = tuple(sorted({s.answer for s in samples if s.answer is not None}))
-    code_of = {answer: code for code, answer in enumerate(answers)}
-    codes = [-1 if s.answer is None else code_of[s.answer] for s in samples]
-    weights = [weight_of[s.confidence_level] for s in samples]
-    tokens = [s.tokens for s in samples]
-    return answers, codes, weights, tokens
+    candidates = tuple(sorted({answer for answer in answers if answer is not None}))
+    code_of = {answer: code for code, answer in enumerate(candidates)}
+    codes = [-1 if answer is None else code_of[answer] for answer in answers]
+    weights = [weight_of[level] for level in levels]
+    return candidates, codes, weights
 
 
 def cascade_vote(
@@ -196,9 +198,12 @@ def simulate_parallel(
     ``answer`` is None when every sample refused.
     """
     (tau,) = normalize_taus((tau,))  # then alpha, then the samples, as in route_cascade
-    answers, codes, weights, tokens = _encode(samples, _Weights(alpha))
+    weight_of = _Weights(alpha)
+    answers, codes, weights = _encode(
+        [s.answer for s in samples], [s.confidence_level for s in samples], weight_of
+    )
     accepted, winner, share, latency, stopped_early = cascade_vote(
-        codes, weights, tokens, tau
+        codes, weights, [s.tokens for s in samples], tau
     )
     answer = answers[winner] if winner >= 0 else None
     return accepted, answer, share, latency, stopped_early
@@ -213,6 +218,12 @@ def select_samples(
     * ``fcv`` replays k samples conditioned on full confidence (1.0).
     * ``sc`` replays k unconditioned samples.
     """
+    samples = question.slm_samples
+    return tuple(samples[index] for index in _selected(question, scheme, k))
+
+
+def _selected(question: QuestionRecord, scheme: str, k: int) -> Sequence[int]:
+    """The indices of the samples ``select_samples`` returns, in its order."""
     if scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -220,19 +231,20 @@ def select_samples(
     if scheme == "rcv":
         if k != 10:
             raise ValidationError("rcv replays the full confidence ladder; k must be 10")
-        return confidence_ladder(question)
+        return _ladder(question)
+    levels = question.levels
     if scheme == "fcv":
-        pool = [s for s in question.slm_samples if s.confidence_level == 1.0]
+        pool = [index for index, level in enumerate(levels) if level == 1.0]
         label = "at confidence 1.0"
     else:
-        pool = [s for s in question.slm_samples if s.confidence_level is None]
+        pool = [index for index, level in enumerate(levels) if level is None]
         label = "without a confidence level"
     if len(pool) < k:
         raise ValidationError(
             f"question {question.id!r}: {scheme} needs {k} samples {label}, "
             f"found {len(pool)}"
         )
-    return tuple(pool[:k])
+    return pool[:k]
 
 
 def route_cascade(
@@ -276,14 +288,17 @@ def _cascade_row(
     question: QuestionRecord, scheme: str, k: int, weight_of: _Weights,
     profile: DatasetProfile, pricing: PricingSchedule, assume_perfect: bool, latency_tau: float,
 ) -> tuple[tuple, tuple[bool, int]]:
-    """Engine row of one question, scored by its full-tally winner share,
-    and its ``(accepted, latency)`` at ``latency_tau``. The cascade
+    """Engine row of one question, voted from the columns of the samples
+    its scheme selects and scored by its full-tally winner share, and its
+    ``(accepted, latency)`` at ``latency_tau``. The cascade
     accepts exactly when that share reaches tau, so one vote serves every
     tau; costs and qualities are those ``route_cascade`` gives."""
-    samples = select_samples(question, scheme, k)
-    answers, codes, weights, tokens = _encode(samples, weight_of)
+    selected = _selected(question, scheme, k)
+    answers = [question.answers[i] for i in selected]
+    tokens = [question.tokens[i] for i in selected]
+    candidates, codes, weights = _encode(answers, [question.levels[i] for i in selected], weight_of)
     accepted, winner, share, latency, _stopped = cascade_vote(codes, weights, tokens, latency_tau)
-    winner_correct = winner >= 0 and next(s.correct for s in samples if s.answer == answers[winner])
+    winner_correct = winner >= 0 and question.correct[selected[answers.index(candidates[winner])]]
     slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
     route_cost = slm_cost + llm_question_cost(question, profile, pricing)
     row = (share, question.id, slm_cost, float(winner_correct), route_cost, llm_quality(question, assume_perfect))

@@ -83,12 +83,14 @@ def _require_avg_llm_tokens(profile: DatasetProfile) -> float:
 
 def mean_sample_tokens(question: QuestionRecord) -> float:
     """Mean generated length over all stored SLM samples."""
-    return sum(s.tokens for s in question.slm_samples) / len(question.slm_samples)
+    tokens = question.tokens
+    return sum(tokens) / len(tokens)
 
 
 def mean_sample_correct(question: QuestionRecord) -> float:
     """Fraction of stored SLM samples that are correct (refusals count as wrong)."""
-    return sum(1 for s in question.slm_samples if s.correct) / len(question.slm_samples)
+    correct = question.correct
+    return sum(correct) / len(correct)
 
 
 def normalized_pre_cost(

@@ -49,6 +49,7 @@ from .records import (
     _as_bool,
     _as_int,
     _as_number,
+    _sample_fields,
     refusal_prompt,
 )
 from .trainset import ResponseSample, TrainingQuestion, _question_seed
@@ -205,8 +206,11 @@ def _object(
     return values
 
 
-def _records(listed: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...]:
-    """The ``kind.cls`` records of a decoded list of objects.
+def _records(
+    listed: Any, kind: _Kind, source: str, name: str, make: Callable[..., Any]
+) -> list[Any]:
+    """``make(*fields)`` of each item of a decoded list of ``kind.cls``
+    objects: the record itself, or the checked fields of one.
 
     Each item is read as ``_object`` reads it, an item with exactly the
     record's keys as it is. ``name`` is the list's field: an error about
@@ -215,15 +219,15 @@ def _records(listed: Any, kind: _Kind, source: str, name: str) -> tuple[Any, ...
     if not isinstance(listed, (list, tuple)):
         raise ValidationError(f"{name} must be a list")
     records = []
-    cls, known, args = kind.cls, kind.known, kind.args
+    known, args = kind.known, kind.args
     for index, item in enumerate(listed):
         if type(item) is not dict or item.keys() != known:  # as _object reads it
             item = _object(item, kind, source, name, index)
         try:
-            records.append(cls(*args(item)))
+            records.append(make(*args(item)))
         except ValidationError as exc:
             raise ValidationError(f"{name}[{index}]: {exc}") from exc
-    return tuple(records)
+    return records
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:
@@ -234,11 +238,11 @@ def parse_question(data: Mapping[str, Any], source: str = "question") -> Questio
     a sample starts with its place, as in ``slm_samples[3]: ``.
     """
     values = _object(data, _QUESTION, source)
-    samples = _records(values["slm_samples"], _SAMPLE, source, "slm_samples")
+    rows = _records(values["slm_samples"], _SAMPLE, source, "slm_samples", _sample_fields)
     llm = values["llm"]
     if llm is not None:
         llm = LlmOutcome(*_LLM.args(_object(llm, _LLM, source, "llm")))
-    return QuestionRecord(values["id"], values["input_tokens"], samples, values["pre_score"], llm)
+    return QuestionRecord._from_rows(values["id"], values["input_tokens"], rows, values["pre_score"], llm)
 
 
 def _load(path: str, parse: Callable[..., Any]) -> tuple[Any, ...]:
@@ -390,7 +394,7 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
     values = _object(data, _TRAINING, source)
-    samples = _records(values["samples"], _RESPONSE, source, "samples")
+    samples = _records(values["samples"], _RESPONSE, source, "samples", ResponseSample)
     return TrainingQuestion(values["id"], values["question"], samples)
 
 

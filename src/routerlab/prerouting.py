@@ -30,7 +30,7 @@ from .records import (
     SampleRecord,
     SweepResult,
     ValidationError,
-    confidence_ladder,
+    _ladder,
     normalize_taus,
 )
 
@@ -41,9 +41,10 @@ def derive_refusal_score(question: QuestionRecord) -> float:
     """Routing score from refusal behaviour: the highest confidence level
     at which the recorded SLM still answered, or 0.0 if it refused at
     every level. Requires exactly one sample per level."""
+    refusals = question.refusals
     score = 0.0
-    for level, sample in zip(CONFIDENCE_LEVELS, confidence_ladder(question)):
-        if not sample.refusal:
+    for level, index in zip(CONFIDENCE_LEVELS, _ladder(question)):
+        if not refusals[index]:
             score = level
     return score
 

@@ -5,17 +5,23 @@ Every type validates its invariants at construction and raises
 record instance it holds is well formed. All records are immutable.
 
 The constructor is the only way to make a record; ``io``'s loaders and
-the ``trainset`` builders call it too. Each record is a slotted
-``_Record`` with a hand-written ``__init__`` that holds all of its
-rules: it checks each value through the ``_as_*`` helpers, which
+the ``trainset`` builders call it too, except that the question loader
+calls ``QuestionRecord._from_rows``, which runs the constructor's
+question checks on samples ``_sample_fields`` checked. Each record is
+a slotted ``_Record`` with a hand-written ``__init__`` that holds all
+of its rules: it checks each value through the ``_as_*`` helpers, which
 convert or reject it, and ends with one ``self._store(...)`` of the
-checked values in field order. Only the five records the loaders build
-once per line or per sample (``SampleRecord``, ``LlmOutcome``,
-``QuestionRecord``, and ``trainset``'s ``ResponseSample`` and
-``TrainingQuestion``) differ, in two ways that are each worth their
-code only at that traffic: they test the common exact types inline
-first, calling a helper for any other value, and they store each field
-with its own call, through module-level names unpacked from the class's
+checked values in field order. ``_sample_fields`` holds a sample's
+rules, for ``SampleRecord`` and for the loader, which keeps a
+question's samples as columns and makes no record per sample.
+
+The four records the loaders build once per line or per sample
+(``LlmOutcome``, ``QuestionRecord``, and ``trainset``'s
+``ResponseSample`` and ``TrainingQuestion``) and ``_sample_fields``
+differ, in two ways that are each worth their code only at that
+traffic: they test the common exact types inline first, calling a
+helper for any other value, and the records store each field with its
+own call, through module-level names unpacked from the class's
 ``_stores``.
 
 No record uses ``dataclasses``: importing it (with ``inspect``) and
@@ -185,23 +191,27 @@ def _as_str(value: Any, name: str) -> str:
 
 class _Record:
     """A frozen record whose fields are its ``__slots__``, in order,
-    after those of the record class it extends.
+    after those of the record class it extends. A class that stores its
+    values in other slots names its ``_fields`` itself and reads each
+    field that is not a slot through a property.
 
     It equals a record of its own class with equal fields and nothing
     else, hashes as the tuple of its fields, and reprs as
     ``Name(field=value, ...)``. Pickling and copying go through the
-    constructor, whose parameters are the fields in slot order.
-    ``_stores`` holds the ``__set__`` of each field's slot descriptor,
-    in field order: the only way to store a field of a frozen record.
+    constructor, whose parameters are the fields in order.
+    ``_stores`` holds the ``__set__`` of each slot descriptor, in slot
+    order: the only way to store a value in a frozen record.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields += cls.__dict__.get("__slots__", ())
+        if "_fields" not in cls.__dict__:
+            cls._fields += cls.__dict__.get("__slots__", ())
         cls._values = attrgetter(*cls._fields)
-        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        slots = [name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())]
+        cls._stores = tuple(getattr(cls, name).__set__ for name in slots)
 
     def _store(self, *values: Any) -> None:
         """Store one value per field, in field order; for ``__init__`` only,
@@ -262,6 +272,42 @@ class PricingSchedule(_Record):
         }
 
 
+def _sample_fields(
+    answer: str | None,
+    correct: bool,
+    tokens: int,
+    confidence_level: float | None = None,
+    refusal: bool = False,
+) -> tuple[str | None, bool, int, float | None, bool]:
+    """One sample's canonical fields, in ``SampleRecord``'s field order:
+    the rules of a sample, for its constructor and for the loader, which
+    checks each listed sample into its question's columns."""
+    if refusal is not True and refusal is not False:
+        _as_bool(refusal, "refusal")
+    if correct is not True and correct is not False:
+        _as_bool(correct, "correct")
+    if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+        _as_count(tokens, "tokens")
+    if refusal:
+        if answer is not None:
+            raise ValidationError("a refusal sample must have answer=None")
+        if correct:
+            raise ValidationError("a refusal sample cannot be correct")
+    else:
+        if answer is None:
+            raise ValidationError("a non-refusal sample must carry an answer")
+        if type(answer) is not str or not answer.isascii() or not answer:
+            _as_str(answer, "answer")
+        answer = canonical_answer(answer)
+    if confidence_level is not None:
+        # True and 1 are in _ON_GRID too: the helpers reject or convert them.
+        level = _ON_GRID.get(confidence_level) if type(confidence_level) is float else None
+        if level is None:
+            level = snap_confidence(_as_float(confidence_level, "confidence_level"))
+        confidence_level = level
+    return answer, correct, tokens, confidence_level, refusal
+
+
 class SampleRecord(_Record):
     """One recorded SLM completion for a question.
 
@@ -281,34 +327,7 @@ class SampleRecord(_Record):
         confidence_level: float | None = None,
         refusal: bool = False,
     ) -> None:
-        if refusal is not True and refusal is not False:
-            _as_bool(refusal, "refusal")
-        if correct is not True and correct is not False:
-            _as_bool(correct, "correct")
-        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
-            _as_count(tokens, "tokens")
-        if refusal:
-            if answer is not None:
-                raise ValidationError("a refusal sample must have answer=None")
-            if correct:
-                raise ValidationError("a refusal sample cannot be correct")
-        else:
-            if answer is None:
-                raise ValidationError("a non-refusal sample must carry an answer")
-            if type(answer) is not str or not answer.isascii() or not answer:
-                _as_str(answer, "answer")
-            answer = canonical_answer(answer)
-        if confidence_level is not None:
-            # True and 1 are in _ON_GRID too: the helpers reject or convert them.
-            level = _ON_GRID.get(confidence_level) if type(confidence_level) is float else None
-            if level is None:
-                level = snap_confidence(_as_float(confidence_level, "confidence_level"))
-            confidence_level = level
-        _set_answer(self, answer)
-        _set_correct(self, correct)
-        _set_tokens(self, tokens)
-        _set_level(self, confidence_level)
-        _set_refusal(self, refusal)
+        self._store(*_sample_fields(answer, correct, tokens, confidence_level, refusal))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -318,9 +337,6 @@ class SampleRecord(_Record):
             "confidence_level": self.confidence_level,
             "refusal": self.refusal,
         }
-
-
-_set_answer, _set_correct, _set_tokens, _set_level, _set_refusal = SampleRecord._stores
 
 
 class LlmOutcome(_Record):
@@ -352,9 +368,18 @@ class QuestionRecord(_Record):
     evaluation is intended. Samples that share an answer must agree on
     whether that answer is correct; correctness is a property of the
     answer, not of the sample that produced it.
+
+    The samples are stored as five aligned columns, one item per sample
+    in the given order: ``answers``, ``correct``, ``tokens``, ``levels``
+    (confidence levels) and ``refusals``, each holding the canonical
+    value of that ``SampleRecord`` field. ``slm_samples`` builds the
+    ``SampleRecord``s from them on each access.
     """
 
-    __slots__ = ("id", "input_tokens", "slm_samples", "pre_score", "llm")
+    __slots__ = (
+        "id", "input_tokens", "answers", "correct", "tokens", "levels", "refusals", "pre_score", "llm",
+    )
+    _fields = ("id", "input_tokens", "slm_samples", "pre_score", "llm")
 
     def __init__(
         self,
@@ -364,26 +389,49 @@ class QuestionRecord(_Record):
         pre_score: float | None = None,
         llm: LlmOutcome | None = None,
     ) -> None:
-        if type(id) is not str or not id.isascii() or not id:
-            _as_str(id, "id")
-        if type(input_tokens) is not int or not 0 < input_tokens < _FLOAT_SAFE_INT:
-            if _as_int(input_tokens, "input_tokens") < 1:
-                raise ValidationError(
-                    f"question {id!r}: input_tokens must be >= 1, got {input_tokens}"
-                )
+        _check_question(id, input_tokens)
         try:
             samples = tuple(slm_samples)
         except TypeError:
             raise ValidationError(
                 f"question {id!r}: slm_samples must hold SampleRecord values"
             ) from None
-        if not samples:
-            raise ValidationError(f"question {id!r} has no SLM samples")
         for sample in samples:
             if not isinstance(sample, SampleRecord):
                 raise ValidationError(
                     f"question {id!r}: slm_samples must hold SampleRecord values"
                 )
+        self._fill(id, input_tokens, [SampleRecord._values(s) for s in samples], pre_score, llm)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        id: str,
+        input_tokens: int,
+        rows: list[tuple],
+        pre_score: float | None,
+        llm: LlmOutcome | None,
+    ) -> "QuestionRecord":
+        """The loader's constructor: ``rows`` holds each sample's fields
+        as ``_sample_fields`` returned them. Runs the constructor's
+        question checks in the constructor's order."""
+        _check_question(id, input_tokens)
+        question = object.__new__(cls)
+        question._fill(id, input_tokens, rows, pre_score, llm)
+        return question
+
+    def _fill(
+        self,
+        id: str,
+        input_tokens: int,
+        rows: list[tuple],
+        pre_score: float | None,
+        llm: LlmOutcome | None,
+    ) -> None:
+        """Check the rest of a question whose id and input tokens passed
+        ``_check_question``, then store it with its sample columns."""
+        if not rows:
+            raise ValidationError(f"question {id!r} has no SLM samples")
         if pre_score is not None and not (type(pre_score) is float and 0.0 <= pre_score <= 1.0):
             pre_score = _as_float(pre_score, "pre_score")
             if not 0.0 <= pre_score <= 1.0:
@@ -392,49 +440,73 @@ class QuestionRecord(_Record):
                 )
         if llm is not None and not isinstance(llm, LlmOutcome):
             raise ValidationError(f"question {id!r}: llm must be an LlmOutcome")
+        answers, correct, tokens, levels, refusals = zip(*rows)
         verdict: dict[str, bool] = {}
-        for sample in samples:
-            answer = sample.answer
-            if answer is not None and verdict.setdefault(answer, sample.correct) != sample.correct:
+        for answer, is_correct in zip(answers, correct):
+            if answer is not None and verdict.setdefault(answer, is_correct) != is_correct:
                 raise ValidationError(
                     f"question {id!r}: answer {answer!r} is marked both "
                     "correct and incorrect across samples"
                 )
         _set_id(self, id)
         _set_input_tokens(self, input_tokens)
-        _set_samples(self, samples)
+        _set_answers(self, answers)
+        _set_correct(self, correct)
+        _set_tokens(self, tokens)
+        _set_levels(self, levels)
+        _set_refusals(self, refusals)
         _set_pre_score(self, pre_score)
         _set_llm(self, llm)
+
+    @property
+    def slm_samples(self) -> tuple[SampleRecord, ...]:
+        return tuple(map(SampleRecord, self.answers, self.correct, self.tokens, self.levels, self.refusals))
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "id": self.id,
             "input_tokens": self.input_tokens,
             "pre_score": self.pre_score,
-            "slm_samples": [s.to_dict() for s in self.slm_samples],
+            "slm_samples": [
+                {"answer": a, "correct": c, "tokens": t, "confidence_level": level, "refusal": r}
+                for a, c, t, level, r in zip(
+                    self.answers, self.correct, self.tokens, self.levels, self.refusals
+                )
+            ],
             "llm": self.llm.to_dict() if self.llm is not None else None,
         }
 
 
-_set_id, _set_input_tokens, _set_samples, _set_pre_score, _set_llm = QuestionRecord._stores
+(
+    _set_id, _set_input_tokens, _set_answers, _set_correct, _set_tokens, _set_levels,
+    _set_refusals, _set_pre_score, _set_llm,
+) = QuestionRecord._stores
 
 
-def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
-    """The question's samples ordered by confidence level, one per level.
+def _check_question(id: Any, input_tokens: Any) -> None:
+    """A question's first two checks, of its id and its input tokens."""
+    if type(id) is not str or not id.isascii() or not id:
+        _as_str(id, "id")
+    if type(input_tokens) is not int or not 0 < input_tokens < _FLOAT_SAFE_INT:
+        if _as_int(input_tokens, "input_tokens") < 1:
+            raise ValidationError(
+                f"question {id!r}: input_tokens must be >= 1, got {input_tokens}"
+            )
 
-    Raises when a level is missing or duplicated; untagged samples are
-    ignored. This is the shape confidence-ladder replay requires.
-    """
-    by_level: dict[float, SampleRecord] = {}
-    for sample in question.slm_samples:
-        if sample.confidence_level is None:
+
+def _ladder(question: QuestionRecord) -> tuple[int, ...]:
+    """The index of the question's sample at each confidence level, in
+    level order; raises as ``confidence_ladder`` documents."""
+    by_level: dict[float, int] = {}
+    for index, level in enumerate(question.levels):
+        if level is None:
             continue
-        if sample.confidence_level in by_level:
+        if level in by_level:
             raise ValidationError(
                 f"question {question.id!r}: several samples at confidence "
-                f"{sample.confidence_level:.1f}; ladder replay needs one per level"
+                f"{level:.1f}; ladder replay needs one per level"
             )
-        by_level[sample.confidence_level] = sample
+        by_level[level] = index
     missing = [level for level in CONFIDENCE_LEVELS if level not in by_level]
     if missing:
         raise ValidationError(
@@ -443,6 +515,16 @@ def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
             "ladder replay needs the full ladder"
         )
     return tuple(by_level[level] for level in CONFIDENCE_LEVELS)
+
+
+def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
+    """The question's samples ordered by confidence level, one per level.
+
+    Raises when a level is missing or duplicated; untagged samples are
+    ignored. This is the shape confidence-ladder replay requires.
+    """
+    samples = question.slm_samples
+    return tuple(samples[index] for index in _ladder(question))
 
 
 class DatasetProfile(_Record):

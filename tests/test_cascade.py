@@ -87,6 +87,25 @@ class TestVoteWeight:
             vote_weight("0.5", -1.0)
         assert str(caught.value) == "alpha must be a finite number >= 0, got -1.0"
 
+    @pytest.mark.parametrize(
+        "level, alpha, message",
+        [
+            (1e308, 2.0, "confidence_level must lie in [0, 1], got 1e+308"),
+            (-5.0, 0.5, "confidence_level must lie in [0, 1], got -5.0"),
+            (1.0000000001, 0.5, "confidence_level must lie in [0, 1], got 1.0000000001"),
+            (-1e-300, 0.0, "confidence_level must lie in [0, 1], got -1e-300"),
+        ],
+        ids=["huge", "negative", "just_above_one", "just_below_zero"],
+    )
+    def test_level_outside_the_unit_interval_names_the_level(self, level, alpha, message):
+        with pytest.raises(ValidationError) as caught:
+            vote_weight(level, alpha)
+        assert str(caught.value) == message
+
+    def test_unit_interval_ends_are_levels(self):
+        assert vote_weight(0, 0.5) == 0.275
+        assert vote_weight(1, 1.0) == 1.0
+
     def test_finite_level_keeps_the_nonpositive_weight_message(self):
         with pytest.raises(ValidationError) as caught:
             vote_weight(0, 2.0)
