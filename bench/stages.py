@@ -1,10 +1,9 @@
 """Stage timings of a routerlab sweep, in process, appended to BENCH_e2e.json.
 
-    python3 bench/stages.py [--sizes 4000,20000] [--rounds 5] [--seed 1]
-                            [--out BENCH_e2e.json]
+    python3 bench/stages.py [--sizes 4000,20000] [--rounds 5] [--out BENCH_e2e.json]
 
-For each size n it writes ``synth --n n --pre-noise 0.2`` questions to a
-temporary directory and first checks the CLI's curves on them against
+For each size n it writes ``synth --n n --seed 1 --pre-noise 0.2``
+questions to a temporary directory and first checks the CLI's curves on them against
 ``perfbench/gate.py``'s oracle (``sweep --golden`` in pre mode with
 refusal scores and in cascade mode, default grid); on any mismatch it
 exits 1 without timing anything. It then times each stage in R rounds,
@@ -57,12 +56,13 @@ from routerlab.records import DEFAULT_TAUS, MetricsReport, PricingSchedule  # no
 
 STAGES = ("decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts")
 MIN_ROUNDS = 5
+SEED = 1
 
 
-def make_input(n: int, seed: int, directory: str) -> str:
+def make_input(n: int, directory: str) -> str:
     path = os.path.join(directory, f"questions-{n}.jsonl")
     params = io.SyntheticParams(pre_score_noise=0.2)
-    io.write_dataset(io.generate_synthetic(n, seed, params), path)
+    io.write_dataset(io.generate_synthetic(n, SEED, params), path)
     return path
 
 
@@ -150,12 +150,12 @@ def git(*args: str) -> str | None:
     return done.stdout.strip()
 
 
-def entry(sizes: list[int], rounds: int, seed: int) -> dict:
+def entry(sizes: list[int], rounds: int) -> dict:
     """One BENCH_e2e.json entry; raises SystemExit(1) if the gate fails."""
     results = {}
     with tempfile.TemporaryDirectory() as directory:
         for n in sizes:
-            path = make_input(n, seed, directory)
+            path = make_input(n, directory)
             problems = check(path, directory)
             if problems:
                 for problem in problems[:10]:
@@ -186,7 +186,7 @@ def entry(sizes: list[int], rounds: int, seed: int) -> dict:
         "grid": {"taus": list(DEFAULT_TAUS), "scheme": "rcv", "score_source": "refusal"},
         "sizes": sizes,
         "rounds": rounds,
-        "seed": seed,
+        "seed": SEED,
         "clock": "time.process_time, minimum and median over the rounds",
         "results": results,
     }
@@ -202,13 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="4000,20000", help="comma-separated question counts")
     parser.add_argument("--rounds", type=int, default=MIN_ROUNDS, help=f"rounds, at least {MIN_ROUNDS}")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=str(ROOT / "BENCH_e2e.json"), help="JSON list to append to")
     args = parser.parse_args(argv)
     sizes = [int(size) for size in args.sizes.split(",")]
     if args.rounds < MIN_ROUNDS or min(sizes) < 1:
         parser.error(f"need at least {MIN_ROUNDS} rounds and positive sizes")
-    record = entry(sizes, args.rounds, args.seed)
+    record = entry(sizes, args.rounds)
     append(Path(args.out), record)
     for n, result in record["results"].items():
         cells = ", ".join(

@@ -208,7 +208,7 @@ def _object(
 
 def _records(
     listed: Any, kind: _Kind, source: str, name: str, make: Callable[..., Any]
-) -> list[Any]:
+) -> tuple[Any, ...]:
     """``make(*fields)`` of each item of a decoded list of ``kind.cls``
     objects: the record itself, or the checked fields of one.
 
@@ -227,7 +227,7 @@ def _records(
             records.append(make(*args(item)))
         except ValidationError as exc:
             raise ValidationError(f"{name}[{index}]: {exc}") from exc
-    return records
+    return tuple(records)
 
 
 def parse_question(data: Mapping[str, Any], source: str = "question") -> QuestionRecord:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter, le, lt
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 class ValidationError(ValueError):
@@ -214,7 +214,7 @@ class _Record:
         cls._stores = tuple(getattr(cls, name).__set__ for name in slots)
 
     def _store(self, *values: Any) -> None:
-        """Store one value per field, in field order; for ``__init__`` only,
+        """Store one value per slot, in ``_stores``' order; for ``__init__`` only,
         as a wrong count raises after storing the leading values."""
         for store, value in zip(self._stores, values, strict=True):
             store(self, value)
@@ -408,7 +408,7 @@ class QuestionRecord(_Record):
         cls,
         id: str,
         input_tokens: int,
-        rows: list[tuple],
+        rows: Sequence[tuple],
         pre_score: float | None,
         llm: LlmOutcome | None,
     ) -> "QuestionRecord":
@@ -424,7 +424,7 @@ class QuestionRecord(_Record):
         self,
         id: str,
         input_tokens: int,
-        rows: list[tuple],
+        rows: Sequence[tuple],
         pre_score: float | None,
         llm: LlmOutcome | None,
     ) -> None:

@@ -5,9 +5,6 @@ The inputs are three small ``synth`` files at fixed seeds; each
 configuration's directory holds the files ``sweep`` wrote into its out
 dir and its stdout. A change that moves any curve, metric or summary
 line, by a rounding or by a tie-break, fails here.
-
-``python tests/test_sweep_golden.py`` rewrites the pins from the
-current code; do that only for an intended change of output.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -97,24 +93,3 @@ class TestSweepGolden:
     def test_sweep_writes_the_pinned_bytes(self, name, tmp_path):
         assert sweep(name, GOLDEN, tmp_path) == pinned(name)
 
-
-def write_golden() -> None:
-    import tempfile
-
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for source, args in INPUTS.items():
-        assert run_cli(["synth", str(GOLDEN / source), *args])[0] == 0
-    for name in CONFIGS:
-        with tempfile.TemporaryDirectory() as workdir:
-            files = sweep(name, GOLDEN, Path(workdir))
-        target = GOLDEN / name
-        target.mkdir(exist_ok=True)
-        for stale in target.iterdir():
-            stale.unlink()
-        for file_name, content in files.items():
-            (target / file_name).write_bytes(content)
-
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    write_golden()
