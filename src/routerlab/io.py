@@ -29,6 +29,7 @@ import math
 import random
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import starmap
 from operator import itemgetter
 from typing import Any
 
@@ -215,11 +216,23 @@ def _records(
     Each item is read as ``_object`` reads it, an item with exactly the
     record's keys as it is. ``name`` is the list's field: an error about
     an item starts with its place, as in ``slm_samples[3]: ``.
+
+    A list of dicts that all have exactly the record's keys, the common
+    case, is read in one pass without a per-item key test: if every
+    item has each key and the key counts sum to the record's, no item
+    has another. A missing key or a rejected item sends the list to the
+    item loop, which places the error and emits any warning in order;
+    so ``make`` must have no side effects.
     """
     if not isinstance(listed, (list, tuple)):
         raise ValidationError(f"{name} must be a list")
-    records = []
     known, args = kind.known, kind.args
+    if set(map(type, listed)) <= {dict} and sum(map(len, listed)) == len(known) * len(listed):
+        try:
+            return tuple(starmap(make, map(args, listed)))
+        except (KeyError, ValidationError):
+            pass
+    records = []
     for index, item in enumerate(listed):
         if type(item) is not dict or item.keys() != known:  # as _object reads it
             item = _object(item, kind, source, name, index)

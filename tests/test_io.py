@@ -454,6 +454,36 @@ class TestTrustedRecords:
         ]
         assert question == parse_question(json.loads(question_line()))
 
+    def test_balanced_key_counts_take_the_item_loop(self):
+        # An extra key on one item and a missing one on another keep the
+        # list's key count; the reader must still warn and default in order.
+        exact = {"answer": "a", "correct": True, "tokens": 30, "confidence_level": None, "refusal": False}
+        extra = {**exact, "vibe": "y"}
+        short = {key: value for key, value in exact.items() if key != "refusal"}
+        data = json.loads(question_line(slm_samples=[exact, extra, short]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            question = parse_question(data, source="q.jsonl:4")
+        assert [str(w.message) for w in caught] == [
+            "q.jsonl:4: slm_samples[1]: ignoring unknown field(s) vibe",
+        ]
+        assert question == parse_question(json.loads(question_line(slm_samples=[exact] * 3)))
+
+        samples = json.loads(training_line())["samples"]
+        samples[2]["vibe"] = "y"
+        del samples[5]["tokens"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match=r"^samples\[5\]: missing required field 'tokens'$"):
+                parse_training_question({**json.loads(training_line()), "samples": samples}, "t")
+        assert [str(w.message) for w in caught] == ["t: samples[2]: ignoring unknown field(s) vibe"]
+
+    def test_rejected_item_of_an_exact_list_is_named(self):
+        data = json.loads(training_line())
+        data["samples"][7]["tokens"] = 0
+        with pytest.raises(ValidationError, match=r"^samples\[7\]: tokens must be "):
+            parse_training_question(data)
+
 
 def field_types(value):
     """``value``'s type, with each field's for a record and each element's for a tuple."""
