@@ -3,10 +3,10 @@
     python3 bench/stages.py [--sizes 4000,20000] [--rounds 5] [--out BENCH_e2e.json]
 
 For each size n it writes ``synth --n n --seed 1 --pre-noise 0.2``
-questions to a temporary directory and first checks the CLI's curves on them against
-``perfbench/gate.py``'s oracle (``sweep --golden`` in pre mode with
-refusal scores and in cascade mode, default grid); on any mismatch it
-exits 1 without timing anything. It then times each stage in R rounds,
+questions to a temporary directory and first checks the CLI's curves
+on them against ``perfbench/gate.py``'s oracle (``sweep --golden`` in
+pre mode with refusal scores and in cascade mode, default grid); on any
+mismatch it exits 1 without timing anything. It then times each stage in R rounds,
 the stages interleaved within a round, as CPU time of this process
 (``time.process_time``):
 

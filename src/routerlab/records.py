@@ -214,8 +214,9 @@ class _Record:
         cls._stores = tuple(getattr(cls, name).__set__ for name in slots)
 
     def _store(self, *values: Any) -> None:
-        """Store one value per slot, in ``_stores``' order; for ``__init__`` only,
-        as a wrong count raises after storing the leading values."""
+        """Store one value per slot, in ``_stores``' order; for
+        ``__init__`` only, as a wrong count raises after storing the
+        leading values."""
         for store, value in zip(self._stores, values, strict=True):
             store(self, value)
 
