@@ -892,3 +892,361 @@ class TestRecordGates:
             assert type(again) is cls
             assert again == record
             assert repr(again) == repr(record)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+HUGE = 10**400
+
+# One value of each kind a constructor check must convert or reject.
+ODD_VALUES = {
+    "bool": True,
+    "numeric_str": "7",
+    "str_subclass": _Str("s"),
+    "int_subclass": _Int(7),
+    "float_subclass": _Float(0.5),
+    "nan": math.nan,
+    "zero": 0,
+    "minus_one": -1,
+    "huge_int": HUGE,
+    "lone_surrogate": "x\ud800",
+}
+
+
+def valid_fields():
+    """A valid call of each constructor whose outcomes are pinned."""
+    return {
+        LlmOutcome: dict(correct=True, tokens=7),
+        QuestionRecord: dict(
+            id="q", input_tokens=9, slm_samples=(make_sample(),), pre_score=0.5,
+            llm=LlmOutcome(correct=True, tokens=4),
+        ),
+        TrainingQuestion: dict(
+            id="q", question="Q", samples=(ResponseSample(text="t", correct=True, tokens=5),)
+        ),
+    }
+
+
+def constructor_cases():
+    """Each field of each pinned constructor set to each odd value, the
+    other fields valid; then every field set to the same odd value, which
+    pins the order of the checks."""
+    cases = {}
+    for cls, fields in valid_fields().items():
+        for label, value in ODD_VALUES.items():
+            for field in fields:
+                cases[f"{cls.__name__}-{field}-{label}"] = (cls, {**fields, field: value})
+            cases[f"{cls.__name__}-all-{label}"] = (cls, dict.fromkeys(fields, value))
+    return cases
+
+
+CONSTRUCTOR_CASES = constructor_cases()
+
+
+def constructor_outcome(cls, fields):
+    """The record's repr and the type of each field's value, or the
+    exception's type name and text; ``10**400`` stands for its digits."""
+    try:
+        record = cls(**fields)
+    except Exception as exc:  # compared, not swallowed
+        outcome = f"{type(exc).__name__}: {exc}"
+    else:
+        types = ", ".join(type(getattr(record, name)).__name__ for name in cls._fields)
+        outcome = f"{record!r} [{types}]"
+    return outcome.replace(str(HUGE), "10**400")
+
+# What each case of ``CONSTRUCTOR_CASES`` gives, as ``constructor_outcome`` reads it.
+CONSTRUCTOR_PINS = {
+    'LlmOutcome-correct-bool': 'LlmOutcome(correct=True, tokens=7) [bool, int]',
+    'LlmOutcome-tokens-bool': 'ValidationError: llm.tokens must be an integer, got True',
+    'LlmOutcome-all-bool': 'ValidationError: llm.tokens must be an integer, got True',
+    'LlmOutcome-correct-numeric_str': "ValidationError: llm.correct must be a boolean, got '7'",
+    'LlmOutcome-tokens-numeric_str': "ValidationError: llm.tokens must be an integer, got '7'",
+    'LlmOutcome-all-numeric_str': "ValidationError: llm.correct must be a boolean, got '7'",
+    'LlmOutcome-correct-str_subclass': "ValidationError: llm.correct must be a boolean, got 's'",
+    'LlmOutcome-tokens-str_subclass': "ValidationError: llm.tokens must be an integer, got 's'",
+    'LlmOutcome-all-str_subclass': "ValidationError: llm.correct must be a boolean, got 's'",
+    'LlmOutcome-correct-int_subclass': 'ValidationError: llm.correct must be a boolean, got 7',
+    'LlmOutcome-tokens-int_subclass': 'LlmOutcome(correct=True, tokens=7) [bool, _Int]',
+    'LlmOutcome-all-int_subclass': 'ValidationError: llm.correct must be a boolean, got 7',
+    'LlmOutcome-correct-float_subclass': 'ValidationError: llm.correct must be a boolean, got 0.5',
+    'LlmOutcome-tokens-float_subclass': 'ValidationError: llm.tokens must be an integer, got 0.5',
+    'LlmOutcome-all-float_subclass': 'ValidationError: llm.correct must be a boolean, got 0.5',
+    'LlmOutcome-correct-nan': 'ValidationError: llm.correct must be a boolean, got nan',
+    'LlmOutcome-tokens-nan': 'ValidationError: llm.tokens must be an integer, got nan',
+    'LlmOutcome-all-nan': 'ValidationError: llm.correct must be a boolean, got nan',
+    'LlmOutcome-correct-zero': 'ValidationError: llm.correct must be a boolean, got 0',
+    'LlmOutcome-tokens-zero': 'ValidationError: llm.tokens must be >= 1, got 0',
+    'LlmOutcome-all-zero': 'ValidationError: llm.correct must be a boolean, got 0',
+    'LlmOutcome-correct-minus_one': 'ValidationError: llm.correct must be a boolean, got -1',
+    'LlmOutcome-tokens-minus_one': 'ValidationError: llm.tokens must be >= 1, got -1',
+    'LlmOutcome-all-minus_one': 'ValidationError: llm.correct must be a boolean, got -1',
+    'LlmOutcome-correct-huge_int': 'ValidationError: llm.correct must be a boolean, got 10**400',
+    'LlmOutcome-tokens-huge_int': (
+        'ValidationError: llm.tokens is too large for a float, got an integer of 1329 bits'
+    ),
+    'LlmOutcome-all-huge_int': 'ValidationError: llm.correct must be a boolean, got 10**400',
+    'LlmOutcome-correct-lone_surrogate': (
+        "ValidationError: llm.correct must be a boolean, got 'x\\ud800'"
+    ),
+    'LlmOutcome-tokens-lone_surrogate': (
+        "ValidationError: llm.tokens must be an integer, got 'x\\ud800'"
+    ),
+    'LlmOutcome-all-lone_surrogate': (
+        "ValidationError: llm.correct must be a boolean, got 'x\\ud800'"
+    ),
+    'QuestionRecord-id-bool': 'ValidationError: id must be a non-empty string, got True',
+    'QuestionRecord-input_tokens-bool': (
+        'ValidationError: input_tokens must be an integer, got True'
+    ),
+    'QuestionRecord-slm_samples-bool': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-bool': 'ValidationError: pre_score must be a number, got True',
+    'QuestionRecord-llm-bool': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-bool': 'ValidationError: id must be a non-empty string, got True',
+    'QuestionRecord-id-numeric_str': (
+        "QuestionRecord(id='7', input_tokens=9, slm_samples=(SampleRecord(answer='a', "
+        'correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.5, '
+        'llm=LlmOutcome(correct=True, tokens=4)) [str, int, tuple, float, LlmOutcome]'
+    ),
+    'QuestionRecord-input_tokens-numeric_str': (
+        "ValidationError: input_tokens must be an integer, got '7'"
+    ),
+    'QuestionRecord-slm_samples-numeric_str': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-numeric_str': "ValidationError: pre_score must be a number, got '7'",
+    'QuestionRecord-llm-numeric_str': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-numeric_str': "ValidationError: input_tokens must be an integer, got '7'",
+    'QuestionRecord-id-str_subclass': (
+        "QuestionRecord(id='s', input_tokens=9, slm_samples=(SampleRecord(answer='a', "
+        'correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.5, '
+        'llm=LlmOutcome(correct=True, tokens=4)) [_Str, int, tuple, float, LlmOutcome]'
+    ),
+    'QuestionRecord-input_tokens-str_subclass': (
+        "ValidationError: input_tokens must be an integer, got 's'"
+    ),
+    'QuestionRecord-slm_samples-str_subclass': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-str_subclass': "ValidationError: pre_score must be a number, got 's'",
+    'QuestionRecord-llm-str_subclass': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-str_subclass': "ValidationError: input_tokens must be an integer, got 's'",
+    'QuestionRecord-id-int_subclass': 'ValidationError: id must be a non-empty string, got 7',
+    'QuestionRecord-input_tokens-int_subclass': (
+        "QuestionRecord(id='q', input_tokens=7, slm_samples=(SampleRecord(answer='a', "
+        'correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.5, '
+        'llm=LlmOutcome(correct=True, tokens=4)) [str, _Int, tuple, float, LlmOutcome]'
+    ),
+    'QuestionRecord-slm_samples-int_subclass': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-int_subclass': (
+        "ValidationError: question 'q': pre_score must lie in [0, 1], got 7.0"
+    ),
+    'QuestionRecord-llm-int_subclass': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-int_subclass': 'ValidationError: id must be a non-empty string, got 7',
+    'QuestionRecord-id-float_subclass': 'ValidationError: id must be a non-empty string, got 0.5',
+    'QuestionRecord-input_tokens-float_subclass': (
+        'ValidationError: input_tokens must be an integer, got 0.5'
+    ),
+    'QuestionRecord-slm_samples-float_subclass': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-float_subclass': (
+        "QuestionRecord(id='q', input_tokens=9, slm_samples=(SampleRecord(answer='a', "
+        'correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.5, '
+        'llm=LlmOutcome(correct=True, tokens=4)) [str, int, tuple, float, LlmOutcome]'
+    ),
+    'QuestionRecord-llm-float_subclass': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-float_subclass': 'ValidationError: id must be a non-empty string, got 0.5',
+    'QuestionRecord-id-nan': 'ValidationError: id must be a non-empty string, got nan',
+    'QuestionRecord-input_tokens-nan': 'ValidationError: input_tokens must be an integer, got nan',
+    'QuestionRecord-slm_samples-nan': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-nan': 'ValidationError: pre_score must be a finite number, got nan',
+    'QuestionRecord-llm-nan': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-nan': 'ValidationError: id must be a non-empty string, got nan',
+    'QuestionRecord-id-zero': 'ValidationError: id must be a non-empty string, got 0',
+    'QuestionRecord-input_tokens-zero': (
+        "ValidationError: question 'q': input_tokens must be >= 1, got 0"
+    ),
+    'QuestionRecord-slm_samples-zero': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-zero': (
+        "QuestionRecord(id='q', input_tokens=9, slm_samples=(SampleRecord(answer='a', "
+        'correct=True, tokens=50, confidence_level=None, refusal=False),), pre_score=0.0, '
+        'llm=LlmOutcome(correct=True, tokens=4)) [str, int, tuple, float, LlmOutcome]'
+    ),
+    'QuestionRecord-llm-zero': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-zero': 'ValidationError: id must be a non-empty string, got 0',
+    'QuestionRecord-id-minus_one': 'ValidationError: id must be a non-empty string, got -1',
+    'QuestionRecord-input_tokens-minus_one': (
+        "ValidationError: question 'q': input_tokens must be >= 1, got -1"
+    ),
+    'QuestionRecord-slm_samples-minus_one': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-minus_one': (
+        "ValidationError: question 'q': pre_score must lie in [0, 1], got -1.0"
+    ),
+    'QuestionRecord-llm-minus_one': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-minus_one': 'ValidationError: id must be a non-empty string, got -1',
+    'QuestionRecord-id-huge_int': 'ValidationError: id must be a non-empty string, got 10**400',
+    'QuestionRecord-input_tokens-huge_int': (
+        'ValidationError: input_tokens is too large for a float, got an integer of 1329 '
+        'bits'
+    ),
+    'QuestionRecord-slm_samples-huge_int': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-huge_int': (
+        'ValidationError: pre_score is too large for a float, got an integer of 1329 bits'
+    ),
+    'QuestionRecord-llm-huge_int': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-huge_int': 'ValidationError: id must be a non-empty string, got 10**400',
+    'QuestionRecord-id-lone_surrogate': (
+        'ValidationError: id holds a lone surrogate U+D800 at index 1, which UTF-8 cannot '
+        'encode'
+    ),
+    'QuestionRecord-input_tokens-lone_surrogate': (
+        "ValidationError: input_tokens must be an integer, got 'x\\ud800'"
+    ),
+    'QuestionRecord-slm_samples-lone_surrogate': (
+        "ValidationError: question 'q': slm_samples must hold SampleRecord values"
+    ),
+    'QuestionRecord-pre_score-lone_surrogate': (
+        "ValidationError: pre_score must be a number, got 'x\\ud800'"
+    ),
+    'QuestionRecord-llm-lone_surrogate': "ValidationError: question 'q': llm must be an LlmOutcome",
+    'QuestionRecord-all-lone_surrogate': (
+        'ValidationError: id holds a lone surrogate U+D800 at index 1, which UTF-8 cannot '
+        'encode'
+    ),
+    'TrainingQuestion-id-bool': 'ValidationError: id must be a non-empty string, got True',
+    'TrainingQuestion-question-bool': (
+        'ValidationError: question must be a non-empty string, got True'
+    ),
+    'TrainingQuestion-samples-bool': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-bool': 'ValidationError: id must be a non-empty string, got True',
+    'TrainingQuestion-id-numeric_str': (
+        "TrainingQuestion(id='7', question='Q', samples=(ResponseSample(text='t', "
+        'correct=True, tokens=5),)) [str, str, tuple]'
+    ),
+    'TrainingQuestion-question-numeric_str': (
+        "TrainingQuestion(id='q', question='7', samples=(ResponseSample(text='t', "
+        'correct=True, tokens=5),)) [str, str, tuple]'
+    ),
+    'TrainingQuestion-samples-numeric_str': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-numeric_str': (
+        "ValidationError: question '7': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-id-str_subclass': (
+        "TrainingQuestion(id='s', question='Q', samples=(ResponseSample(text='t', "
+        'correct=True, tokens=5),)) [_Str, str, tuple]'
+    ),
+    'TrainingQuestion-question-str_subclass': (
+        "TrainingQuestion(id='q', question='s', samples=(ResponseSample(text='t', "
+        'correct=True, tokens=5),)) [str, _Str, tuple]'
+    ),
+    'TrainingQuestion-samples-str_subclass': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-str_subclass': (
+        "ValidationError: question 's': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-id-int_subclass': 'ValidationError: id must be a non-empty string, got 7',
+    'TrainingQuestion-question-int_subclass': (
+        'ValidationError: question must be a non-empty string, got 7'
+    ),
+    'TrainingQuestion-samples-int_subclass': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-int_subclass': 'ValidationError: id must be a non-empty string, got 7',
+    'TrainingQuestion-id-float_subclass': 'ValidationError: id must be a non-empty string, got 0.5',
+    'TrainingQuestion-question-float_subclass': (
+        'ValidationError: question must be a non-empty string, got 0.5'
+    ),
+    'TrainingQuestion-samples-float_subclass': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-float_subclass': (
+        'ValidationError: id must be a non-empty string, got 0.5'
+    ),
+    'TrainingQuestion-id-nan': 'ValidationError: id must be a non-empty string, got nan',
+    'TrainingQuestion-question-nan': (
+        'ValidationError: question must be a non-empty string, got nan'
+    ),
+    'TrainingQuestion-samples-nan': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-nan': 'ValidationError: id must be a non-empty string, got nan',
+    'TrainingQuestion-id-zero': 'ValidationError: id must be a non-empty string, got 0',
+    'TrainingQuestion-question-zero': 'ValidationError: question must be a non-empty string, got 0',
+    'TrainingQuestion-samples-zero': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-zero': 'ValidationError: id must be a non-empty string, got 0',
+    'TrainingQuestion-id-minus_one': 'ValidationError: id must be a non-empty string, got -1',
+    'TrainingQuestion-question-minus_one': (
+        'ValidationError: question must be a non-empty string, got -1'
+    ),
+    'TrainingQuestion-samples-minus_one': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-minus_one': 'ValidationError: id must be a non-empty string, got -1',
+    'TrainingQuestion-id-huge_int': 'ValidationError: id must be a non-empty string, got 10**400',
+    'TrainingQuestion-question-huge_int': (
+        'ValidationError: question must be a non-empty string, got 10**400'
+    ),
+    'TrainingQuestion-samples-huge_int': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-huge_int': 'ValidationError: id must be a non-empty string, got 10**400',
+    'TrainingQuestion-id-lone_surrogate': (
+        'ValidationError: id holds a lone surrogate U+D800 at index 1, which UTF-8 cannot '
+        'encode'
+    ),
+    'TrainingQuestion-question-lone_surrogate': (
+        'ValidationError: question holds a lone surrogate U+D800 at index 1, which UTF-8 '
+        'cannot encode'
+    ),
+    'TrainingQuestion-samples-lone_surrogate': (
+        "ValidationError: question 'q': samples must hold ResponseSample values"
+    ),
+    'TrainingQuestion-all-lone_surrogate': (
+        'ValidationError: id holds a lone surrogate U+D800 at index 1, which UTF-8 cannot '
+        'encode'
+    ),
+}
+
+
+class TestConstructorPins:
+    """The public constructors of the records the loaders build once per
+    line give these outcomes for odd values in every field: the value a
+    check converts, the type it keeps, and the text of the first check
+    that fails. The loaders' own path is pinned by ``parse_golden``."""
+
+    def test_every_case_is_pinned(self):
+        assert set(CONSTRUCTOR_PINS) == set(CONSTRUCTOR_CASES)
+
+    @pytest.mark.parametrize("case", CONSTRUCTOR_CASES)
+    def test_constructor_gives_its_pinned_outcome(self, case):
+        assert constructor_outcome(*CONSTRUCTOR_CASES[case]) == CONSTRUCTOR_PINS[case]
