@@ -76,10 +76,8 @@ class TrainingQuestion(_Record):
     __slots__ = ("id", "question", "samples")
 
     def __init__(self, id: str, question: str, samples: Iterable[ResponseSample]) -> None:
-        if type(id) is not str or not id.isascii() or not id:
-            _as_str(id, "id")
-        if type(question) is not str or not question.isascii() or not question:
-            _as_str(question, "question")
+        _as_str(id, "id")
+        _as_str(question, "question")
         try:
             samples = tuple(samples)
         except TypeError:
@@ -93,12 +91,7 @@ class TrainingQuestion(_Record):
                 raise ValidationError(
                     f"question {id!r}: samples must hold ResponseSample values"
                 )
-        _set_id(self, id)
-        _set_question(self, question)
-        _set_samples(self, samples)
-
-
-_set_id, _set_question, _set_samples = TrainingQuestion._stores
+        self._store(id, question, samples)
 
 
 def build_dpo_pair(
