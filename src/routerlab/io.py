@@ -8,10 +8,13 @@ unknown fields with a warning, so newer files keep loading.
 
 A question or training-corpus line is read in one pass: ``_object``
 checks each decoded object's keys against its record class, and the
-record's constructor checks its values. An object with exactly the
-record's keys, as the writers write it, is read as it is; any other is
-merged with the record's defaults. Every record is made by its
-constructor, so a loaded record is one its constructor accepts.
+record's rules check its values. An object with exactly the record's
+keys, as the writers write it, is read as it is; any other is merged
+with the record's defaults. A question's samples are checked by
+``_sample_fields`` into columns and the question is made by
+``QuestionRecord._from_rows``, which runs the constructor's question
+checks; every other record is made by its constructor. So a loaded
+record is one its constructor accepts.
 
 JSON rows are written with ``_ENCODE``, except on ``build``'s path:
 ``write_pairs`` and the private ``_write_refusal_rows`` write each row
@@ -234,8 +237,7 @@ def _records(
             pass
     records = []
     for index, item in enumerate(listed):
-        if type(item) is not dict or item.keys() != known:  # as _object reads it
-            item = _object(item, kind, source, name, index)
+        item = _object(item, kind, source, name, index)
         try:
             records.append(make(*args(item)))
         except ValidationError as exc:

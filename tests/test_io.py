@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routerlab import io, trainset
+from routerlab import cli, io, trainset
 from routerlab.io import (
     DatasetError,
     SyntheticParams,
@@ -59,6 +59,7 @@ from routerlab.trainset import (
 from conftest import make_question
 
 SYNTH_GOLDEN = Path(__file__).resolve().parent / "data" / "synth_golden"
+BUILD_GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 
 
 def write_lines(path, lines):
@@ -758,6 +759,37 @@ class TestExactShapeHits:
         assert [repr(q) for q in loaded] == [
             repr(by_constructors(row, io._TRAINING, {"samples": (io._RESPONSE, True)})) for row in rows
         ]
+
+    @pytest.mark.parametrize(
+        "synth_args",
+        [
+            ["--pre-noise", "0.2"],
+            ["--scheme", "sc"],
+            ["--scheme", "fcv", "--easy-fraction", "0.25"],
+            ["--no-llm"],
+            None,
+        ],
+        ids=["rcv", "sc", "fcv", "rcv_no_llm", "build_golden_corpus"],
+    )
+    def test_writer_shaped_lists_skip_the_item_loop(self, tmp_path, monkeypatch, capsys, synth_args):
+        # Only the item loop reads a list item through _object, with its index.
+        if synth_args is None:
+            path, parse = BUILD_GOLDEN / "corpus.jsonl", parse_training_question
+        else:
+            path, parse = tmp_path / "q.jsonl", parse_question
+            assert cli.main(["synth", str(path), "--n", "60", "--seed", "4", *synth_args]) == 0
+        read = io._object
+        items = []
+
+        def counted(data, kind, source, name="", index=None):
+            if index is not None:
+                items.append((name, index))
+            return read(data, kind, source, name, index)
+
+        monkeypatch.setattr(io, "_object", counted)
+        with open(path, "rb") as handle:
+            parsed = [parse(io._decode(line)) for line in handle]
+        assert parsed and items == []
 
     @pytest.mark.parametrize("training", [False, True], ids=["dataset", "corpus"])
     def test_unknown_field_on_every_line(self, tmp_path, training):
