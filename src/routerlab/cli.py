@@ -362,7 +362,8 @@ def _cmd_synth(args) -> int:
         include_llm=not args.no_llm,
     )
     questions = generate_synthetic(args.n, seed, params)
-    write_dataset(questions, args.out)
+    directory, name = os.path.split(args.out)
+    _write_artifacts(directory or os.curdir, {name: (write_dataset, questions)})
     print(f"wrote {len(questions)} question(s) to {args.out} (scheme={args.scheme}, seed={seed})")
     return 0
 
@@ -382,7 +383,8 @@ def _cmd_metrics(args) -> int:
         togr=togr_value,
     )
     if args.out:
-        write_metrics(report, args.out)
+        directory, name = os.path.split(args.out)
+        _write_artifacts(directory or os.curdir, {name: (write_metrics, report)})
         print(f"wrote {args.out}")
     else:
         print(json.dumps(report.to_dict(), indent=2))

@@ -13,7 +13,7 @@ import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import load_dataset
-from routerlab.records import ValidationError
+from routerlab.records import QuestionRecord, ValidationError
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 RULES = Path(__file__).resolve().parent / "data" / "validate_golden"
@@ -580,6 +580,35 @@ class TestSynth:
         assert capsys.readouterr().err.endswith("error: argument --n: expected an integer, got 'abc'\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, existing):
+        path = tmp_path / "part.jsonl"
+        before = b'{"id": "kept"}\n'
+        if existing:
+            path.write_bytes(before)
+        to_dict = QuestionRecord.to_dict
+        written = []
+
+        def fail_third(question):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(question.id)
+            return to_dict(question)
+
+        monkeypatch.setattr(QuestionRecord, "to_dict", fail_third)
+        code, out, err = run(["synth", str(path), "--n", "5"], capsys)
+        assert (code, err) == (1, "error: disk full\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["part.jsonl"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
+    def test_missing_parent_directory_is_created(self, tmp_path, capsys):
+        path = tmp_path / "new" / "dir" / "q.jsonl"
+        code, out, err = run(["synth", str(path), "--n", "3"], capsys)
+        assert code == 0
+        assert len(load_dataset(str(path))[0]) == 3
+        assert [p.name for p in path.parent.iterdir()] == ["q.jsonl"]
+
     def test_non_finite_pre_noise_rejected(self, tmp_path, capsys):
         path = tmp_path / "x.jsonl"
         code, out, err = run(["synth", str(path), "--n", "5", "--pre-noise", "nan"], capsys)
@@ -622,6 +651,33 @@ class TestMetrics:
         # the CSV stores six decimals, so agreement is at file precision
         assert recomputed["toa"] == pytest.approx(sweep_report["toa"], abs=1e-4)
         assert recomputed["agl"] == 0.0 and recomputed["arol"] == 0.0
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_write_leaves_no_artifact(self, dataset, tmp_path, capsys, monkeypatch, existing):
+        out_dir = tmp_path / "sweep"
+        run(["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir)], capsys)
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        path = reports / "m.json"
+        before = b"{}\n"
+        if existing:
+            path.write_bytes(before)
+        monkeypatch.setattr(cli, "write_metrics", fail_write)
+        code, out, err = run(["metrics", str(out_dir / "curve.csv"), "--out", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: disk full while writing ")
+        assert [p.name for p in reports.iterdir()] == (["m.json"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
+    def test_missing_parent_directory_is_created(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        run(["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir)], capsys)
+        path = tmp_path / "new" / "dir" / "m.json"
+        code, out, err = run(["metrics", str(out_dir / "curve.csv"), "--out", str(path)], capsys)
+        assert (code, out) == (0, f"wrote {path}\n")
+        printed = run(["metrics", str(out_dir / "curve.csv")], capsys)[1]
+        assert json.loads(path.read_text()) == json.loads(printed)
 
     def test_prints_to_stdout_by_default(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
