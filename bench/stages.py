@@ -1,4 +1,4 @@
-"""Stage timings of a routerlab sweep, in process, appended to BENCH_e2e.json.
+"""Stage timings of a routerlab sweep, in process and as CLI runs, appended to BENCH_e2e.json.
 
     python3 bench/stages.py [--sizes 4000,20000] [--rounds 5] [--out BENCH_e2e.json]
 
@@ -19,7 +19,19 @@ the stages interleaved within a round, as CPU time of this process
   ``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
   ``metrics.json``.
 
-Each stage reports its minimum and median over the rounds; the entry
+Each round then runs the CLI as one subprocess per command, ``sweep
+--mode pre --score-source refusal --golden`` and ``sweep --mode cascade
+--golden``, and ``python -c pass`` as a control. Each is started with
+``os.posix_spawn`` by a small launcher (``LAUNCHER``) that reaps it
+with ``os.wait4``, so its wall time is spawn to exit and its peak RSS
+is its own: a child spawned straight from this process would report
+this process's high-water mark, as Linux keeps it across ``exec``. The
+control's peak is the launcher's floor. ``src/`` is byte-compiled
+first and the children run with ``PYTHONDONTWRITEBYTECODE`` cleared,
+so no run compiles the source.
+
+Each stage reports its minimum and median over the rounds, and each CLI
+command its wall minimum and median and its largest peak RSS; the entry
 also gives ``load_dataset`` over ``decode`` as a ratio of minima. The
 entry records the machine, the git commit, Python, the grid, sizes,
 rounds and seed, and whether ``src/`` had changes the commit does not
@@ -30,6 +42,7 @@ drift with load.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import gc
 import io as stdio
@@ -57,6 +70,29 @@ from routerlab.records import DEFAULT_TAUS, MetricsReport, PricingSchedule  # no
 STAGES = ("decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts")
 MIN_ROUNDS = 5
 SEED = 1
+
+# Each CLI command timed as a subprocess, and the control.
+COMMANDS = {
+    "pre_refusal_golden": [
+        "-m", "routerlab.cli", "sweep", "{path}", "--mode", "pre", "--score-source", "refusal", "--golden",
+    ],
+    "cascade_golden": ["-m", "routerlab.cli", "sweep", "{path}", "--mode", "cascade", "--golden"],
+    "control": ["-c", "pass"],
+}
+
+# Run as ``python -c LAUNCHER out_dir argv...``: spawns argv with its
+# stdout sent to out_dir/stdout, reaps it, and prints its exit code,
+# wall seconds and peak RSS in MB.
+LAUNCHER = """
+import os, sys, time
+out, argv = sys.argv[1], sys.argv[2:]
+sink = [(os.POSIX_SPAWN_OPEN, 1, os.path.join(out, "stdout"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)]
+start = time.perf_counter()
+pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=sink)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - start
+print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024)
+"""
 
 
 def make_input(n: int, directory: str) -> str:
@@ -118,13 +154,45 @@ def write_artifacts(directory: str, result, golden) -> None:
     )
 
 
-def time_stages(path: str, directory: str, rounds: int) -> dict[str, list[float]]:
-    """CPU seconds of each stage in each round, the stages interleaved."""
+def launch(command: str, path: str, directory: str, env: dict[str, str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS MB of one run of ``COMMANDS[command]``
+    on ``path``; raises SystemExit(1) if it fails."""
+    out = os.path.join(directory, f"cli-{command}")
+    os.makedirs(out, exist_ok=True)
+    argv = [arg.format(path=path) for arg in COMMANDS[command]]
+    if command != "control":
+        argv += ["--out-dir", out]
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, out, sys.executable, *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    try:
+        code, wall, rss = done.stdout.split()
+    except ValueError:
+        code = wall = rss = None
+    if done.returncode != 0 or code != "0":
+        print(f"cli: {command} failed: {done.stderr.strip()[-500:]}", file=sys.stderr)
+        raise SystemExit(1)
+    return float(wall), float(rss)
+
+
+def cli_env() -> dict[str, str]:
+    """The children's environment, after byte-compiling ``src/``."""
+    compileall.compile_dir(str(ROOT / "src"), quiet=1)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def time_stages(path: str, directory: str, rounds: int) -> dict[str, list]:
+    """CPU seconds of each stage in each round, the stages interleaved,
+    then the wall seconds and peak RSS of each ``COMMANDS`` run."""
     with open(path, "rb") as handle:
         lines = [line for line in handle if line.strip()]
     pricing = PricingSchedule()
     out = os.path.join(directory, "artifacts")
-    seconds: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    seconds: dict[str, list] = {name: [] for name in (*STAGES, *COMMANDS)}
+    env = cli_env()
     for _ in range(rounds):
         _, took = cpu(decode_all, lines)
         seconds["decode"].append(took)
@@ -139,6 +207,8 @@ def time_stages(path: str, directory: str, rounds: int) -> dict[str, list[float]
         _, took = cpu(write_artifacts, out, result, golden)
         seconds["write_artifacts"].append(took)
         del questions, profile, result, golden
+        for command in COMMANDS:
+            seconds[command].append(launch(command, path, directory, env))
     return seconds
 
 
@@ -163,12 +233,21 @@ def entry(sizes: list[int], rounds: int) -> dict:
                 raise SystemExit(1)
             seconds = time_stages(path, directory, rounds)
             stages = {
-                stage: {"min_s": min(values), "median_s": statistics.median(values)}
-                for stage, values in seconds.items()
+                stage: {"min_s": min(seconds[stage]), "median_s": statistics.median(seconds[stage])}
+                for stage in STAGES
             }
+            cli_runs = {}
+            for command in COMMANDS:
+                walls, peaks = zip(*seconds[command])
+                cli_runs[command] = {
+                    "wall_min_s": min(walls),
+                    "wall_median_s": statistics.median(walls),
+                    "peak_rss_mb": max(peaks),
+                }
             results[str(n)] = {
                 "stages": stages,
                 "load_over_decode": stages["load_dataset"]["min_s"] / stages["decode"]["min_s"],
+                "cli": cli_runs,
             }
             os.remove(path)
     return {
@@ -187,7 +266,11 @@ def entry(sizes: list[int], rounds: int) -> dict:
         "sizes": sizes,
         "rounds": rounds,
         "seed": SEED,
-        "clock": "time.process_time, minimum and median over the rounds",
+        "clock": (
+            "stages: time.process_time, minimum and median over the rounds; "
+            "cli: wall time from spawn to exit, minimum and median, and the largest "
+            "ru_maxrss of the child, over the rounds"
+        ),
         "results": results,
     }
 
@@ -215,6 +298,11 @@ def main(argv: list[str] | None = None) -> int:
             for stage, times in result["stages"].items()
         )
         print(f"n={n}: {cells} s (min/median CPU); load/decode {result['load_over_decode']:.2f}x")
+        cells = ", ".join(
+            f"{command} {run['wall_min_s']:.3f}/{run['wall_median_s']:.3f} s {run['peak_rss_mb']:.1f} MB"
+            for command, run in result["cli"].items()
+        )
+        print(f"n={n} cli: {cells} (min/median wall, peak RSS)")
     return 0
 
 

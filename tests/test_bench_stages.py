@@ -26,7 +26,25 @@ def test_appends_one_entry_per_run(tmp_path, capsys):
     for times in result["stages"].values():
         assert 0 <= times["min_s"] <= times["median_s"]
     assert result["load_over_decode"] > 0
-    assert "load/decode" in capsys.readouterr().out
+    assert list(result["cli"]) == list(stages.COMMANDS)
+    for run in result["cli"].values():
+        assert 0 < run["wall_min_s"] <= run["wall_median_s"]
+        assert run["peak_rss_mb"] > 0
+    # The control's peak is the launcher's floor, below any CLI run's.
+    control = result["cli"].pop("control")["peak_rss_mb"]
+    assert all(control <= run["peak_rss_mb"] for run in result["cli"].values())
+    out = capsys.readouterr().out
+    assert "load/decode" in out and "n=50 cli: pre_refusal_golden " in out
+
+
+def test_failed_cli_run_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(stages.COMMANDS, "control", ["-c", "import sys; sys.exit('boom')"])
+    out = tmp_path / "BENCH_e2e.json"
+    with pytest.raises(SystemExit) as caught:
+        stages.main(["--sizes", "50", "--out", str(out)])
+    assert caught.value.code == 1
+    assert "cli: control failed: boom" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gate_failure_stops_before_timing(tmp_path, monkeypatch, capsys):
