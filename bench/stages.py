@@ -166,13 +166,10 @@ def launch(command: str, path: str, directory: str, env: dict[str, str]) -> tupl
         [sys.executable, "-c", LAUNCHER, out, sys.executable, *argv],
         env=env, capture_output=True, text=True, check=False,
     )
-    try:
-        code, wall, rss = done.stdout.split()
-    except ValueError:
-        code = wall = rss = None
-    if done.returncode != 0 or code != "0":
+    if done.returncode != 0 or not done.stdout.startswith("0 "):
         print(f"cli: {command} failed: {done.stderr.strip()[-500:]}", file=sys.stderr)
         raise SystemExit(1)
+    _, wall, rss = done.stdout.split()
     return float(wall), float(rss)
 
 
