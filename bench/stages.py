@@ -71,12 +71,16 @@ STAGES = ("decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve"
 MIN_ROUNDS = 5
 SEED = 1
 
-# Each CLI command timed as a subprocess, and the control.
+# Each CLI command timed as a subprocess, and the control; ``{path}`` is
+# the input and ``{out}`` the command's own directory.
 COMMANDS = {
     "pre_refusal_golden": [
-        "-m", "routerlab.cli", "sweep", "{path}", "--mode", "pre", "--score-source", "refusal", "--golden",
+        "-m", "routerlab.cli", "sweep", "{path}", "--mode", "pre", "--score-source", "refusal",
+        "--golden", "--out-dir", "{out}",
     ],
-    "cascade_golden": ["-m", "routerlab.cli", "sweep", "{path}", "--mode", "cascade", "--golden"],
+    "cascade_golden": [
+        "-m", "routerlab.cli", "sweep", "{path}", "--mode", "cascade", "--golden", "--out-dir", "{out}",
+    ],
     "control": ["-c", "pass"],
 }
 
@@ -159,9 +163,7 @@ def launch(command: str, path: str, directory: str, env: dict[str, str]) -> tupl
     on ``path``; raises SystemExit(1) if it fails."""
     out = os.path.join(directory, f"cli-{command}")
     os.makedirs(out, exist_ok=True)
-    argv = [arg.format(path=path) for arg in COMMANDS[command]]
-    if command != "control":
-        argv += ["--out-dir", out]
+    argv = [arg.format(path=path, out=out) for arg in COMMANDS[command]]
     done = subprocess.run(
         [sys.executable, "-c", LAUNCHER, out, sys.executable, *argv],
         env=env, capture_output=True, text=True, check=False,
