@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -715,6 +716,32 @@ class TestExactShapeReaders:
             assert json.dumps(data) == before
 
 
+class TestMappingInput:
+    """A decoded object that is a ``Mapping`` but not a dict is read on
+    the merge path, as a dict with other keys is."""
+
+    def test_writer_shape_parses_as_its_dict(self):
+        data = exact_question()
+        assert parse_question(types.MappingProxyType(data), "src") == parse_question(data)
+
+    def test_extra_key_warns(self):
+        data = types.MappingProxyType({**exact_question(), "note": "x"})
+        with pytest.warns(UserWarning) as caught:
+            record = parse_question(data, "src")
+        assert [str(w.message) for w in caught] == ["src: ignoring unknown field(s) note"]
+        assert record == parse_question(exact_question())
+
+    def test_extra_key_warns_before_a_missing_key_raises(self):
+        data = {**exact_question(), "note": "x"}
+        del data["input_tokens"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError) as excinfo:
+                parse_question(types.MappingProxyType(data), "src")
+        assert str(excinfo.value) == "missing required field 'input_tokens'"
+        assert [str(w.message) for w in caught] == ["src: ignoring unknown field(s) note"]
+
+
 class TestExactShapeHits:
     """Every line the writers write loads back to the record written."""
 
@@ -938,6 +965,15 @@ class TestPricingFile:
         with pytest.raises(DatasetError, match=r"pricing\.json: invalid JSON: 'utf-8' codec"):
             load_pricing(str(path))
 
+    def test_syntax_error_rejected(self, tmp_path):
+        path = tmp_path / "pricing.json"
+        path.write_text('{"slm_in": }', encoding="utf-8")
+        with pytest.raises(DatasetError) as excinfo:
+            load_pricing(str(path))
+        assert str(excinfo.value) == (
+            f"{path}: invalid JSON: Expecting value: line 1 column 12 (char 11)"
+        )
+
 
 class TestCurveCsv:
     def points(self):
@@ -1040,10 +1076,13 @@ class TestCurveCsv:
             ("slm_only,0.1,1.5,0\n", r"curve\.csv:2: performance must lie in \[0, 1\], got 1\.5$"),
             ("2,0.1,0.5,0\n", r"curve\.csv:2: tau must lie in \[0, 1\], got 2\.0$"),
             ("slm_only,0.1,0.5,-1\n", r"curve\.csv:2: n_routed must be >= 0, got -1$"),
+            ("x,0.1,0.5,0\n", r"curve\.csv:2: tau is not a number: 'x'$"),
+            ("slm_only,0.1,x,0\n", r"curve\.csv:2: performance is not a number: 'x'$"),
         ],
         ids=[
             "short_row", "header_only", "fractional_n_routed", "negative_cost", "nan_cost",
             "inf_cost", "performance_above_one", "tau_above_one", "negative_n_routed",
+            "non_numeric_tau", "non_numeric_performance",
         ],
     )
     def test_bad_body_rejected(self, tmp_path, body, message):
