@@ -15,9 +15,10 @@ the stages interleaved within a round, as CPU time of this process
 * ``sweep_pre``: ``sweep_pre`` with refusal scores;
 * ``sweep_cascade``: ``sweep_cascade`` with the rcv scheme;
 * ``golden_curve``;
-* ``write_artifacts``: ``cli._write_artifacts`` of the cascade run's
-  ``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
-  ``metrics.json``.
+* ``write_artifacts``: ``cli._sweep_artifacts`` of the cascade run and
+  its golden curve, the report and files ``sweep --golden`` makes
+  (``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
+  ``metrics.json``), written by ``cli._write_artifacts``.
 
 Each round then runs the CLI as one subprocess per command, ``sweep
 --mode pre --score-source refusal --golden`` and ``sweep --mode cascade
@@ -63,9 +64,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gate  # noqa: E402
 from routerlab import cli, io  # noqa: E402
 from routerlab.cascade import sweep_cascade  # noqa: E402
-from routerlab.metrics import golden_curve, toa_from_points, togr  # noqa: E402
+from routerlab.metrics import golden_curve  # noqa: E402
 from routerlab.prerouting import sweep_pre  # noqa: E402
-from routerlab.records import DEFAULT_TAUS, MetricsReport, PricingSchedule  # noqa: E402
+from routerlab.records import DEFAULT_TAUS, PricingSchedule  # noqa: E402
 
 STAGES = ("decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts")
 MIN_ROUNDS = 5
@@ -139,23 +140,9 @@ def decode_all(lines: list[bytes]) -> None:
 
 
 def write_artifacts(directory: str, result, golden) -> None:
-    report = MetricsReport(
-        toa=toa_from_points(result.points),
-        agl=result.latency.agl,
-        arol=result.latency.arol,
-        mode="actual",
-        toa100=toa_from_points(result.perfect_points),
-        togr=togr(result.perfect_points, golden),
-    )
-    cli._write_artifacts(
-        directory,
-        {
-            "curve.csv": (io.write_curve, result.points),
-            "curve_perfect.csv": (io.write_curve, result.perfect_points),
-            "golden.csv": (io.write_curve, golden),
-            "metrics.json": (io.write_metrics, report),
-        },
-    )
+    """What ``sweep --golden`` makes of a sweep and writes: its report and files."""
+    _, artifacts = cli._sweep_artifacts(result, golden, assume_perfect=False)
+    cli._write_artifacts(directory, artifacts)
 
 
 def launch(command: str, path: str, directory: str, env: dict[str, str]) -> tuple[float, float]:

@@ -51,10 +51,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -232,30 +229,8 @@ def _cmd_sweep(args) -> int:
             questions, profile, pricing, args.taus, args.scheme, args.k, args.alpha,
             assume_perfect=args.assume_perfect, latency_tau=latency_tau,
         )
-    curves = {"curve.csv": result.points}
-    toa_value = toa_from_points(result.points)
-    toa100_value = toa_value if args.assume_perfect else None
-    togr_value = None
-
-    if args.golden:
-        golden_points = golden_curve(questions, profile, pricing)
-        curves["golden.csv"] = golden_points
-        if not args.assume_perfect:
-            curves["curve_perfect.csv"] = result.perfect_points
-            toa100_value = toa_from_points(result.perfect_points)
-        togr_value = togr(result.perfect_points, golden_points)
-
-    latency = result.latency
-    report = MetricsReport(
-        toa=toa_value,
-        agl=latency.agl if latency else 0.0,
-        arol=latency.arol if latency else 0.0,
-        mode="perfect" if args.assume_perfect else "actual",
-        toa100=toa100_value,
-        togr=togr_value,
-    )
-    artifacts = {name: (write_curve, points) for name, points in curves.items()}
-    artifacts["metrics.json"] = (write_metrics, report)
+    golden_points = golden_curve(questions, profile, pricing) if args.golden else None
+    report, artifacts = _sweep_artifacts(result, golden_points, args.assume_perfect)
     _write_artifacts(args.out_dir, artifacts)
     curve_path = os.path.join(args.out_dir, "curve.csv")
     metrics_path = os.path.join(args.out_dir, "metrics.json")
@@ -272,6 +247,35 @@ def _cmd_sweep(args) -> int:
         summary += f" agl={report.agl:.1f} arol={report.arol:.1f} (tau={args.tau:g})"
     print(summary)
     return 0
+
+
+def _sweep_artifacts(result, golden_points, assume_perfect: bool) -> tuple[MetricsReport, dict]:
+    """A sweep's metrics, and the files ``sweep`` writes for it as
+    ``_write_artifacts`` takes them: ``curve.csv`` and ``metrics.json``,
+    and with ``golden_points`` also ``golden.csv`` and, unless
+    ``assume_perfect``, ``curve_perfect.csv``."""
+    curves = {"curve.csv": result.points}
+    toa_value = toa_from_points(result.points)
+    toa100_value = toa_value if assume_perfect else None
+    togr_value = None
+    if golden_points is not None:
+        curves["golden.csv"] = golden_points
+        if not assume_perfect:
+            curves["curve_perfect.csv"] = result.perfect_points
+            toa100_value = toa_from_points(result.perfect_points)
+        togr_value = togr(result.perfect_points, golden_points)
+    latency = result.latency
+    report = MetricsReport(
+        toa=toa_value,
+        agl=latency.agl if latency else 0.0,
+        arol=latency.arol if latency else 0.0,
+        mode="perfect" if assume_perfect else "actual",
+        toa100=toa100_value,
+        togr=togr_value,
+    )
+    artifacts = {name: (write_curve, points) for name, points in curves.items()}
+    artifacts["metrics.json"] = (write_metrics, report)
+    return report, artifacts
 
 
 def _write_artifacts(out_dir: str, artifacts: dict) -> None:

@@ -6,6 +6,11 @@ This module is the only reader of these formats. Parsers are strict
 about required fields, repeated keys and value ranges but tolerate
 unknown fields with a warning, so newer files keep loading.
 
+Each reader has one error path: what fails below it raises a
+``ValidationError`` with no location (``_decode`` classifies every JSON
+failure), and the reader puts the ``path:line`` of the line or row, or
+a pricing file's path, in front of it once, as a ``DatasetError``.
+
 A question or training-corpus line is read in one pass: ``_object``
 checks each decoded object's keys against its record class, and the
 record's rules check its values. An object with exactly the record's
@@ -88,11 +93,16 @@ _FLOAT = float.__repr__
 def _decode(raw: bytes) -> Any:
     """``json.loads(raw)`` that rejects a repeated key at any depth.
 
-    Raises ValidationError for a repeated key, and otherwise what
-    ``json.loads`` raises for bytes: JSONDecodeError or
-    UnicodeDecodeError.
+    Every failure is a ValidationError: a repeated key as the hook raised
+    it, and text that is not JSON, not UTF-8 or nested deeper than the
+    decoder can follow as ``invalid JSON: `` and the decoder's reason.
     """
-    return _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+    try:
+        return _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+    except ValidationError:  # a repeated key; a ValueError too, so caught first
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"invalid JSON: {exc}") from exc
 
 
 class DatasetError(ValidationError):
@@ -105,9 +115,8 @@ def _read_jsonl(
     """Parse each non-blank line; yield ``(record, None)`` or ``(None, problem)``.
 
     A problem is the line's ``path:line`` followed by what is wrong with
-    it: invalid JSON or UTF-8, a key repeated in one object, a record
-    ``parse`` rejects, or an id already seen on an earlier line. Callers
-    decide whether to stop or collect.
+    it: what ``_decode`` or ``parse`` raised, or an id already seen on an
+    earlier line. Callers decide whether to stop or collect.
     """
     seen: dict[str, int] = {}
     with open(path, "rb") as handle:
@@ -116,15 +125,7 @@ def _read_jsonl(
                 continue
             where = f"{path}:{lineno}"
             try:
-                data = _decode(line)
-            except ValidationError as exc:  # a repeated key
-                yield None, f"{where}: {exc}"
-                continue
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                yield None, f"{where}: invalid JSON: {exc}"
-                continue
-            try:
-                record = parse(data, source=where)
+                record = parse(_decode(line), source=where)
             except ValidationError as exc:
                 yield None, f"{where}: {exc}"
                 continue
@@ -143,12 +144,11 @@ class _Kind:
     must carry, the defaults of the rest, and ``args``, which picks the
     constructor's positional arguments out of a record's field values."""
 
-    __slots__ = ("cls", "required", "needed", "known", "defaults", "args")
+    __slots__ = ("cls", "required", "known", "defaults", "args")
 
     def __init__(self, cls: type, required: tuple[str, ...]):
         self.cls = cls
         self.required = required
-        self.needed = frozenset(required)
         names = cls._fields
         defaults = cls.__init__.__defaults__ or ()
         self.known = frozenset(names)
@@ -186,28 +186,23 @@ def _object(
     """
     if type(data) is dict and data.keys() == kind.known:
         return data
-    if type(data) is not dict and not isinstance(data, Mapping):
+    if not isinstance(data, Mapping):
         raise ValidationError(
             f"{_place(name, index)}expected a JSON object, got {type(data).__name__}"
         )
-    keys = data.keys()
-    if keys <= kind.known:
-        values = {**kind.defaults, **data}
-    else:
-        extras = sorted(set(data) - kind.known)
+    extras = data.keys() - kind.known
+    if extras:
         warnings.warn(
-            f"{source}: {_place(name, index)}ignoring unknown field(s) {', '.join(extras)}"
+            f"{source}: {_place(name, index)}ignoring unknown field(s) {', '.join(sorted(extras))}"
         )
-        known = {key: value for key, value in data.items() if key in kind.known}
-        values = {**kind.defaults, **known}
-    if not keys >= kind.needed:
-        missing = [key for key in kind.required if key not in data]
+    missing = [key for key in kind.required if key not in data]
+    if missing:
         noun = "field" if len(missing) == 1 else "fields"
         raise ValidationError(
             f"{_place(name, index)}missing required {noun} "
             f"{', '.join(repr(key) for key in missing)}"
         )
-    return values
+    return {key: data.get(key, default) for key, default in kind.defaults.items()}
 
 
 def _records(
@@ -308,10 +303,8 @@ def load_pricing(path: str) -> PricingSchedule:
         raw = handle.read()
     try:
         return PricingSchedule(**_object(_decode(raw), _PRICING, path))
-    except ValidationError as exc:  # a repeated key or a bad value
+    except ValidationError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_curve(points: Iterable[CurvePoint], path: str) -> None:
@@ -358,27 +351,20 @@ def read_curve(path: str) -> tuple[CurvePoint, ...]:
     for lineno, row in rows[1:]:
         if not row:
             continue
-        if len(row) != len(CURVE_HEADER):
-            raise DatasetError(f"{path}:{lineno}: expected {len(CURVE_HEADER)} columns")
-        tau_cell, cost_cell, perf_cell, routed_cell = row
-        label = None
-        tau = None
-        if tau_cell in ("slm_only", "llm_only"):
-            label = tau_cell
-        elif tau_cell:
-            tau = _parse_float(tau_cell, path, lineno, "tau")
         try:
+            if len(row) != len(CURVE_HEADER):
+                raise ValidationError(f"expected {len(CURVE_HEADER)} columns")
+            tau_cell, cost_cell, perf_cell, routed_cell = row
+            label = tau_cell if tau_cell in ("slm_only", "llm_only") else None
             points.append(
-                CurvePoint(
-                    cost=_parse_float(cost_cell, path, lineno, "cost"),
-                    performance=_parse_float(perf_cell, path, lineno, "performance"),
-                    tau=tau,
+                CurvePoint(  # the cells are read from left to right
+                    tau=_parse_float(tau_cell, "tau") if tau_cell and label is None else None,
+                    cost=_parse_float(cost_cell, "cost"),
+                    performance=_parse_float(perf_cell, "performance"),
                     label=label,
-                    n_routed=_parse_int(routed_cell, path, lineno, "n_routed"),
+                    n_routed=_parse_int(routed_cell, "n_routed"),
                 )
             )
-        except DatasetError:
-            raise
         except ValidationError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not points:
@@ -386,18 +372,18 @@ def read_curve(path: str) -> tuple[CurvePoint, ...]:
     return tuple(points)
 
 
-def _parse_float(cell: str, path: str, lineno: int, name: str) -> float:
+def _parse_float(cell: str, name: str) -> float:
     try:
         return float(cell)
     except ValueError as exc:
-        raise DatasetError(f"{path}:{lineno}: {name} is not a number: {cell!r}") from exc
+        raise ValidationError(f"{name} is not a number: {cell!r}") from exc
 
 
-def _parse_int(cell: str, path: str, lineno: int, name: str) -> int:
+def _parse_int(cell: str, name: str) -> int:
     try:
         return int(cell)
     except ValueError as exc:
-        raise DatasetError(f"{path}:{lineno}: {name} is not an integer: {cell!r}") from exc
+        raise ValidationError(f"{name} is not an integer: {cell!r}") from exc
 
 
 def write_metrics(report: MetricsReport, path: str) -> None:

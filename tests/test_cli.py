@@ -51,6 +51,20 @@ def corpus(tmp_path):
     return path
 
 
+DEEP = "[" * 100_000  # nested deeper than the JSON decoder can follow
+
+
+def run_fresh(argv):
+    """``routerlab argv`` in a fresh interpreter: its exit code, stdout and stderr."""
+    src = str(Path(routerlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "routerlab.cli", *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 def fail_write(content, path):
     """A writer that fails halfway, leaving a partial file behind."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -91,6 +105,17 @@ class TestValidate:
         code, out, err = run(["validate", str(tmp_path / "nope.jsonl")], capsys)
         assert code == 1
         assert err.startswith("error:")
+
+
+    def test_deep_nesting_reported_at_its_line(self, dataset, capsys):
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        lines.insert(3, DEEP)
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(["validate", str(dataset)], capsys)
+        assert code == 1
+        assert out == f"{dataset}: 80 question(s) ok, 1 problem(s)\n"
+        assert err.startswith(f"{dataset}:4: invalid JSON: ")
+        assert err.count("\n") == 1
 
 
 class TestSweep:
@@ -709,6 +734,35 @@ class TestMetrics:
         assert code == 0
         data = json.loads(out)
         assert data["toa100"] == data["toa"]
+
+
+class TestDeepNesting:
+    """A line nested deeper than the JSON decoder can follow fails the
+    command with one error line, as any invalid JSON does; the rest of
+    the message is CPython's."""
+
+    @pytest.mark.parametrize("where", ["sweep", "build", "pricing"])
+    def test_reported_without_a_traceback(self, dataset, corpus, tmp_path, where):
+        out_dir = tmp_path / "out"
+        if where == "pricing":
+            pricing = tmp_path / "deep.json"
+            pricing.write_text(DEEP, encoding="utf-8")
+            argv = ["sweep", str(dataset), "--mode", "pre", "--pricing", str(pricing)]
+            expected = f"error: {pricing}: invalid JSON: "
+        else:
+            path = dataset if where == "sweep" else corpus
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines.insert(1, DEEP)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = [where, str(path)] + (["--mode", "cascade"] if where == "sweep" else [])
+            expected = f"error: {path}:2: invalid JSON: "
+        code, out, err = run_fresh(argv + ["--out-dir", str(out_dir)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(expected)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
 
 class TestTopLevel:

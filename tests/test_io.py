@@ -119,6 +119,7 @@ def with_field(line, name, value):
 
 
 HUGE = 10**400  # float() overflows on it
+DEEP = "[" * 100_000  # nested deeper than the JSON decoder can follow
 
 
 def with_sample_tokens(line, samples_field, index, tokens):
@@ -159,6 +160,7 @@ def with_repeated_key(line, key, value):
         "duplicate_key",
         "duplicate_sample_key",
         "lone_surrogate",
+        "deep_nesting",
     ],
 )
 @pytest.mark.parametrize(
@@ -197,6 +199,7 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         "duplicate_sample_key": with_repeated_key(make_line("q2"), "correct", False),
         # The first sample's answer or text, written as JSON escapes.
         "lone_surrogate": with_sample_field(make_line("q2"), samples_field, 0, "x\ud800"),
+        "deep_nesting": DEEP,
     }[kind]
     path = tmp_path / "data.jsonl"
     if kind == "not_utf8":  # line 2 holds the byte 0xE9, which is not UTF-8
@@ -217,6 +220,8 @@ def test_bad_line_reported_at_its_location(tmp_path, read, kind):
         assert message == f"{path}:2: duplicate key 'id'"
     if kind == "duplicate_sample_key":
         assert message == f"{path}:2: duplicate key 'correct'"
+    if kind == "deep_nesting":  # the rest of the text is CPython's
+        assert message.startswith(f"{path}:2: invalid JSON: ")
     if kind == "lone_surrogate":
         field = "text" if training else "answer"
         assert message == (
@@ -964,6 +969,13 @@ class TestPricingFile:
         path.write_bytes(b'{"slm_in": 0.02, "note": "caf\xe9"}')
         with pytest.raises(DatasetError, match=r"pricing\.json: invalid JSON: 'utf-8' codec"):
             load_pricing(str(path))
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "pricing.json"
+        path.write_text(DEEP, encoding="utf-8")
+        with pytest.raises(DatasetError) as excinfo:
+            load_pricing(str(path))
+        assert str(excinfo.value).startswith(f"{path}: invalid JSON: ")
 
     def test_syntax_error_rejected(self, tmp_path):
         path = tmp_path / "pricing.json"
