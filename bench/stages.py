@@ -1,14 +1,16 @@
-"""Stage timings of a routerlab sweep, in process and as CLI runs, appended to BENCH_e2e.json.
+"""Stage timings of a routerlab sweep and build, in process and as CLI runs, appended to BENCH_e2e.json.
 
     python3 bench/stages.py [--sizes 4000,20000] [--rounds 5] [--out BENCH_e2e.json]
 
 For each size n it writes ``synth --n n --seed 1 --pre-noise 0.2``
-questions to a temporary directory and first checks the CLI's curves
-on them against ``perfbench/gate.py``'s oracle (``sweep --golden`` in
-pre mode with refusal scores and in cascade mode, default grid); on any
-mismatch it exits 1 without timing anything. It then times each stage in R rounds,
-the stages interleaved within a round, as CPU time of this process
-(``time.process_time``):
+questions and an n-question training corpus from
+``perfbench/corpus.generate(n, 1)`` to a temporary directory. It first
+checks the CLI's outputs on them against ``perfbench/gate.py``'s oracle:
+the curves of ``sweep --golden`` in pre mode with refusal scores and in
+cascade mode (default grid), and the files of ``build --seed 1``
+(``gate.check_build``). On any mismatch it exits 1 without timing
+anything. It then times each stage in R rounds, the stages interleaved
+within a round, as CPU time of this process (``time.process_time``):
 
 * ``decode``: ``io._decode`` of every line, the hooked JSON decode;
 * ``load_dataset``: ``io.load_dataset``, decode and records;
@@ -18,16 +20,22 @@ the stages interleaved within a round, as CPU time of this process
 * ``write_artifacts``: ``cli._sweep_artifacts`` of the cascade run and
   its golden curve, the report and files ``sweep --golden`` makes
   (``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
-  ``metrics.json``), written by ``cli._write_artifacts``.
+  ``metrics.json``), written by ``cli._write_artifacts``;
+* ``load_training``: ``io.load_training_questions`` of the corpus;
+* ``dpo_pairs``: ``trainset._dpo_pair`` of each question's columns with
+  ``build``'s default options, the pair rule ``build`` runs;
+* ``refusal_rows``: ``trainset.refusal_targets`` of each question and
+  ``io._write_refusal_rows`` of them, ``build``'s ``refusal.jsonl``.
 
 Each round then runs the CLI as one subprocess per command, ``sweep
---mode pre --score-source refusal --golden`` and ``sweep --mode cascade
---golden``, and ``python -c pass`` as a control. Each is started with
-``os.posix_spawn`` by a small launcher (``LAUNCHER``) that reaps it
-with ``os.wait4``, so its wall time is spawn to exit and its peak RSS
-is its own: a child spawned straight from this process would report
-this process's high-water mark, as Linux keeps it across ``exec``. The
-control's peak is the launcher's floor. ``src/`` is byte-compiled
+--mode pre --score-source refusal --golden``, ``sweep --mode cascade
+--golden`` and ``build --seed 1``, and ``python -c pass`` as a control.
+Each is started with ``os.posix_spawn`` by a small launcher
+(``LAUNCHER``) that reaps it with ``os.wait4``, so its wall time is
+spawn to exit and its peak RSS is its own: a child spawned straight
+from this process would report this process's high-water mark, as
+Linux keeps it across ``exec``. The control's peak is the launcher's
+floor. ``src/`` is byte-compiled
 first and the children run with ``PYTHONDONTWRITEBYTECODE`` cleared,
 so no run compiles the source.
 
@@ -61,19 +69,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import corpus  # noqa: E402
 import gate  # noqa: E402
-from routerlab import cli, io  # noqa: E402
+from routerlab import cli, io, trainset  # noqa: E402
 from routerlab.cascade import sweep_cascade  # noqa: E402
 from routerlab.metrics import golden_curve  # noqa: E402
 from routerlab.prerouting import sweep_pre  # noqa: E402
-from routerlab.records import DEFAULT_TAUS, PricingSchedule  # noqa: E402
+from routerlab.records import DEFAULT_TAUS, REJECTED_TOKEN_RATIO, PricingSchedule  # noqa: E402
 
-STAGES = ("decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts")
+STAGES = (
+    "decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts",
+    "load_training", "dpo_pairs", "refusal_rows",
+)
 MIN_ROUNDS = 5
 SEED = 1
 
 # Each CLI command timed as a subprocess, and the control; ``{path}`` is
-# the input and ``{out}`` the command's own directory.
+# the questions, ``{corpus}`` the training corpus and ``{out}`` the
+# command's own directory.
 COMMANDS = {
     "pre_refusal_golden": [
         "-m", "routerlab.cli", "sweep", "{path}", "--mode", "pre", "--score-source", "refusal",
@@ -82,6 +95,7 @@ COMMANDS = {
     "cascade_golden": [
         "-m", "routerlab.cli", "sweep", "{path}", "--mode", "cascade", "--golden", "--out-dir", "{out}",
     ],
+    "build": ["-m", "routerlab.cli", "build", "{corpus}", "--out-dir", "{out}", "--seed", str(SEED)],
     "control": ["-c", "pass"],
 }
 
@@ -100,15 +114,21 @@ print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024)
 """
 
 
-def make_input(n: int, directory: str) -> str:
-    path = os.path.join(directory, f"questions-{n}.jsonl")
+def make_input(n: int, directory: str) -> dict[str, str]:
+    """The questions' and the corpus's paths, as ``COMMANDS`` name them."""
+    paths = {
+        "path": os.path.join(directory, f"questions-{n}.jsonl"),
+        "corpus": os.path.join(directory, f"corpus-{n}.jsonl"),
+    }
     params = io.SyntheticParams(pre_score_noise=0.2)
-    io.write_dataset(io.generate_synthetic(n, SEED, params), path)
-    return path
+    io.write_dataset(io.generate_synthetic(n, SEED, params), paths["path"])
+    corpus.write(corpus.generate(n, SEED), paths["corpus"])
+    return paths
 
 
-def check(path: str, directory: str) -> list[str]:
-    """The oracle gate's problems with the CLI's two sweeps of ``path``."""
+def check(paths: dict[str, str], directory: str) -> list[str]:
+    """The oracle gate's problems with the CLI's two sweeps and its build."""
+    path = paths["path"]
     questions, profile = io.load_dataset(path)
     problems = []
     for mode, args, score_source in (
@@ -123,7 +143,14 @@ def check(path: str, directory: str) -> list[str]:
             continue
         expected = gate.expected_sweep(questions, profile, mode, DEFAULT_TAUS, score_source)
         problems += [f"{mode}: {problem}" for problem in gate.check_sweep(expected, out)]
-    return problems
+    out = os.path.join(directory, "gate-build")
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        code = cli.main(["build", paths["corpus"], "--out-dir", out, "--seed", str(SEED)])
+    if code != 0:
+        return [*problems, f"build: exited {code}"]
+    with open(paths["corpus"], encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
+    return problems + [f"build: {problem}" for problem in gate.check_build(rows, out)]
 
 
 def cpu(call, *args):
@@ -145,12 +172,25 @@ def write_artifacts(directory: str, result, golden) -> None:
     cli._write_artifacts(directory, artifacts)
 
 
-def launch(command: str, path: str, directory: str, env: dict[str, str]) -> tuple[float, float]:
+def dpo_pairs(questions) -> list:
+    """Each question's pair under ``build``'s default options, or None."""
+    return [
+        trainset._dpo_pair(q.id, q.texts, q.correct, q.tokens, REJECTED_TOKEN_RATIO, False)
+        for q in questions
+    ]
+
+
+def refusal_rows(path: str, questions) -> None:
+    """``build``'s refusal rows: each question's targets, written."""
+    io._write_refusal_rows(((q, trainset.refusal_targets(q, SEED)) for q in questions), path)
+
+
+def launch(command: str, paths: dict[str, str], directory: str, env: dict[str, str]) -> tuple[float, float]:
     """Wall seconds and peak RSS MB of one run of ``COMMANDS[command]``
-    on ``path``; raises SystemExit(1) if it fails."""
+    on ``paths``; raises SystemExit(1) if it fails."""
     out = os.path.join(directory, f"cli-{command}")
     os.makedirs(out, exist_ok=True)
-    argv = [arg.format(path=path, out=out) for arg in COMMANDS[command]]
+    argv = [arg.format(out=out, **paths) for arg in COMMANDS[command]]
     done = subprocess.run(
         [sys.executable, "-c", LAUNCHER, out, sys.executable, *argv],
         env=env, capture_output=True, text=True, check=False,
@@ -170,9 +210,10 @@ def cli_env() -> dict[str, str]:
     return env
 
 
-def time_stages(path: str, directory: str, rounds: int) -> dict[str, list]:
+def time_stages(paths: dict[str, str], directory: str, rounds: int) -> dict[str, list]:
     """CPU seconds of each stage in each round, the stages interleaved,
     then the wall seconds and peak RSS of each ``COMMANDS`` run."""
+    path = paths["path"]
     with open(path, "rb") as handle:
         lines = [line for line in handle if line.strip()]
     pricing = PricingSchedule()
@@ -193,8 +234,15 @@ def time_stages(path: str, directory: str, rounds: int) -> dict[str, list]:
         _, took = cpu(write_artifacts, out, result, golden)
         seconds["write_artifacts"].append(took)
         del questions, profile, result, golden
+        training, took = cpu(io.load_training_questions, paths["corpus"])
+        seconds["load_training"].append(took)
+        _, took = cpu(dpo_pairs, training)
+        seconds["dpo_pairs"].append(took)
+        _, took = cpu(refusal_rows, os.path.join(directory, "refusal.jsonl"), training)
+        seconds["refusal_rows"].append(took)
+        del training
         for command in COMMANDS:
-            seconds[command].append(launch(command, path, directory, env))
+            seconds[command].append(launch(command, paths, directory, env))
     return seconds
 
 
@@ -211,13 +259,13 @@ def entry(sizes: list[int], rounds: int) -> dict:
     results = {}
     with tempfile.TemporaryDirectory() as directory:
         for n in sizes:
-            path = make_input(n, directory)
-            problems = check(path, directory)
+            paths = make_input(n, directory)
+            problems = check(paths, directory)
             if problems:
                 for problem in problems[:10]:
                     print(f"gate: n={n}: {problem}", file=sys.stderr)
                 raise SystemExit(1)
-            seconds = time_stages(path, directory, rounds)
+            seconds = time_stages(paths, directory, rounds)
             stages = {
                 stage: {"min_s": min(seconds[stage]), "median_s": statistics.median(seconds[stage])}
                 for stage in STAGES
@@ -235,7 +283,8 @@ def entry(sizes: list[int], rounds: int) -> dict:
                 "load_over_decode": stages["load_dataset"]["min_s"] / stages["decode"]["min_s"],
                 "cli": cli_runs,
             }
-            os.remove(path)
+            for path in paths.values():
+                os.remove(path)
     return {
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "commit": git("rev-parse", "HEAD"),
@@ -249,6 +298,7 @@ def entry(sizes: list[int], rounds: int) -> dict:
             "cpu_count": os.cpu_count(),
         },
         "grid": {"taus": list(DEFAULT_TAUS), "scheme": "rcv", "score_source": "refusal"},
+        "corpus": "perfbench/corpus.generate(n, seed)",
         "sizes": sizes,
         "rounds": rounds,
         "seed": SEED,

@@ -43,7 +43,7 @@ from .records import (
     PricingSchedule,
     ValidationError,
 )
-from .trainset import ESTIMATE_SAMPLES, build_dpo_pair, refusal_targets
+from .trainset import ESTIMATE_SAMPLES, _dpo_pair, refusal_targets
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -319,7 +319,7 @@ def _grid_tau(taus, requested: float) -> float:
 def _cmd_build(args) -> int:
     corpus = load_training_questions(args.corpus)
     seed = _resolve_seed(args.seed)
-    short = [q.id for q in corpus if len(q.samples) != ESTIMATE_SAMPLES]
+    short = [q.id for q in corpus if len(q.texts) != ESTIMATE_SAMPLES]
     if short:
         shown = ", ".join(repr(qid) for qid in short[:5])
         raise ValidationError(
@@ -328,11 +328,9 @@ def _cmd_build(args) -> int:
         )
     pairs = []
     for question in corpus:
-        pair = build_dpo_pair(
-            question.id,
-            question.samples,
-            min_ratio=args.min_ratio,
-            include_correct_rejected=args.include_correct_rejected,
+        pair = _dpo_pair(
+            question.id, question.texts, question.correct, question.tokens,
+            args.min_ratio, args.include_correct_rejected,
         )
         if pair is not None:
             pairs.append(pair)
@@ -373,11 +371,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    points = read_curve(args.curve)
-    toa_value = toa_from_points(points)
+    points, toa_value = _curve_toa(args.curve)
     togr_value = None
     if args.golden:
-        togr_value = togr(points, read_curve(args.golden))
+        togr_value = togr(points, _curve_toa(args.golden)[0])
     report = MetricsReport(
         toa=toa_value,
         agl=0.0,  # curves carry no latency information
@@ -393,6 +390,15 @@ def _cmd_metrics(args) -> int:
     else:
         print(json.dumps(report.to_dict(), indent=2))
     return 0
+
+
+def _curve_toa(path: str) -> tuple:
+    """A curve file's points and ToA; an error about its shape names the file."""
+    points = read_curve(path)
+    try:
+        return points, toa_from_points(points)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 if __name__ == "__main__":

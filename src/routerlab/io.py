@@ -18,8 +18,10 @@ keys, as the writers write it, is read as it is; any other is merged
 with the record's defaults. A question's samples are checked by
 ``_sample_fields`` into columns and the question is made by
 ``QuestionRecord._from_rows``, which runs the constructor's question
-checks; every other record is made by its constructor. So a loaded
-record is one its constructor accepts.
+checks; a training question's completions are checked by
+``_response_fields`` and it is made by ``TrainingQuestion._from_rows``
+the same way. Every other record is made by its constructor. So a
+loaded record is one its constructor accepts.
 
 JSON rows are written with ``_ENCODE``, except on ``build``'s path:
 ``write_pairs`` and the private ``_write_refusal_rows`` write each row
@@ -61,7 +63,7 @@ from .records import (
     _sample_fields,
     refusal_prompt,
 )
-from .trainset import ResponseSample, TrainingQuestion, _question_seed
+from .trainset import ResponseSample, TrainingQuestion, _question_seed, _response_fields
 
 CURVE_HEADER = ("tau", "cost", "performance", "n_routed")
 
@@ -395,8 +397,8 @@ def write_metrics(report: MetricsReport, path: str) -> None:
 def parse_training_question(data: Mapping[str, Any], source: str = "question") -> TrainingQuestion:
     """Build a TrainingQuestion from one decoded JSONL object (``source`` as in ``parse_question``)."""
     values = _object(data, _TRAINING, source)
-    samples = _records(values["samples"], _RESPONSE, source, "samples", ResponseSample)
-    return TrainingQuestion(values["id"], values["question"], samples)
+    rows = _records(values["samples"], _RESPONSE, source, "samples", _response_fields)
+    return TrainingQuestion._from_rows(values["id"], values["question"], rows)
 
 
 def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:

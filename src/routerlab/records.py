@@ -12,25 +12,26 @@ loader builds through ``QuestionRecord._from_rows``, which runs the
 constructor's question checks on samples ``_sample_fields`` checked.
 ``_sample_fields`` holds a sample's rules, for ``SampleRecord`` and for
 the loader, which keeps a question's samples as columns and makes no
-record per sample.
+record per sample. ``trainset``'s ``_response_fields`` and
+``TrainingQuestion._from_rows`` do the same for a training corpus.
 
-Only per-sample code, ``_sample_fields`` and ``trainset``'s
-``ResponseSample``, tests the common exact types inline before calling
-a helper, and only ``ResponseSample`` stores each field with its own
-call, through module-level names unpacked from its ``_stores``: each
-saves about a microsecond a call, which counts only at ten calls a
-line. Calls per run of a sweep over 400 or 4,000 questions of ten
-samples and of a build over 6,000 questions of ten completions:
+Only the per-sample rules, ``_sample_fields`` and ``_response_fields``,
+test the common exact types inline before calling a helper: that saves
+about a microsecond a call, which counts only at ten calls a line.
+Calls per run of a sweep over 400 or 4,000 questions of ten samples and
+of a build over 6,000 questions of ten completions:
 
-    =============================  ==========  ===========  ======
-    code                           sweep, 400  sweep, 4000  build
-    =============================  ==========  ===========  ======
-    ``_sample_fields``             4,000       40,000       0
-    ``ResponseSample``             0           0            60,000
-    ``LlmOutcome``                 400         4,000        0
-    ``QuestionRecord._from_rows``  400         4,000        0
-    ``TrainingQuestion``           0           0            6,000
-    =============================  ==========  ===========  ======
+    ================================  ==========  ===========  ======
+    code                              sweep, 400  sweep, 4000  build
+    ================================  ==========  ===========  ======
+    ``_sample_fields``                4,000       40,000       0
+    ``_response_fields``              0           0            60,000
+    ``SampleRecord``                  0           0            0
+    ``ResponseSample``                0           0            0
+    ``LlmOutcome``                    400         4,000        0
+    ``QuestionRecord._from_rows``     400         4,000        0
+    ``TrainingQuestion._from_rows``   0           0            6,000
+    ================================  ==========  ===========  ======
 
 No record uses ``dataclasses``: importing it (with ``inspect``) and
 generating 16 classes cost about 20 ms at every start of the CLI,

@@ -13,6 +13,11 @@ plus the combined preference/supervised loss those pairs are trained
 with. The fine-tuning hyperparameters live in ``training_config`` so
 downstream trainers and this package agree on them.
 
+A ``TrainingQuestion`` keeps its completions as columns, and the pair
+rule (``_dpo_pair``) and ``refusal_targets`` read them: ``build`` makes
+no ``ResponseSample``. ``build_dpo_pair`` applies the same rule to
+records.
+
 ``refusal_targets`` is the only code that draws a refusal example's
 target. ``build`` writes each question's rows from those targets
 (``io._write_refusal_rows``) without making records; the records of
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress
 from typing import Any, Iterable, Mapping, Sequence
 
 from .records import (
@@ -50,30 +56,40 @@ SFT_WEIGHT = 0.2
 ESTIMATE_SAMPLES = 10
 
 
+def _response_fields(text: str, correct: bool, tokens: int) -> tuple[str, bool, int]:
+    """One completion's checked fields, in ``ResponseSample``'s field
+    order: the rules of a completion, for its constructor and for the
+    loader, which checks each listed completion into its question's
+    columns."""
+    if type(text) is not str or not text.isascii() or not text:
+        _as_str(text, "text")
+    if correct is not True and correct is not False:
+        _as_bool(correct, "correct")
+    if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
+        _as_count(tokens, "tokens")
+    return text, correct, tokens
+
+
 class ResponseSample(_Record):
     """One free-text completion with its grading and token length."""
 
     __slots__ = ("text", "correct", "tokens")
 
     def __init__(self, text: str, correct: bool, tokens: int) -> None:
-        if type(text) is not str or not text.isascii() or not text:
-            _as_str(text, "text")
-        if correct is not True and correct is not False:
-            _as_bool(correct, "correct")
-        if type(tokens) is not int or not 0 < tokens < _FLOAT_SAFE_INT:
-            _as_count(tokens, "tokens")
-        _set_text(self, text)
-        _set_correct(self, correct)
-        _set_tokens(self, tokens)
-
-
-_set_text, _set_correct, _set_tokens = ResponseSample._stores
+        self._store(*_response_fields(text, correct, tokens))
 
 
 class TrainingQuestion(_Record):
-    """A question with the graded completions recorded for it."""
+    """A question with the graded completions recorded for it.
 
-    __slots__ = ("id", "question", "samples")
+    The completions are stored as three aligned columns, one item per
+    completion in the given order: ``texts``, ``correct`` and
+    ``tokens``. ``samples`` builds the ``ResponseSample``s from them on
+    each access.
+    """
+
+    __slots__ = ("id", "question", "texts", "correct", "tokens")
+    _fields = ("id", "question", "samples")
 
     def __init__(self, id: str, question: str, samples: Iterable[ResponseSample]) -> None:
         _as_str(id, "id")
@@ -84,14 +100,33 @@ class TrainingQuestion(_Record):
             raise ValidationError(
                 f"question {id!r}: samples must hold ResponseSample values"
             ) from None
-        if not samples:
-            raise ValidationError(f"question {id!r} has no samples")
         for sample in samples:
             if not isinstance(sample, ResponseSample):
                 raise ValidationError(
                     f"question {id!r}: samples must hold ResponseSample values"
                 )
-        self._store(id, question, samples)
+        self._fill(id, question, map(ResponseSample._values, samples))
+
+    @classmethod
+    def _from_rows(cls, id: str, question: str, rows: Sequence[tuple]) -> "TrainingQuestion":
+        """The loader's constructor: ``rows`` holds each completion's
+        fields as ``_response_fields`` returned them. Runs the
+        constructor's checks in the constructor's order."""
+        _as_str(id, "id")
+        _as_str(question, "question")
+        record = object.__new__(cls)
+        record._fill(id, question, rows)
+        return record
+
+    def _fill(self, id: str, question: str, rows: Iterable[tuple]) -> None:
+        columns = tuple(zip(*rows))
+        if not columns:
+            raise ValidationError(f"question {id!r} has no samples")
+        self._store(id, question, *columns)
+
+    @property
+    def samples(self) -> tuple[ResponseSample, ...]:
+        return tuple(map(ResponseSample, self.texts, self.correct, self.tokens))
 
 
 def build_dpo_pair(
@@ -108,33 +143,40 @@ def build_dpo_pair(
     ``include_correct_rejected`` is set, incorrect.
 
     ``min_ratio`` may be raised above the stored-pair guarantee of
-    1.5 but never below it.
+    1.5 but never below it. ``build`` applies the same rule to a
+    question's columns, through ``_dpo_pair``.
     """
+    columns = [s.text for s in samples], [s.correct for s in samples], [s.tokens for s in samples]
+    return _dpo_pair(question_id, *columns, min_ratio, include_correct_rejected)
+
+
+def _dpo_pair(
+    question_id: str, texts: Sequence[str], correct: Sequence[bool], tokens: Sequence[int],
+    min_ratio: float, include_correct_rejected: bool,
+) -> PreferencePair | None:
+    """``build_dpo_pair`` over a question's aligned completion columns."""
     if not (math.isfinite(_as_number(min_ratio, "min_ratio")) and min_ratio >= REJECTED_TOKEN_RATIO):
         raise ValidationError(
             f"min_ratio must be a finite number >= {REJECTED_TOKEN_RATIO}, got "
             f"{min_ratio}; stored pairs guarantee at least that length gap"
         )
     chosen = None
-    for sample in samples:
-        if sample.correct and (chosen is None or sample.tokens < chosen.tokens):
-            chosen = sample
+    for index, count in enumerate(tokens):
+        if correct[index] and (chosen is None or count < tokens[chosen]):
+            chosen = index
     if chosen is None:
         return None
+    floor = min_ratio * tokens[chosen]
     rejected = None
-    for sample in samples:
-        if sample is chosen:
+    for index, count in enumerate(tokens):
+        if index == chosen or (correct[index] and not include_correct_rejected):
             continue
-        if sample.correct and not include_correct_rejected:
-            continue
-        if sample.tokens > min_ratio * chosen.tokens and (
-            rejected is None or sample.tokens > rejected.tokens
-        ):
-            rejected = sample
+        if count > floor and (rejected is None or count > tokens[rejected]):
+            rejected = index
     if rejected is None:
         return None
     return PreferencePair(
-        question_id, chosen.text, rejected.text, chosen.tokens, rejected.tokens
+        question_id, texts[chosen], texts[rejected], tokens[chosen], tokens[rejected]
     )
 
 
@@ -145,12 +187,15 @@ def estimate_accuracy(samples: Sequence[Any]) -> float:
     n/10, which is exact on the confidence grid.
     """
     samples = tuple(samples)
-    if len(samples) != ESTIMATE_SAMPLES:
-        raise ValidationError(
-            f"accuracy estimation uses exactly {ESTIMATE_SAMPLES} samples, "
-            f"got {len(samples)}"
-        )
+    _check_estimate_count(len(samples))
     return sum(1 for s in samples if s.correct) / ESTIMATE_SAMPLES
+
+
+def _check_estimate_count(count: int) -> None:
+    if count != ESTIMATE_SAMPLES:
+        raise ValidationError(
+            f"accuracy estimation uses exactly {ESTIMATE_SAMPLES} samples, got {count}"
+        )
 
 
 # The targets of a question with no correct completion to draw.
@@ -166,10 +211,11 @@ def refusal_targets(question: TrainingQuestion, seed: int) -> tuple[str, ...]:
     reproducible regardless of question order. A question with no
     correct completion draws nothing.
     """
-    accuracy = estimate_accuracy(question.samples)
-    correct_texts = [s.text for s in question.samples if s.correct]
+    _check_estimate_count(len(question.correct))
+    correct_texts = list(compress(question.texts, question.correct))
     if not correct_texts:
         return _ALL_REFUSED
+    accuracy = len(correct_texts) / ESTIMATE_SAMPLES
     choice = random.Random(_question_seed(seed, question.id)).choice
     return tuple(
         choice(correct_texts) if accuracy >= threshold else REJECTION_TEXT

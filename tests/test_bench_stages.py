@@ -33,8 +33,11 @@ def test_appends_one_entry_per_run(tmp_path, capsys):
     # The control's peak is the launcher's floor, below any CLI run's.
     control = result["cli"].pop("control")["peak_rss_mb"]
     assert all(control <= run["peak_rss_mb"] for run in result["cli"].values())
+    assert {"load_training", "dpo_pairs", "refusal_rows"} <= set(result["stages"])
+    assert "build" in result["cli"]
     out = capsys.readouterr().out
     assert "load/decode" in out and "n=50 cli: pre_refusal_golden " in out
+    assert " build " in out and " refusal_rows " in out
 
 
 def test_failed_cli_run_exits_one(tmp_path, monkeypatch, capsys):
@@ -61,6 +64,19 @@ def test_gate_failure_stops_before_timing(tmp_path, monkeypatch, capsys):
         stages.main(["--sizes", "50", "--out", str(out)])
     assert caught.value.code == 1
     assert "gate: n=50: pre: curve.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_gate_failure_stops_before_timing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_dpo_pair", lambda *args: None)
+    monkeypatch.setattr(stages, "time_stages", lambda *args: pytest.fail("timed after a failed gate"))
+    out = tmp_path / "BENCH_e2e.json"
+    with pytest.raises(SystemExit) as caught:
+        stages.main(["--sizes", "50", "--out", str(out)])
+    assert caught.value.code == 1
+    err = capsys.readouterr().err
+    assert "gate: n=50: build: pairs.jsonl: 0 pairs" in err
+    assert "gate: n=50: pre:" not in err and "gate: n=50: cascade:" not in err
     assert not out.exists()
 
 

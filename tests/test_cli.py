@@ -12,8 +12,9 @@ import pytest
 import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
-from routerlab.io import load_dataset
+from routerlab.io import load_dataset, load_training_questions
 from routerlab.records import QuestionRecord, ValidationError
+from routerlab.trainset import ResponseSample
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 RULES = Path(__file__).resolve().parent / "data" / "validate_golden"
@@ -469,6 +470,30 @@ class TestBuild:
         for name in ("pairs.jsonl", "refusal.jsonl"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
+    def test_makes_no_response_sample(self, tmp_path, capsys, monkeypatch):
+        # build reads each question's completion columns; only the
+        # record-level builders make ResponseSamples.
+        made = []
+        init = ResponseSample.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResponseSample, "__init__", counted)
+        code, out, err = run(
+            ["build", str(GOLDEN / "corpus.jsonl"), "--out-dir", str(tmp_path), "--seed", "3"],
+            capsys,
+        )
+        assert (code, made) == (0, [])
+        for name in ("pairs.jsonl", "refusal.jsonl"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        # The counter does see the records that .samples builds on access.
+        question = load_training_questions(str(GOLDEN / "corpus.jsonl"))[0]
+        assert made == []
+        samples = question.samples
+        assert len(made) == len(samples) == len(question.texts)
+
     def test_lone_surrogate_reported_at_its_line(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         samples = [{"text": "a", "correct": True, "tokens": 5}] * 10
@@ -734,6 +759,35 @@ class TestMetrics:
         assert code == 0
         data = json.loads(out)
         assert data["toa100"] == data["toa"]
+
+
+class TestMetricsNamesTheCurve:
+    """A curve whose reference points cannot scale ToA is reported with
+    its file's path, once, whether it is CURVE or --golden."""
+
+    ROWS = {
+        "no_llm_only": ["slm_only,0.1,0.3,0", "0.5,0.6,0.7,5"],
+        "equal_costs": ["slm_only,0.5,0.3,0", "0.5,0.5,0.7,5", "llm_only,0.5,0.9,10"],
+    }
+    ERRORS = {
+        "no_llm_only": "a curve needs exactly one slm_only and one llm_only point; found 1 and 0",
+        "equal_costs": (
+            "the all-LLM reference must cost more than the all-SLM reference "
+            "(0.5 vs 0.5); the cost axis is degenerate"
+        ),
+    }
+
+    @pytest.mark.parametrize("role", ["curve", "golden"])
+    @pytest.mark.parametrize("shape", ["no_llm_only", "equal_costs"])
+    def test_error_names_the_file(self, tmp_path, capsys, role, shape):
+        good = tmp_path / "good.csv"
+        good.write_text("tau,cost,performance,n_routed\nslm_only,0.1,0.3,0\nllm_only,1.0,0.9,10\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["tau,cost,performance,n_routed", *self.ROWS[shape]]) + "\n")
+        argv = ["metrics", str(bad)] if role == "curve" else ["metrics", str(good), "--golden", str(bad)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: {self.ERRORS[shape]}\n"
 
 
 class TestDeepNesting:

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import tempfile
 import types
 import warnings
@@ -1191,6 +1192,27 @@ class TestTrainingCorpus:
         questions = load_training_questions(str(path))
         assert [q.id for q in questions] == ["a", "b"]
         assert len(questions[0].samples) == 10
+
+    @given(EXACT_TRAINING)
+    @example(json.loads((BUILD_GOLDEN / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]))
+    @settings(max_examples=100, deadline=None)
+    def test_constructed_question_is_the_parsed_one(self, data):
+        # The loader stores checked columns; the constructor takes records.
+        parsed = parse_training_question(data)
+        built = TrainingQuestion(
+            data["id"], data["question"], [ResponseSample(**sample) for sample in data["samples"]]
+        )
+        assert built == parsed and parsed == built
+        assert repr(built) == repr(parsed)
+        assert hash(built) == hash(parsed)
+        for record in (built, parsed):
+            again = pickle.loads(pickle.dumps(record))
+            assert type(again) is TrainingQuestion
+            assert again == parsed and repr(again) == repr(parsed)
+            assert (again.texts, again.correct, again.tokens) == (
+                parsed.texts, parsed.correct, parsed.tokens
+            )
+        assert parsed.samples == tuple(ResponseSample(**sample) for sample in data["samples"])
 
     def test_unknown_field_warns(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routerlab.records import (
     CONFIDENCE_LEVELS,
     REJECTION_TEXT,
+    PreferencePair,
     ValidationError,
     refusal_prompt,
 )
@@ -19,9 +20,11 @@ from routerlab.trainset import (
     ResponseSample,
     TrainingQuestion,
     build_dpo_pair,
+    _dpo_pair,
     build_refusal_examples,
     combined_loss,
     estimate_accuracy,
+    refusal_targets,
     training_config,
 )
 
@@ -135,6 +138,60 @@ class TestBuildDpoPair:
         )
 
 
+def reference_pair(verdicts, min_ratio, include_correct_rejected):
+    """The pair rule by brute force over ``(correct, tokens)`` rows whose
+    texts are ``t0``, ``t1``, ...: the earliest of the shortest correct
+    rows, and the earliest of the longest other allowed rows strictly
+    above ``min_ratio`` times its length."""
+    correct = [i for i, (is_correct, _) in enumerate(verdicts) if is_correct]
+    if not correct:
+        return None
+    chosen = min(correct, key=lambda i: (verdicts[i][1], i))
+    allowed = [
+        i
+        for i, (is_correct, tokens) in enumerate(verdicts)
+        if i != chosen
+        and (include_correct_rejected or not is_correct)
+        and tokens > min_ratio * verdicts[chosen][1]
+    ]
+    if not allowed:
+        return None
+    rejected = min(allowed, key=lambda i: (-verdicts[i][1], i))
+    return PreferencePair("q", f"t{chosen}", f"t{rejected}", verdicts[chosen][1], verdicts[rejected][1])
+
+
+class TestPairRuleOnColumns:
+    """``build`` calls the column rule ``_dpo_pair``; ``build_dpo_pair``
+    over records wraps it. Both give the brute-force pair. Small token
+    counts make ties and exact 1.5x lengths common."""
+
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(1, 12)), min_size=1, max_size=12),
+        st.sampled_from([1.5, 2, 2.5]) | st.floats(1.5, 4.0),
+        st.booleans(),
+    )
+    @example([(True, 2), (False, 3)], 1.5, False)  # exactly 1.5x: no pair
+    @example([(True, 2), (False, 4), (True, 2), (False, 4)], 1.5, False)  # ties: earliest
+    @example([(True, 2), (True, 6), (False, 6)], 1.5, True)  # a correct row rejected first
+    @example([(False, 2), (False, 9)], 1.5, True)  # no correct completion
+    @settings(max_examples=400, deadline=None)
+    def test_columns_records_and_reference_agree(self, verdicts, min_ratio, include_correct_rejected):
+        texts = [f"t{i}" for i in range(len(verdicts))]
+        correct = [is_correct for is_correct, _ in verdicts]
+        tokens = [count for _, count in verdicts]
+        expected = reference_pair(verdicts, min_ratio, include_correct_rejected)
+        samples = [resp(*row) for row in zip(texts, correct, tokens)]
+        assert build_dpo_pair("q", samples, min_ratio, include_correct_rejected) == expected
+        q = question(samples, qid="q")
+        assert (q.texts, q.correct, q.tokens) == (tuple(texts), tuple(correct), tuple(tokens))
+        assert _dpo_pair("q", q.texts, q.correct, q.tokens, min_ratio, include_correct_rejected) == expected
+
+    def test_min_ratio_checked_before_any_completion(self):
+        # As in build_dpo_pair: a bad ratio fails even where no pair exists.
+        with pytest.raises(ValidationError, match="min_ratio must be a finite number >= 1.5"):
+            _dpo_pair("q", ("a",), (False,), (3,), 1.2, False)
+
+
 class TestEstimateAccuracy:
     def test_exact_tenths(self):
         for n in range(11):
@@ -195,6 +252,16 @@ class TestBuildRefusalExamples:
         q = question([resp("a", True, 5)] * 9)
         with pytest.raises(ValidationError):
             build_refusal_examples(q, seed=0)
+
+    @pytest.mark.parametrize("count", [9, 11])
+    @pytest.mark.parametrize("correct", [False, True], ids=["none_correct", "all_correct"])
+    def test_targets_name_the_completion_count(self, count, correct):
+        # The count is checked first, also where nothing would be drawn.
+        q = question([resp(f"a{i}", correct, 5) for i in range(count)])
+        for call in (refusal_targets, build_refusal_examples):
+            with pytest.raises(ValidationError) as caught:
+                call(q, 0)
+            assert str(caught.value) == f"accuracy estimation uses exactly 10 samples, got {count}"
 
 
 class TestCombinedLoss:
