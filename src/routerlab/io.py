@@ -63,7 +63,13 @@ from .records import (
     _sample_fields,
     refusal_prompt,
 )
-from .trainset import ResponseSample, TrainingQuestion, _question_seed, _response_fields
+from .trainset import (
+    ResponseSample,
+    TrainingQuestion,
+    _check_seed,
+    _question_seed,
+    _response_fields,
+)
 
 CURVE_HEADER = ("tau", "cost", "performance", "n_routed")
 
@@ -542,6 +548,7 @@ def generate_synthetic(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    _check_seed(seed)
     questions = []
     for index in range(n):
         questions.append(_synthesize_question(index, seed, params))

@@ -19,15 +19,16 @@ no ``ResponseSample``. ``build_dpo_pair`` applies the same rule to
 records.
 
 ``refusal_targets`` is the only code that draws a refusal example's
-target. ``build`` writes each question's rows from those targets
-(``io._write_refusal_rows``) without making records; the records of
-``build_refusal_examples`` are the reference those rows must equal.
+target. It reads each draw straight off the question's SHA-256 digest
+(``_question_seed``), with no generator per question. ``build`` writes
+each question's rows from those targets (``io._write_refusal_rows``)
+without making records; the records of ``build_refusal_examples`` are
+the reference those rows must equal.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from itertools import compress
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -206,21 +207,30 @@ def refusal_targets(question: TrainingQuestion, seed: int) -> tuple[str, ...]:
     """The question's target at each level of ``CONFIDENCE_LEVELS``.
 
     At levels the estimated accuracy reaches (inclusive), the target is
-    a randomly drawn correct completion; above them it is the fixed
-    rejection text. Draws are seeded per question id, so the corpus is
-    reproducible regardless of question order. A question with no
-    correct completion draws nothing.
+    a drawn correct completion; above them it is the fixed rejection
+    text. The draws read the integer ``_question_seed(seed, id)``: with
+    ``k`` correct completions in file order, each reached level, in
+    level order, takes ``bits, index = divmod(bits, k)`` and draws the
+    ``index``-th. So the draws are uniform with replacement and keyed by
+    (seed, id), and the corpus is reproducible regardless of question
+    order. A question with no correct completion draws nothing.
     """
+    _check_seed(seed)
     _check_estimate_count(len(question.correct))
     correct_texts = list(compress(question.texts, question.correct))
-    if not correct_texts:
+    k = len(correct_texts)
+    if not k:
         return _ALL_REFUSED
-    accuracy = len(correct_texts) / ESTIMATE_SAMPLES
-    choice = random.Random(_question_seed(seed, question.id)).choice
-    return tuple(
-        choice(correct_texts) if accuracy >= threshold else REJECTION_TEXT
-        for threshold in CONFIDENCE_LEVELS
-    )
+    accuracy = k / ESTIMATE_SAMPLES
+    bits = _question_seed(seed, question.id)
+    targets = []
+    for threshold in CONFIDENCE_LEVELS:
+        if accuracy >= threshold:
+            bits, index = divmod(bits, k)
+            targets.append(correct_texts[index])
+        else:
+            targets.append(REJECTION_TEXT)
+    return tuple(targets)
 
 
 def build_refusal_examples(
@@ -240,6 +250,12 @@ def build_refusal_examples(
 
 # hashlib.sha256, imported by the first _question_seed: a sweep hashes nothing.
 _sha256 = None
+
+
+def _check_seed(seed: Any) -> None:
+    """Any int is a seed, huge and negative ones too; a bool is not."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
 
 
 def _question_seed(seed: int, key: str | int) -> int:

@@ -522,6 +522,24 @@ class TestBuild:
             b_dir / "refusal.jsonl"
         ).read_bytes()
 
+    def test_rows_do_not_depend_on_question_order(self, corpus, tmp_path, capsys):
+        # Targets are keyed by (seed, id): reversing the corpus reverses
+        # the questions' row blocks and changes no row.
+        reversed_corpus = tmp_path / "reversed.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_corpus.write_text("".join(reversed(lines)), encoding="utf-8")
+        by_id = []
+        for path, out_dir in ((corpus, tmp_path / "a"), (reversed_corpus, tmp_path / "b")):
+            code, _, _ = run(["build", str(path), "--out-dir", str(out_dir), "--seed", "3"], capsys)
+            assert code == 0
+            rows = {}
+            for name in ("pairs.jsonl", "refusal.jsonl"):
+                for line in (out_dir / name).read_text(encoding="utf-8").splitlines():
+                    rows.setdefault((name, json.loads(line)["id"]), []).append(line)
+            by_id.append(rows)
+        assert by_id[0] == by_id[1]
+        assert sum(len(rows) for (name, _), rows in by_id[0].items() if name == "refusal.jsonl") == 60
+
     def test_seed_from_environment(self, corpus, tmp_path, capsys, monkeypatch):
         flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
         code, _, _ = run(

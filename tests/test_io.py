@@ -1288,10 +1288,10 @@ class TestRefusalRows:
             )
 
     def test_no_correct_sample_draws_nothing(self, monkeypatch):
-        def no_rng(*args):
-            raise AssertionError("a question with no correct sample drew a target")
+        def no_hash(*args):
+            raise AssertionError("a question with no correct sample hashed its id")
 
-        monkeypatch.setattr(trainset.random, "Random", no_rng)
+        monkeypatch.setattr(trainset, "_question_seed", no_hash)
         assert refusal_targets(NONE_CORRECT, 0) == (REJECTION_TEXT,) * len(CONFIDENCE_LEVELS)
 
 
@@ -1315,6 +1315,18 @@ class TestSyntheticGenerator:
         with pytest.raises(ValidationError) as caught:
             generate_synthetic(0, seed=3)
         assert str(caught.value) == "n must be a positive integer, got 0"
+
+    @pytest.mark.parametrize("seed", [True, "1", 1.0, None], ids=repr)
+    def test_non_int_seed_rejected(self, seed):
+        # Formatted into the hash, True and 1.0 would draw unlike 1 and
+        # "1" like it.
+        with pytest.raises(ValidationError) as caught:
+            generate_synthetic(1, seed=seed)
+        assert str(caught.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(10**400)])
+    def test_any_int_seed_accepted(self, seed):
+        assert generate_synthetic(2, seed=seed) == generate_synthetic(2, seed=seed)
 
     def test_deterministic(self):
         a = generate_synthetic(40, seed=3)

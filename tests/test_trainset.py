@@ -1,7 +1,9 @@
 """Preference-pair mining, refusal corpus construction, and the loss."""
 
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -496,3 +498,83 @@ class TestBuildersMatchConstructors:
         )
         if pair is not None:
             assert_constructor_agrees(pair)
+
+
+def reference_targets(qid, seed, texts, correct):
+    """The draw rule written out from README: SHA-256 of ``seed:id`` as a
+    big-endian integer; each level n/10 with n <= k takes the next base-k
+    digit of it, least significant first, as the index of a correct
+    completion in file order."""
+    bits = int.from_bytes(hashlib.sha256(f"{seed}:{qid}".encode("utf-8")).digest(), "big")
+    pool = [text for text, ok in zip(texts, correct) if ok]
+    targets = []
+    for n in range(1, 11):
+        if n <= len(pool):
+            targets.append(pool[bits % len(pool)])
+            bits //= len(pool)
+        else:
+            targets.append(REJECTION_TEXT)
+    return tuple(targets)
+
+
+def drawn_indices(k, levels, n_ids=20_000):
+    """How often each tuple of drawn indices, at the first ``levels``
+    levels, comes up over ``n_ids`` fixed ids of a question with ``k``
+    correct completions."""
+    samples = tuple(
+        resp(f"c{i}", True, 5) if i < k else resp(f"w{i}", False, 5) for i in range(10)
+    )
+    counts = Counter()
+    for n in range(n_ids):
+        targets = refusal_targets(TrainingQuestion(f"id-{n}", "Q", samples), 0)
+        counts[tuple(int(target[1:]) for target in targets[:levels])] += 1
+    return counts
+
+
+def assert_uniform(counts, cells, n_ids=20_000):
+    """Every one of ``cells`` equally likely cells is within 4.5 standard
+    deviations of its binomial mean."""
+    p = 1 / len(cells)
+    spread = 4.5 * math.sqrt(n_ids * p * (1 - p))
+    assert set(counts) == set(cells)
+    for cell in cells:
+        assert abs(counts[cell] - n_ids * p) <= spread, (cell, counts[cell], n_ids * p, spread)
+
+
+class TestRefusalDraw:
+    """``refusal_targets`` reads its draws straight off the SHA-256 digest
+    of ``seed:id``, one base-k digit per reached level."""
+
+    @given(
+        TEXT,
+        st.integers(-(2**64), 2**64),
+        st.lists(st.booleans(), min_size=10, max_size=10),
+    )
+    @example("é", 2**64, [True] * 10)
+    @example("q", -(2**64), [False] * 10)
+    @example("q", 10**400, [False, True] * 5)  # any int is a seed, huge ones too
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_written_rule(self, qid, seed, correct):
+        texts = [f"t{i}" for i in range(10)]
+        q = question([resp(t, ok, 5) for t, ok in zip(texts, correct)], qid=qid)
+        assert refusal_targets(q, seed) == reference_targets(qid, seed, texts, correct)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_first_level_index_is_uniform(self, k):
+        assert_uniform(drawn_indices(k, 1), [(i,) for i in range(k)])
+
+    def test_first_two_levels_are_independent(self):
+        # With k = 3, the (level 0.1, level 0.2) pair is uniform on 9 cells.
+        assert_uniform(drawn_indices(3, 2), [(i, j) for i in range(3) for j in range(3)])
+
+
+class TestSeedType:
+    @pytest.mark.parametrize("seed", [True, "1", 1.0, None], ids=repr)
+    @pytest.mark.parametrize("correct", [0, 6], ids=["none_correct", "six_correct"])
+    def test_non_int_seed_rejected(self, seed, correct):
+        # Checked before a question with nothing to draw returns, so the
+        # error does not depend on the question.
+        for call in (refusal_targets, build_refusal_examples):
+            with pytest.raises(ValidationError) as caught:
+                call(ten(correct), seed)
+            assert str(caught.value) == f"seed must be an integer, got {seed!r}"
