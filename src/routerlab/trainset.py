@@ -248,14 +248,14 @@ def build_refusal_examples(
     )
 
 
-# hashlib.sha256, imported by the first _question_seed: a sweep hashes nothing.
-_sha256 = None
-
-
 def _check_seed(seed: Any) -> None:
     """Any int is a seed, huge and negative ones too; a bool is not."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
+
+
+# hashlib.sha256, imported by the first _question_seed: a sweep hashes nothing.
+_sha256 = None
 
 
 def _question_seed(seed: int, key: str | int) -> int:
