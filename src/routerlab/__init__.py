@@ -41,7 +41,6 @@ from .metrics import (
     latency_report,
     toa,
     toa_from_points,
-    toga,
     togr,
 )
 from .prerouting import (
@@ -77,7 +76,6 @@ from .trainset import (
     build_dpo_pair,
     build_refusal_examples,
     combined_loss,
-    estimate_accuracy,
     refusal_targets,
     training_config,
 )

@@ -73,15 +73,6 @@ def toa(
     return area
 
 
-def toga(
-    points: Iterable[CurvePoint],
-    slm_point: tuple[float, float],
-    llm_point: tuple[float, float],
-) -> float:
-    """Trade-off gain: area above the random-interpolation diagonal."""
-    return toa(points, slm_point, llm_point) - 0.5
-
-
 def curve_endpoints(points: Sequence[CurvePoint]) -> tuple[CurvePoint, CurvePoint]:
     """The labelled all-SLM and all-LLM reference points of a curve."""
     slm = [p for p in points if p.label == "slm_only"]

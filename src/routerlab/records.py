@@ -124,11 +124,7 @@ def normalize_taus(taus: "Iterable[float]") -> tuple[float, ...]:
 
 def refusal_prompt(threshold: float, question: str) -> str:
     """Build the confidence-conditioned prompt for one question."""
-    return f"{refusal_prompt_prefix(threshold)} {question}"
-
-
-def refusal_prompt_prefix(threshold: float) -> str:
-    return _PREFIX.format(threshold)
+    return f"{_PREFIX.format(threshold)} {question}"
 
 
 def _as_float(value: Any, name: str) -> float:
@@ -480,7 +476,8 @@ def _check_question(id: Any, input_tokens: Any) -> None:
 
 def _ladder(question: QuestionRecord) -> tuple[int, ...]:
     """The index of the question's sample at each confidence level, in
-    level order; raises as ``confidence_ladder`` documents."""
+    level order. Untagged samples are ignored; raises ``ValidationError``
+    when a level has several samples or when a level has none."""
     by_level: dict[float, int] = {}
     for index, level in enumerate(question.levels):
         if level is None:
@@ -499,16 +496,6 @@ def _ladder(question: QuestionRecord) -> tuple[int, ...]:
             "ladder replay needs the full ladder"
         )
     return tuple(by_level[level] for level in CONFIDENCE_LEVELS)
-
-
-def confidence_ladder(question: "QuestionRecord") -> tuple[SampleRecord, ...]:
-    """The question's samples ordered by confidence level, one per level.
-
-    Raises when a level is missing or duplicated; untagged samples are
-    ignored. This is the shape confidence-ladder replay requires.
-    """
-    samples = question.slm_samples
-    return tuple(samples[index] for index in _ladder(question))
 
 
 class DatasetProfile(_Record):
@@ -766,7 +753,7 @@ class RefusalExample(_Record):
     def __init__(self, question_id: str, threshold: float, prompt: str, target: str) -> None:
         _as_str(question_id, "question_id")
         threshold = snap_confidence(_as_float(threshold, "threshold"))
-        prefix = refusal_prompt_prefix(threshold)
+        prefix = _PREFIX.format(threshold)
         _as_str(prompt, "prompt")
         if not prompt.startswith(prefix):
             raise ValidationError(

@@ -181,24 +181,6 @@ def _dpo_pair(
     )
 
 
-def estimate_accuracy(samples: Sequence[Any]) -> float:
-    """Estimated answer accuracy from exactly ten graded samples.
-
-    Accepts anything with a boolean ``correct`` attribute. The result is
-    n/10, which is exact on the confidence grid.
-    """
-    samples = tuple(samples)
-    _check_estimate_count(len(samples))
-    return sum(1 for s in samples if s.correct) / ESTIMATE_SAMPLES
-
-
-def _check_estimate_count(count: int) -> None:
-    if count != ESTIMATE_SAMPLES:
-        raise ValidationError(
-            f"accuracy estimation uses exactly {ESTIMATE_SAMPLES} samples, got {count}"
-        )
-
-
 # The targets of a question with no correct completion to draw.
 _ALL_REFUSED = (REJECTION_TEXT,) * len(CONFIDENCE_LEVELS)
 
@@ -216,7 +198,11 @@ def refusal_targets(question: TrainingQuestion, seed: int) -> tuple[str, ...]:
     order. A question with no correct completion draws nothing.
     """
     _check_seed(seed)
-    _check_estimate_count(len(question.correct))
+    if len(question.correct) != ESTIMATE_SAMPLES:
+        raise ValidationError(
+            f"accuracy estimation uses exactly {ESTIMATE_SAMPLES} samples, "
+            f"got {len(question.correct)}"
+        )
     correct_texts = list(compress(question.texts, question.correct))
     k = len(correct_texts)
     if not k:

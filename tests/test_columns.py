@@ -32,7 +32,6 @@ from routerlab.records import (
     QuestionRecord,
     SampleRecord,
     ValidationError,
-    confidence_ladder,
 )
 
 from conftest import make_sample
@@ -177,7 +176,6 @@ class TestColumnReaders:
         assert mean_sample_tokens(question) == sum(s.tokens for s in samples) / len(samples)
         assert mean_sample_correct(question) == sum(1 for s in samples if s.correct) / len(samples)
         assert outcome(derive_refusal_score, question) == outcome(reference_refusal_score, question)
-        assert outcome(confidence_ladder, question) == outcome(reference_ladder, question)
         profile = profile_of(question)
         for scheme in ("rcv", "sc", "fcv"):
             # Mostly as many samples as the scheme replays: ten for rcv,

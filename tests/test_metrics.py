@@ -10,7 +10,6 @@ from routerlab.metrics import (
     latency_report,
     toa,
     toa_from_points,
-    toga,
     togr,
 )
 from routerlab.records import (
@@ -74,9 +73,6 @@ class TestToa:
     def test_degenerate_performance_axis_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             toa([], (0.0, 0.9), (1.0, 0.9))
-
-    def test_toga_is_centered(self):
-        assert toga([grid_point(0.5, 1.0)], (0.0, 0.0), (1.0, 1.0)) == 0.25
 
 
 class TestToaFromPoints:

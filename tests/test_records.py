@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from routerlab import io, records, trainset
-from routerlab.cascade import sweep_cascade
+from routerlab.cascade import select_samples, sweep_cascade
 from routerlab.io import SyntheticParams, load_pricing, parse_question
 from routerlab.prerouting import sweep_pre
 from routerlab.records import (
@@ -29,10 +29,8 @@ from routerlab.records import (
     SweepResult,
     ValidationError,
     canonical_answer,
-    confidence_ladder,
     normalize_taus,
     refusal_prompt,
-    refusal_prompt_prefix,
     snap_confidence,
 )
 from routerlab.trainset import LossTerms, ResponseSample, TrainingQuestion
@@ -132,14 +130,14 @@ class TestRefusalPrompt:
     def test_prefix_template_bit_exact(self):
         for level in CONFIDENCE_LEVELS:
             assert (
-                refusal_prompt_prefix(level)
-                == f"Please respond with a confidence level of {level:.1f}:"
+                refusal_prompt(level, "")
+                == f"Please respond with a confidence level of {level:.1f}: "
             )
 
     @pytest.mark.parametrize("threshold, shown", [(0.15, "0.1"), (0.05, "0.1"), (1, "1.0")])
     def test_off_grid_and_int_thresholds_keep_their_text(self, threshold, shown):
-        expected = f"Please respond with a confidence level of {shown}:"
-        assert refusal_prompt_prefix(threshold) == expected
+        expected = f"Please respond with a confidence level of {shown}: "
+        assert refusal_prompt(threshold, "") == expected
 
     def test_prompt_joins_with_single_space(self):
         assert (
@@ -269,27 +267,39 @@ class TestQuestionRecord:
 
 
 class TestConfidenceLadder:
+    """The ladder that ``select_samples(q, "rcv")`` replays."""
+
     def test_orders_by_level(self):
         q = make_question(samples=list(reversed(make_ladder(4))))
-        ladder = confidence_ladder(q)
+        ladder = select_samples(q, "rcv")
         assert [s.confidence_level for s in ladder] == [i / 10 for i in range(1, 11)]
 
     def test_missing_level_rejected(self):
         samples = make_ladder(4)[:9]
         q = make_question(samples=samples)
-        with pytest.raises(ValidationError):
-            confidence_ladder(q)
+        with pytest.raises(ValidationError) as excinfo:
+            select_samples(q, "rcv")
+        assert str(excinfo.value) == (
+            "question 'q1': no sample at confidence 1.0; ladder replay needs the full ladder"
+        )
 
     def test_duplicate_level_rejected(self):
         samples = make_ladder(4)[:9] + [make_sample("a", True, 5, 0.5)]
         q = make_question(samples=samples)
-        with pytest.raises(ValidationError):
-            confidence_ladder(q)
+        with pytest.raises(ValidationError) as excinfo:
+            select_samples(q, "rcv")
+        assert str(excinfo.value) == (
+            "question 'q1': several samples at confidence 0.5; ladder replay needs one per level"
+        )
 
     def test_untagged_rejected(self):
         q = make_question()
-        with pytest.raises(ValidationError):
-            confidence_ladder(q)
+        with pytest.raises(ValidationError) as excinfo:
+            select_samples(q, "rcv")
+        assert str(excinfo.value) == (
+            "question 'q1': no sample at confidence 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, "
+            "0.8, 0.9, 1.0; ladder replay needs the full ladder"
+        )
 
 
 class TestDatasetProfile:

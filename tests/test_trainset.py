@@ -25,7 +25,6 @@ from routerlab.trainset import (
     _dpo_pair,
     build_refusal_examples,
     combined_loss,
-    estimate_accuracy,
     refusal_targets,
     training_config,
 )
@@ -192,16 +191,6 @@ class TestPairRuleOnColumns:
         # As in build_dpo_pair: a bad ratio fails even where no pair exists.
         with pytest.raises(ValidationError, match="min_ratio must be a finite number >= 1.5"):
             _dpo_pair("q", ("a",), (False,), (3,), 1.2, False)
-
-
-class TestEstimateAccuracy:
-    def test_exact_tenths(self):
-        for n in range(11):
-            assert estimate_accuracy(ten(n).samples) == n / 10
-
-    def test_requires_exactly_ten(self):
-        with pytest.raises(ValidationError):
-            estimate_accuracy(ten(5).samples[:9])
 
 
 class TestBuildRefusalExamples:
