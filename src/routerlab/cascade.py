@@ -86,44 +86,26 @@ class _Weights(dict):
         return weight
 
 
-def _encode(
-    answers: Sequence[str | None], levels: Sequence[float | None], weight_of: _Weights
-) -> tuple[tuple[str, ...], list[int], list[float]]:
-    """Candidate answers, and one candidate code and one vote weight per
-    sample, from the samples' answers and confidence levels.
-
-    Candidate codes are assigned in sorted-answer order, so the vote's
-    lowest-code tie-break is exactly a lexicographic tie-break.
-    """
-    if not answers:
-        raise ValidationError("a cascade vote needs at least one sample")
-    candidates = tuple(sorted({answer for answer in answers if answer is not None}))
-    code_of = {answer: code for code, answer in enumerate(candidates)}
-    codes = [-1 if answer is None else code_of[answer] for answer in answers]
-    weights = [weight_of[level] for level in levels]
-    return candidates, codes, weights
-
-
 def cascade_vote(
-    codes: list[int],
-    weights: list[float],
-    tokens: list[int],
+    answers: Sequence[str | None],
+    weights: Sequence[float],
+    tokens: Sequence[int],
     tau: float,
-) -> tuple[bool, int, float, int, bool]:
+) -> tuple[bool, str | None, float, int, bool]:
     """Full-tally vote decision plus its parallel early-stop latency.
 
-    ``codes`` holds one candidate index per sample (-1 for a refusal) and
-    ``weights`` the samples' strictly positive vote weights. The decision
-    is always taken from the complete tally: accept when the strongest
-    candidate's share of the total weight reaches ``tau``. Refusals add
-    their weight to the total but vote for no candidate, which is what
-    dilutes every share; ties go to the lowest candidate index.
+    ``answers`` holds one canonical answer per sample (None for a
+    refusal) and ``weights`` the samples' strictly positive vote weights.
+    The decision is always taken from the complete tally: accept when the
+    strongest answer's share of the total weight reaches ``tau``.
+    Refusals add their weight to the total but vote for no answer, which
+    is what dilutes every share; ties go to the smallest answer text.
 
     For latency, samples are replayed in order of completion (ascending
     token count, ties by position). The walk stops at the first
     completion after which the full-tally decision is certain: for an
-    accept, once a candidate's observed share reaches ``tau``; for a
-    reject, once no candidate can reach it even with every still-pending
+    accept, once an answer's observed share reaches ``tau``; for a
+    reject, once no answer can reach it even with every still-pending
     answer-bearing sample agreeing. Pending refusals are never counted as
     reachable mass; they can only dilute, and the total weight they
     dilute into is fixed up front. Only the test matching the decision is
@@ -131,46 +113,39 @@ def cascade_vote(
     stop but never stop the walk on the wrong side of ``tau``.
 
     Returns ``(accepted, winner, winner_share, latency_tokens,
-    stopped_early)`` where ``winner`` is a candidate index or -1 when no
-    candidate received any mass, and ``winner_share`` is the share the
-    full tally gives the winner (0.0 when there is none).
+    stopped_early)`` where ``winner`` is the winning answer, or None when
+    every sample refused, and ``winner_share`` is the share the full
+    tally gives the winner (0.0 when there is none).
     """
-    k = len(codes)
+    k = len(answers)
     if k == 0:
         raise ValueError("cannot vote over zero samples")
     if len(weights) != k or len(tokens) != k:
-        raise ValueError("codes, weights and tokens must have equal length")
+        raise ValueError("answers, weights and tokens must have equal length")
 
-    masses = [0.0] * (max(codes) + 1)
+    masses: dict[str, float] = {}
     total = 0.0
     pending_votable = 0.0
-    for code, weight in zip(codes, weights):
+    for answer, weight in zip(answers, weights):
         total += weight
-        if code >= 0:
-            masses[code] += weight
+        if answer is not None:
+            masses[answer] = masses.get(answer, 0.0) + weight
             pending_votable += weight
-        elif code < -1:
-            raise ValueError("candidate code out of range")
-    winner = -1
-    best = 0.0
-    for candidate, mass in enumerate(masses):
-        if mass > best:
-            best = mass
-            winner = candidate
-    winner_share = best / total if winner >= 0 else 0.0
+    winner = min(masses, key=lambda a: (-masses[a], a), default=None)
+    winner_share = masses[winner] / total if winner is not None else 0.0
     accepted = winner_share >= tau
 
-    observed = [0.0] * len(masses)
+    observed: dict[str, float] = {}
     max_observed = 0.0
     latency = 0
     stopped_early = False
     for step, i in enumerate(sorted(range(k), key=lambda i: (tokens[i], i))):
-        code = codes[i]
-        if code >= 0:
+        answer = answers[i]
+        if answer is not None:
             pending_votable -= weights[i]
-            observed[code] += weights[i]
-            if observed[code] > max_observed:
-                max_observed = observed[code]
+            mass = observed[answer] = observed.get(answer, 0.0) + weights[i]
+            if mass > max_observed:
+                max_observed = mass
         latency = tokens[i]
         if accepted:
             settled = max_observed / total >= tau
@@ -193,20 +168,20 @@ def simulate_parallel(
     certain, so only the latency reflects the early stop. The strongest
     answer wins; ties go to the lexicographically smallest answer.
 
-    Returns ``cascade_vote``'s tuple with the winner as its answer:
-    ``(accepted, answer, share, latency_tokens, stopped_early)``, where
-    ``answer`` is None when every sample refused.
+    Returns ``cascade_vote``'s tuple: ``(accepted, answer, share,
+    latency_tokens, stopped_early)``, where ``answer`` is None when every
+    sample refused.
     """
     (tau,) = normalize_taus((tau,))  # then alpha, then the samples, as in route_cascade
     weight_of = _Weights(alpha)
-    answers, codes, weights = _encode(
-        [s.answer for s in samples], [s.confidence_level for s in samples], weight_of
+    if not samples:
+        raise ValidationError("a cascade vote needs at least one sample")
+    return cascade_vote(
+        [s.answer for s in samples],
+        [weight_of[s.confidence_level] for s in samples],
+        [s.tokens for s in samples],
+        tau,
     )
-    accepted, winner, share, latency, stopped_early = cascade_vote(
-        codes, weights, [s.tokens for s in samples], tau
-    )
-    answer = answers[winner] if winner >= 0 else None
-    return accepted, answer, share, latency, stopped_early
 
 
 def select_samples(
@@ -296,9 +271,9 @@ def _cascade_row(
     selected = _selected(question, scheme, k)
     answers = [question.answers[i] for i in selected]
     tokens = [question.tokens[i] for i in selected]
-    candidates, codes, weights = _encode(answers, [question.levels[i] for i in selected], weight_of)
-    accepted, winner, share, latency, _stopped = cascade_vote(codes, weights, tokens, latency_tau)
-    winner_correct = winner >= 0 and question.correct[selected[answers.index(candidates[winner])]]
+    weights = [weight_of[question.levels[i]] for i in selected]
+    accepted, winner, share, latency, _stopped = cascade_vote(answers, weights, tokens, latency_tau)
+    winner_correct = winner is not None and question.correct[selected[answers.index(winner)]]
     slm_cost = slm_question_cost(question, float(sum(tokens)), pricing)
     route_cost = slm_cost + llm_question_cost(question, profile, pricing)
     row = (share, question.id, slm_cost, float(winner_correct), route_cost, llm_quality(question, assume_perfect))

@@ -146,7 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="uniform noise scale on stored pre-generation scores (default: 0)",
     )
     p.add_argument("--llm-correct-prob", type=float, default=0.9)
-    p.add_argument("--no-llm", action="store_true", help="omit LLM records")
+    p.add_argument(
+        "--no-llm", action="store_true", help="omit LLM records; validate accepts the file, every sweep rejects it"
+    )
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("metrics", help="recompute metrics from curve CSV files")

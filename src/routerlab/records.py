@@ -362,8 +362,9 @@ class QuestionRecord(_Record):
 
     ``pre_score`` is the confidence the pre-generation router would see;
     questions without one can still be routed from refusal statistics.
-    ``llm`` may be absent for datasets where only assume-perfect
-    evaluation is intended. Samples that share an answer must agree on
+    ``llm`` may be absent under assume-perfect evaluation, but a sweep
+    needs at least one LLM record in the dataset: every LLM cost uses the
+    average recorded LLM length. Samples that share an answer must agree on
     whether that answer is correct; correctness is a property of the
     answer, not of the sample that produced it.
 

@@ -634,6 +634,22 @@ class TestSynth:
         assert profile.n_with_llm == 0
         assert all(s.confidence_level is None for q in questions for s in q.slm_samples)
 
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "pre", "--score-source", "refusal"], ["--mode", "cascade"]], ids=["pre", "cascade"]
+    )
+    def test_no_llm_file_validates_but_no_sweep_takes_it(self, tmp_path, capsys, mode):
+        path = tmp_path / "q.jsonl"
+        assert run(["synth", str(path), "--n", "10", "--seed", "1", "--no-llm"], capsys)[0] == 0
+        assert run(["validate", str(path)], capsys)[0] == 0
+        out_dir = tmp_path / "run"
+        code, out, err = run(["sweep", str(path), *mode, "--assume-perfect", "--out-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err == (
+            "error: dataset has no LLM records, so the average LLM answer length "
+            "and every LLM cost are undefined\n"
+        )
+        assert not out_dir.exists()
+
     def test_invalid_flag_value(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["synth", str(tmp_path / "x.jsonl"), "--n", "0"])

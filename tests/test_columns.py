@@ -142,16 +142,28 @@ def reference_select(question, scheme, k):
 
 def reference_row(question, scheme, k, alpha, profile, assume_perfect, latency_tau):
     samples = reference_select(question, scheme, k)
-    answers = tuple(sorted({s.answer for s in samples if s.answer is not None}))
-    codes = [-1 if s.answer is None else answers.index(s.answer) for s in samples]
     weights = [1.0 if s.confidence_level is None else vote_weight(s.confidence_level, alpha) for s in samples]
     tokens = [s.tokens for s in samples]
-    accepted, winner, share, latency, _ = cascade_vote(codes, weights, tokens, latency_tau)
-    winner_correct = winner >= 0 and next(s.correct for s in samples if s.answer == answers[winner])
+    # the full tally, summed in sample order; the strongest answer wins
+    # and ties go to the smallest answer text
+    total = 0.0
+    masses = {}
+    for sample, weight in zip(samples, weights):
+        total += weight
+        if sample.answer is not None:
+            masses[sample.answer] = masses.get(sample.answer, 0.0) + weight
+    winner = None
+    for answer in sorted(masses):
+        if winner is None or masses[answer] > masses[winner]:
+            winner = answer
+    share = masses[winner] / total if winner is not None else 0.0
+    # only the early-stop latency comes from the vote itself
+    _, _, _, latency, _ = cascade_vote([s.answer for s in samples], weights, tokens, latency_tau)
+    winner_correct = winner is not None and next(s.correct for s in samples if s.answer == winner)
     slm_cost = slm_question_cost(question, float(sum(tokens)), PRICING)
     route_cost = slm_cost + llm_question_cost(question, profile, PRICING)
     row = (share, question.id, slm_cost, float(winner_correct), route_cost, llm_quality(question, assume_perfect))
-    return row, (accepted, latency)
+    return row, (share >= latency_tau, latency)
 
 
 def profile_of(question):
