@@ -207,13 +207,8 @@ def _selected(question: QuestionRecord, scheme: str, k: int) -> Sequence[int]:
         if k != 10:
             raise ValidationError("rcv replays the full confidence ladder; k must be 10")
         return _ladder(question)
-    levels = question.levels
-    if scheme == "fcv":
-        pool = [index for index, level in enumerate(levels) if level == 1.0]
-        label = "at confidence 1.0"
-    else:
-        pool = [index for index, level in enumerate(levels) if level is None]
-        label = "without a confidence level"
+    want, label = (1.0, "at confidence 1.0") if scheme == "fcv" else (None, "without a confidence level")
+    pool = [index for index, level in enumerate(question.levels) if level == want]
     if len(pool) < k:
         raise ValidationError(
             f"question {question.id!r}: {scheme} needs {k} samples {label}, "

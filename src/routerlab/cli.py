@@ -125,6 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_build)
 
+    # Each knob's dest is its SyntheticParams field, which _cmd_synth reads by name.
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("out", help="output questions JSONL file")
     p.add_argument("--n", type=_positive_int, required=True, help="number of questions")
@@ -141,13 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pre-noise",
+        dest="pre_score_noise",
+        metavar="PRE_NOISE",
         type=float,
         default=0.0,
         help="uniform noise scale on stored pre-generation scores (default: 0)",
     )
     p.add_argument("--llm-correct-prob", type=float, default=0.9)
     p.add_argument(
-        "--no-llm", action="store_true", help="omit LLM records; validate accepts the file, every sweep rejects it"
+        "--no-llm", dest="include_llm", action="store_false",
+        help="omit LLM records; validate accepts the file, every sweep rejects it",
     )
     p.set_defaults(handler=_cmd_synth)
 
@@ -355,16 +359,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
-    params = SyntheticParams(
-        scheme=args.scheme,
-        n_samples=args.n_samples,
-        difficulty_min=args.difficulty_min,
-        difficulty_max=args.difficulty_max,
-        easy_fraction=args.easy_fraction,
-        pre_score_noise=args.pre_noise,
-        llm_correct_prob=args.llm_correct_prob,
-        include_llm=not args.no_llm,
-    )
+    params = SyntheticParams(**{name: getattr(args, name) for name in SyntheticParams._fields})
     questions = generate_synthetic(args.n, seed, params)
     directory, name = os.path.split(args.out)
     _write_artifacts(directory or os.curdir, {name: (write_dataset, questions)})

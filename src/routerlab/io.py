@@ -570,23 +570,18 @@ def _synthesize_question(index: int, seed: int, params: SyntheticParams) -> Ques
     input_tokens = rng.randint(*_SYNTH_INPUT_TOKENS)
 
     accuracy = 1.0 - difficulty
-    samples = []
     if params.scheme == "rcv":
-        for level in CONFIDENCE_LEVELS:
-            samples.append(_draw_sample(rng, accuracy, gold, level))
-    elif params.scheme == "fcv":
-        for _ in range(params.n_samples):
-            samples.append(_draw_sample(rng, accuracy, gold, 1.0))
+        levels = CONFIDENCE_LEVELS
     else:
-        for _ in range(params.n_samples):
-            samples.append(_draw_sample(rng, accuracy, gold, None))
+        levels = (1.0 if params.scheme == "fcv" else None,) * params.n_samples
+    samples = tuple(_draw_sample(rng, accuracy, gold, level) for level in levels)
 
     pre_score = min(1.0, max(0.0, accuracy + noise))
     llm = LlmOutcome(correct=llm_correct, tokens=llm_tokens) if params.include_llm else None
     return QuestionRecord(
         id=f"q{index:06d}",
         input_tokens=input_tokens,
-        slm_samples=tuple(samples),
+        slm_samples=samples,
         pre_score=pre_score,
         llm=llm,
     )

@@ -14,6 +14,8 @@ constructor's question checks on samples ``_sample_fields`` checked.
 the loader, which keeps a question's samples as columns and makes no
 record per sample. ``trainset``'s ``_response_fields`` and
 ``TrainingQuestion._from_rows`` do the same for a training corpus.
+Both question constructors check the samples they are given through
+``_sample_rows``, after their id checks.
 
 Only the per-sample rules, ``_sample_fields`` and ``_response_fields``,
 test the common exact types inline before calling a helper: that saves
@@ -389,18 +391,7 @@ class QuestionRecord(_Record):
         llm: LlmOutcome | None = None,
     ) -> None:
         _check_question(id, input_tokens)
-        try:
-            samples = tuple(slm_samples)
-        except TypeError:
-            raise ValidationError(
-                f"question {id!r}: slm_samples must hold SampleRecord values"
-            ) from None
-        for sample in samples:
-            if not isinstance(sample, SampleRecord):
-                raise ValidationError(
-                    f"question {id!r}: slm_samples must hold SampleRecord values"
-                )
-        self._fill(id, input_tokens, [SampleRecord._values(s) for s in samples], pre_score, llm)
+        self._fill(id, input_tokens, _sample_rows(slm_samples, SampleRecord, id, "slm_samples"), pre_score, llm)
 
     @classmethod
     def _from_rows(
@@ -466,6 +457,19 @@ class QuestionRecord(_Record):
             ],
             "llm": self.llm.to_dict() if self.llm is not None else None,
         }
+
+
+def _sample_rows(samples: Iterable[Any], cls: type, id: str, name: str) -> list[tuple]:
+    """The field values of each of a question's ``cls`` records, given
+    to its constructor as the argument ``name``: the constructors'
+    sample check, run after their id checks."""
+    try:
+        samples = tuple(samples)
+    except TypeError:
+        samples = None
+    if samples is None or not all(isinstance(sample, cls) for sample in samples):
+        raise ValidationError(f"question {id!r}: {name} must hold {cls.__name__} values")
+    return list(map(cls._values, samples))
 
 
 def _check_question(id: Any, input_tokens: Any) -> None:

@@ -46,6 +46,7 @@ from .records import (
     _as_float,
     _as_number,
     _as_str,
+    _sample_rows,
     refusal_prompt,
 )
 
@@ -95,18 +96,7 @@ class TrainingQuestion(_Record):
     def __init__(self, id: str, question: str, samples: Iterable[ResponseSample]) -> None:
         _as_str(id, "id")
         _as_str(question, "question")
-        try:
-            samples = tuple(samples)
-        except TypeError:
-            raise ValidationError(
-                f"question {id!r}: samples must hold ResponseSample values"
-            ) from None
-        for sample in samples:
-            if not isinstance(sample, ResponseSample):
-                raise ValidationError(
-                    f"question {id!r}: samples must hold ResponseSample values"
-                )
-        self._fill(id, question, map(ResponseSample._values, samples))
+        self._fill(id, question, _sample_rows(samples, ResponseSample, id, "samples"))
 
     @classmethod
     def _from_rows(cls, id: str, question: str, rows: Sequence[tuple]) -> "TrainingQuestion":

@@ -12,12 +12,13 @@ import pytest
 import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
-from routerlab.io import load_dataset, load_training_questions
+from routerlab.io import SyntheticParams, generate_synthetic, load_dataset, load_training_questions, write_dataset
 from routerlab.records import QuestionRecord, ValidationError
 from routerlab.trainset import ResponseSample
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
 RULES = Path(__file__).resolve().parent / "data" / "validate_golden"
+SYNTH_GOLDEN = Path(__file__).resolve().parent / "data" / "synth_golden"
 
 
 def run(argv, capsys):
@@ -649,6 +650,47 @@ class TestSynth:
             "and every LLM cost are undefined\n"
         )
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [("rcv", ["--pre-noise", "0.2"]), ("sc", ["--no-llm"]), ("fcv", ["--easy-fraction", "0.5"])],
+    )
+    def test_written_bytes_match_golden(self, tmp_path, capsys, name, flags):
+        path = tmp_path / f"{name}.jsonl"
+        argv = ["synth", str(path), "--n", "5", "--seed", "3", "--scheme", name, *flags]
+        assert run(argv, capsys)[0] == 0
+        assert path.read_bytes() == (SYNTH_GOLDEN / f"{name}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("no_llm", [True, False], ids=["no_llm", "llm"])
+    def test_every_flag_reaches_its_param(self, tmp_path, capsys, no_llm):
+        flags = [
+            "--scheme", "fcv", "--n-samples", "4", "--difficulty-min", "0.1", "--difficulty-max", "0.6",
+            "--easy-fraction", "0.3", "--pre-noise", "0.25", "--llm-correct-prob", "0.4",
+        ]
+        params = dict(
+            scheme="fcv", n_samples=4, difficulty_min=0.1, difficulty_max=0.6, easy_fraction=0.3,
+            pre_score_noise=0.25, llm_correct_prob=0.4, include_llm=not no_llm,
+        )
+        path = tmp_path / "cli.jsonl"
+        argv = ["synth", str(path), "--n", "20", "--seed", "7", *flags, *["--no-llm"] * no_llm]
+        assert run(argv, capsys)[0] == 0
+
+        def written(**fields):
+            lib = tmp_path / "lib.jsonl"
+            write_dataset(generate_synthetic(20, 7, SyntheticParams(**fields)), str(lib))
+            return lib.read_bytes()
+
+        got = path.read_bytes()
+        assert got == written(**params)
+        # Each knob shows in the bytes, so a flag that failed to reach its
+        # field could not pass unseen; the LLM's odds show only with an LLM.
+        others = dict(
+            scheme="sc", n_samples=10, difficulty_min=0.0, difficulty_max=1.0, easy_fraction=0.0,
+            pre_score_noise=0.0, llm_correct_prob=0.9, include_llm=no_llm,
+        )
+        for name, other in others.items():
+            if not (no_llm and name == "llm_correct_prob"):
+                assert written(**{**params, name: other}) != got, name
 
     def test_invalid_flag_value(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
