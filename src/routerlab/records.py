@@ -35,6 +35,12 @@ of a build over 6,000 questions of ten completions:
     ``TrainingQuestion._from_rows``   0           0            6,000
     ================================  ==========  ===========  ======
 
+``_ladder`` gives the index of a question's sample at each confidence
+level. A question whose levels are exactly ``CONFIDENCE_LEVELS``, in
+order and with no other sample, as every synth and writer-shaped rcv
+file stores them, gets a constant without the per-level dict; any
+other shape, and every ladder error, goes through the dict.
+
 No record uses ``dataclasses``: importing it (with ``inspect``) and
 generating 16 classes cost about 20 ms at every start of the CLI,
 which ``_Record``'s few methods replace. A lazy import of
@@ -68,6 +74,9 @@ REJECTED_TOKEN_RATIO = 1.5
 REJECTION_TEXT = "Sorry, I can't answer that."
 
 _GRID_TOLERANCE = 1e-9
+
+# The ladder of a question whose samples are the grid levels in order.
+_IN_ORDER = tuple(range(len(CONFIDENCE_LEVELS)))
 
 # Each grid level by its own value: SampleRecord takes an exact level without the scan.
 _ON_GRID = {level: level for level in CONFIDENCE_LEVELS}
@@ -482,7 +491,12 @@ def _check_question(id: Any, input_tokens: Any) -> None:
 def _ladder(question: QuestionRecord) -> tuple[int, ...]:
     """The index of the question's sample at each confidence level, in
     level order. Untagged samples are ignored; raises ``ValidationError``
-    when a level has several samples or when a level has none."""
+    when a level has several samples or when a level has none.
+
+    An in-order ladder with no other sample skips the dict: stored
+    levels are grid floats, so the comparison is exact."""
+    if question.levels == CONFIDENCE_LEVELS:
+        return _IN_ORDER
     by_level: dict[float, int] = {}
     for index, level in enumerate(question.levels):
         if level is None:

@@ -51,13 +51,14 @@ def test_failed_cli_run_exits_one(tmp_path, monkeypatch, capsys):
 
 
 def test_gate_failure_stops_before_timing(tmp_path, monkeypatch, capsys):
-    sweep_pre = cli.sweep_pre
+    # The CLI's pre mode builds its curve with the sweep engine itself.
+    sweep = cli._sweep
 
     def swapped(*args, **kwargs):
-        result = sweep_pre(*args, **kwargs)
+        result = sweep(*args, **kwargs)
         return type(result)(result.perfect_points, result.points, result.latency)
 
-    monkeypatch.setattr(cli, "sweep_pre", swapped)
+    monkeypatch.setattr(cli, "_sweep", swapped)
     monkeypatch.setattr(stages, "time_stages", lambda *args: pytest.fail("timed after a failed gate"))
     out = tmp_path / "BENCH_e2e.json"
     with pytest.raises(SystemExit) as caught:

@@ -13,7 +13,7 @@ import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import SyntheticParams, generate_synthetic, load_dataset, load_training_questions, write_dataset
-from routerlab.records import QuestionRecord, ValidationError
+from routerlab.records import CONFIDENCE_LEVELS, QuestionRecord, ValidationError
 from routerlab.trainset import ResponseSample
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
@@ -350,6 +350,32 @@ class TestSweep:
         )
         assert code == 0
 
+
+    def test_sample_order_does_not_change_artifacts(self, dataset, tmp_path, capsys):
+        """A file whose ladders are stored in level order, and a copy with
+        each question's samples reversed, which ``_ladder`` reads through
+        its per-level dict, sweep to the same bytes in both modes."""
+        reversed_path = tmp_path / "reversed.jsonl"
+        with open(dataset, encoding="utf-8") as src, open(reversed_path, "w", encoding="utf-8") as out:
+            for line in src:
+                row = json.loads(line)
+                row["slm_samples"].reverse()
+                out.write(json.dumps(row) + "\n")
+        in_order = [q.levels == CONFIDENCE_LEVELS for q in load_dataset(str(dataset))[0]]
+        assert all(in_order)
+        assert not any(q.levels == CONFIDENCE_LEVELS for q in load_dataset(str(reversed_path))[0])
+        for mode in (["pre", "--score-source", "refusal"], ["cascade"]):
+            outputs = []
+            for name, path in (("in_order", dataset), ("reversed", reversed_path)):
+                out_dir = tmp_path / f"{mode[0]}_{name}"
+                code, out, err = run(
+                    ["sweep", str(path), "--mode", *mode, "--golden", "--out-dir", str(out_dir)], capsys
+                )
+                assert (code, err) == (0, "")
+                files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+                outputs.append((out.replace(str(out_dir), "OUT"), files))
+            assert sorted(outputs[0][1]) == ["curve.csv", "curve_perfect.csv", "golden.csv", "metrics.json"]
+            assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("where", ["dataset", "pricing"])
     def test_huge_integer_rejected(self, dataset, tmp_path, capsys, where):

@@ -10,8 +10,10 @@ pickling.
 
 import copy
 import pickle
+import warnings
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routerlab.cascade import _cascade_row, _Weights, cascade_vote, select_samples, vote_weight
@@ -32,6 +34,7 @@ from routerlab.records import (
     QuestionRecord,
     SampleRecord,
     ValidationError,
+    _ladder,
 )
 
 from conftest import make_sample
@@ -50,9 +53,12 @@ def outcome(call, *args):
 
 
 def parsed(data):
-    """The question ``parse_question`` reads from ``data``, or None."""
+    """The question ``parse_question`` reads from ``data``, or None,
+    without the warning about any unknown field in it."""
     try:
-        return parse_question(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return parse_question(data)
     except ValidationError:
         return None
 
@@ -202,6 +208,48 @@ class TestColumnReaders:
             )
             assert row == outcome(reference_row, question, scheme, k, alpha, profile, assume_perfect, tau)
             assert outcome(select_samples, question, scheme, k) == outcome(reference_select, question, scheme, k)
+
+
+# ---------------------------------------------------------------------------
+# the ladder
+
+
+def answered_at(levels):
+    """A question with one correct sample per entry of ``levels``, each
+    with its own token count, so that equal samples have equal indices."""
+    return QuestionRecord("q", 7, [make_sample("a", True, tokens, level) for tokens, level in enumerate(levels, 1)])
+
+
+class TestLadder:
+    """``_ladder`` reads an in-order ladder without its per-level dict;
+    every other shape, and every error, goes through the dict."""
+
+    @SETTINGS
+    @given(ANY_QUESTION)
+    @example(answered_at(CONFIDENCE_LEVELS))
+    @example(answered_at(CONFIDENCE_LEVELS[::-1]))
+    @example(answered_at((*CONFIDENCE_LEVELS, None, None)))
+    def test_ladder_gives_what_the_records_give(self, question):
+        samples = question.slm_samples
+        ladder = outcome(_ladder, question)
+        if ladder[0] is not None:
+            ladder = (tuple(samples[index] for index in ladder[0]), None)
+        assert ladder == outcome(reference_ladder, question)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            (*CONFIDENCE_LEVELS[:6], 0.5, *CONFIDENCE_LEVELS[7:]),  # ten samples, 0.7 missing
+            (*CONFIDENCE_LEVELS, 0.5),  # the full ladder in order, then a second 0.5
+        ],
+        ids=["ten_samples", "in_order_plus_one"],
+    )
+    def test_duplicate_level_keeps_its_text(self, levels):
+        with pytest.raises(ValidationError) as excinfo:
+            _ladder(answered_at(levels))
+        assert str(excinfo.value) == (
+            "question 'q': several samples at confidence 0.5; ladder replay needs one per level"
+        )
 
 
 # ---------------------------------------------------------------------------
