@@ -12,15 +12,22 @@ cascade mode (default grid), and the files of ``build --seed 1``
 anything. It then times each stage in R rounds, the stages interleaved
 within a round, as CPU time of this process (``time.process_time``):
 
-* ``decode``: ``io._decode`` of every line, the hooked JSON decode;
+* ``decode``: ``io._decode`` of every line, the JSON decode that
+  rejects a repeated key;
 * ``load_dataset``: ``io.load_dataset``, decode and records;
 * ``sweep_pre``: ``sweep_pre`` with refusal scores;
+* ``pre_golden``: what ``sweep --mode pre --score-source refusal
+  --golden`` runs in place of ``sweep_pre`` and ``golden_curve``: the
+  pre rows (``cli._pre_rows``), their curve (``cli._sweep``) and the
+  golden points read off them (``cli._golden_points``);
 * ``sweep_cascade``: ``sweep_cascade`` with the rcv scheme;
 * ``golden_curve``;
 * ``write_artifacts``: ``cli._sweep_artifacts`` of the cascade run and
   its golden curve, the report and files ``sweep --golden`` makes
   (``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
   ``metrics.json``), written by ``cli._write_artifacts``;
+* ``decode_training``: ``io._decode`` of every corpus line, whose
+  texts hold colons;
 * ``load_training``: ``io.load_training_questions`` of the corpus;
 * ``dpo_pairs``: ``trainset._dpo_pair`` of each question's columns with
   ``build``'s default options, the pair rule ``build`` runs;
@@ -75,11 +82,11 @@ from routerlab import cli, io, trainset  # noqa: E402
 from routerlab.cascade import sweep_cascade  # noqa: E402
 from routerlab.metrics import golden_curve  # noqa: E402
 from routerlab.prerouting import sweep_pre  # noqa: E402
-from routerlab.records import DEFAULT_TAUS, REJECTED_TOKEN_RATIO, PricingSchedule  # noqa: E402
+from routerlab.records import DEFAULT_TAUS, REJECTED_TOKEN_RATIO, PricingSchedule, normalize_taus  # noqa: E402
 
 STAGES = (
-    "decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve", "write_artifacts",
-    "load_training", "dpo_pairs", "refusal_rows",
+    "decode", "load_dataset", "sweep_pre", "pre_golden", "sweep_cascade", "golden_curve",
+    "write_artifacts", "decode_training", "load_training", "dpo_pairs", "refusal_rows",
 )
 MIN_ROUNDS = 5
 SEED = 1
@@ -161,9 +168,22 @@ def cpu(call, *args):
     return result, time.process_time() - start
 
 
+def nonblank_lines(path: str) -> list[bytes]:
+    with open(path, "rb") as handle:
+        return [line for line in handle if line.strip()]
+
+
 def decode_all(lines: list[bytes]) -> None:
     for line in lines:
         io._decode(line)
+
+
+def pre_golden(questions, profile, pricing) -> None:
+    """``sweep --mode pre --score-source refusal --golden``'s sweep: the
+    pre rows, their curve, and the golden points read off the rows."""
+    rows = cli._pre_rows(questions, profile, pricing, "refusal", False)
+    cli._sweep(rows, profile, pricing, normalize_taus(DEFAULT_TAUS))
+    cli._golden_points(rows, profile, pricing)
 
 
 def write_artifacts(directory: str, result, golden) -> None:
@@ -214,19 +234,20 @@ def time_stages(paths: dict[str, str], directory: str, rounds: int) -> dict[str,
     """CPU seconds of each stage in each round, the stages interleaved,
     then the wall seconds and peak RSS of each ``COMMANDS`` run."""
     path = paths["path"]
-    with open(path, "rb") as handle:
-        lines = [line for line in handle if line.strip()]
+    question_lines, corpus_lines = nonblank_lines(path), nonblank_lines(paths["corpus"])
     pricing = PricingSchedule()
     out = os.path.join(directory, "artifacts")
     seconds: dict[str, list] = {name: [] for name in (*STAGES, *COMMANDS)}
     env = cli_env()
     for _ in range(rounds):
-        _, took = cpu(decode_all, lines)
+        _, took = cpu(decode_all, question_lines)
         seconds["decode"].append(took)
         (questions, profile), took = cpu(io.load_dataset, path)
         seconds["load_dataset"].append(took)
         _, took = cpu(sweep_pre, questions, profile, pricing, DEFAULT_TAUS, "refusal")
         seconds["sweep_pre"].append(took)
+        _, took = cpu(pre_golden, questions, profile, pricing)
+        seconds["pre_golden"].append(took)
         result, took = cpu(sweep_cascade, questions, profile, pricing)
         seconds["sweep_cascade"].append(took)
         golden, took = cpu(golden_curve, questions, profile, pricing)
@@ -234,6 +255,8 @@ def time_stages(paths: dict[str, str], directory: str, rounds: int) -> dict[str,
         _, took = cpu(write_artifacts, out, result, golden)
         seconds["write_artifacts"].append(took)
         del questions, profile, result, golden
+        _, took = cpu(decode_all, corpus_lines)
+        seconds["decode_training"].append(took)
         training, took = cpu(io.load_training_questions, paths["corpus"])
         seconds["load_training"].append(took)
         _, took = cpu(dpo_pairs, training)

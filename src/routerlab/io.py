@@ -11,6 +11,10 @@ Each reader has one error path: what fails below it raises a
 failure), and the reader puts the ``path:line`` of the line or row, or
 a pricing file's path, in front of it once, as a ``DatasetError``.
 
+``_decode`` scans a text once with no hook and proves by counting that
+no key repeats; only a text it cannot prove, or cannot decode, is
+decoded again by the hooked ``_DECODER``, which names what is wrong.
+
 A question or training-corpus line is read in one pass: ``_object``
 checks each decoded object's keys against its record class, and the
 record's rules check its values. An object with exactly the record's
@@ -86,7 +90,24 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return data
 
 
+def _members(value: Any) -> int:
+    """The members of a decoded top object, its object values and the
+    objects in its list values: a lower bound on all its members."""
+    if type(value) is not dict:
+        return 0
+    count = len(value)
+    for item in value.values():
+        if type(item) is dict:
+            count += len(item)
+        elif type(item) is list:
+            for element in item:
+                if type(element) is dict:
+                    count += len(element)
+    return count
+
+
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_SCAN = json.JSONDecoder().scan_once
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 # The values of a JSON row as ``_ENCODE`` writes them: the string
@@ -101,12 +122,34 @@ _FLOAT = float.__repr__
 def _decode(raw: bytes) -> Any:
     """``json.loads(raw)`` that rejects a repeated key at any depth.
 
+    A member's colon follows its key's closing quote, perhaps after JSON
+    whitespace: the text holds at most ``text.count(":")`` members, and
+    UTF-8 input at most its count of ``":`` once space, tab, CR and LF
+    are deleted. Decoded objects hold as many exactly when no key
+    repeats, and ``_members`` counts some of them, so a count equal to
+    either bound proves no key repeats. Otherwise, or if the hookless
+    scan fails or leaves more than JSON whitespace, ``_DECODER`` runs.
+
     Every failure is a ValidationError: a repeated key as the hook raised
     it, and text that is not JSON, not UTF-8 or nested deeper than the
     decoder can follow as ``invalid JSON: `` and the decoder's reason.
     """
+    encoding = json.detect_encoding(raw)
     try:
-        return _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+        text = raw.decode(encoding, "surrogatepass")
+        value, end = _SCAN(text, 0)
+    except (ValueError, RecursionError, StopIteration):
+        pass  # the hooked decode below reports it
+    else:
+        members = _members(value)
+        if not text[end:].strip(" \t\r\n") and (
+            text.count(":") == members
+            or encoding in ("utf-8", "utf-8-sig")
+            and raw.translate(None, b" \t\r\n").count(b'":') == members
+        ):
+            return value
+    try:
+        return _DECODER.decode(raw.decode(encoding, "surrogatepass"))
     except ValidationError:  # a repeated key; a ValueError too, so caught first
         raise
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError

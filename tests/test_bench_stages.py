@@ -34,6 +34,7 @@ def test_appends_one_entry_per_run(tmp_path, capsys):
     control = result["cli"].pop("control")["peak_rss_mb"]
     assert all(control <= run["peak_rss_mb"] for run in result["cli"].values())
     assert {"load_training", "dpo_pairs", "refusal_rows"} <= set(result["stages"])
+    assert {"pre_golden", "decode_training"} <= set(result["stages"])
     assert "build" in result["cli"]
     out = capsys.readouterr().out
     assert "load/decode" in out and "n=50 cli: pre_refusal_golden " in out

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import sys
 import tempfile
 import types
 import warnings
@@ -60,8 +61,12 @@ from routerlab.trainset import (
 
 from conftest import make_question
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
 SYNTH_GOLDEN = Path(__file__).resolve().parent / "data" / "synth_golden"
 BUILD_GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
+SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "sweep_golden"
 
 
 def write_lines(path, lines):
@@ -843,6 +848,104 @@ class TestExactShapeHits:
         assert [str(w.message) for w in caught] == [
             f"{noted}:{n}: ignoring unknown field(s) note" for n in range(1, len(rows) + 1)
         ]
+
+
+_HOOKED = json.JSONDecoder(object_pairs_hook=io._unique_keys)
+
+
+def hooked_decode(raw):
+    """The reference: ``io._decode`` as one hooked decode of every text."""
+    try:
+        return _HOOKED.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from exc
+
+
+# Around a colon or a comma; "\x0c" and "\xa0" are whitespace to
+# str.strip but not to JSON. In UTF-16, U+3A22 and U+223A are the bytes
+# '":' in one byte order and ':"' in the other.
+JSON_SPACE = st.text(alphabet=" \t\r\n", max_size=2)
+TEXTS = st.text(alphabet=["a", ":", '"', "\\", " ", "é", "㨢", "∺"], max_size=4)
+KEYS = st.sampled_from(["a", "b", "k", ":", '":', '\\":', "a:b"]) | TEXTS
+SCALARS = st.sampled_from(["1", "-2.5e3", "true", "null"]) | st.builds(
+    json.dumps, TEXTS, ensure_ascii=st.booleans()
+)
+TRAILERS = st.sampled_from(["", "\n", "\r\n", " \t\r\n", " x", "\n]", ",", "\x0c", "\xa0\n"])
+
+
+@st.composite
+def json_values(draw, depth=0):
+    """The text of one JSON value, nested at most five objects or arrays
+    deep, whose objects may repeat a key."""
+    kind = draw(st.sampled_from(["scalar", "scalar", "object", "array"] if depth < 5 else ["scalar"]))
+    if kind == "scalar":
+        return draw(SCALARS)
+    if kind == "array":
+        items = draw(st.lists(json_values(depth + 1), max_size=3))
+        return "[" + ",".join(draw(JSON_SPACE) + item for item in items) + "]"
+    members = draw(st.lists(st.tuples(KEYS, JSON_SPACE, JSON_SPACE, json_values(depth + 1)), max_size=3))
+    if members and draw(st.booleans()):
+        key, *_ = draw(st.sampled_from(members))
+        members.append((key, draw(JSON_SPACE), draw(JSON_SPACE), draw(json_values(depth + 1))))
+    return "{" + ",".join(
+        f"{json.dumps(key, ensure_ascii=draw(st.booleans()))}{before}:{after}{value}"
+        for key, before, after, value in members
+    ) + "}"
+
+
+@st.composite
+def json_lines(draw):
+    """A JSON value with leading and trailing text, one in four cut short,
+    encoded as UTF-8, UTF-8 with a BOM or UTF-16."""
+    text = draw(JSON_SPACE) + draw(json_values()) + draw(TRAILERS)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text.encode(draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-16-le"])))
+
+
+class CountedDecoder:
+    """``io._DECODER`` that counts its decodes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def decode(self, text):
+        self.calls += 1
+        return _HOOKED.decode(text)
+
+
+class TestDecode:
+    @given(json_lines())
+    @settings(max_examples=500, deadline=None)
+    @example(b'{"k": "::", "k": 1}')
+    @example(b'{"a" : 1, "a" :2}')
+    @example(b'{"a" :1, "a": 2}')  # one colon hides behind a space
+    @example(b'{"a": "x: y", "b": {"c": 1, "c": 2}}')
+    @example(b'{"a\\":": 1, "a\\":": 2}')
+    @example(b'[{"a": 1, "a": 2}]')
+    @example(b'{"a": 1, "a": 2} x')
+    # UTF-16 code units that are '":' in bytes: a byte count would see
+    # two members.
+    @example('{"a": 1, "a": 2, "s": "㨢㨢"}'.encode("utf-16-le"))
+    def test_matches_the_hooked_decoder(self, raw):
+        assert outcome(io._decode, raw) == outcome(hooked_decode, raw)
+
+    def test_writer_shaped_lines_never_reach_the_hooked_decoder(self, tmp_path, monkeypatch):
+        counted = CountedDecoder()
+        monkeypatch.setattr(io, "_DECODER", counted)
+        for scheme in ("rcv", "sc", "fcv"):
+            load_dataset(str(SYNTH_GOLDEN / f"{scheme}.jsonl"))
+            load_dataset(str(SWEEP_GOLDEN / f"{scheme}.jsonl"))
+        path = tmp_path / "corpus.jsonl"
+        corpus.write(corpus.generate(200, 1), str(path))
+        load_training_questions(str(path))
+        load_training_questions(str(BUILD_GOLDEN / "corpus.jsonl"))
+        assert counted.calls == 0
+        with pytest.raises(ValidationError, match="duplicate key 'a'"):
+            io._decode(b'{"a": 1, "a": 2}\n')
+        assert counted.calls == 1
 
 
 class TestLoadDataset:
