@@ -16,12 +16,8 @@ within a round, as CPU time of this process (``time.process_time``):
   rejects a repeated key;
 * ``load_dataset``: ``io.load_dataset``, decode and records;
 * ``sweep_pre``: ``sweep_pre`` with refusal scores;
-* ``pre_golden``: what ``sweep --mode pre --score-source refusal
-  --golden`` runs in place of ``sweep_pre`` and ``golden_curve``: the
-  pre rows (``cli._pre_rows``), their curve (``cli._sweep``) and the
-  golden points read off them (``cli._golden_points``);
 * ``sweep_cascade``: ``sweep_cascade`` with the rcv scheme;
-* ``golden_curve``;
+* ``golden_curve``, which ``sweep --golden`` runs in both modes;
 * ``write_artifacts``: ``cli._sweep_artifacts`` of the cascade run and
   its golden curve, the report and files ``sweep --golden`` makes
   (``curve.csv``, ``curve_perfect.csv``, ``golden.csv`` and
@@ -82,10 +78,10 @@ from routerlab import cli, io, trainset  # noqa: E402
 from routerlab.cascade import sweep_cascade  # noqa: E402
 from routerlab.metrics import golden_curve  # noqa: E402
 from routerlab.prerouting import sweep_pre  # noqa: E402
-from routerlab.records import DEFAULT_TAUS, REJECTED_TOKEN_RATIO, PricingSchedule, normalize_taus  # noqa: E402
+from routerlab.records import DEFAULT_TAUS, REJECTED_TOKEN_RATIO, PricingSchedule  # noqa: E402
 
 STAGES = (
-    "decode", "load_dataset", "sweep_pre", "pre_golden", "sweep_cascade", "golden_curve",
+    "decode", "load_dataset", "sweep_pre", "sweep_cascade", "golden_curve",
     "write_artifacts", "decode_training", "load_training", "dpo_pairs", "refusal_rows",
 )
 MIN_ROUNDS = 5
@@ -169,21 +165,14 @@ def cpu(call, *args):
 
 
 def nonblank_lines(path: str) -> list[bytes]:
+    """The lines ``io._read_jsonl`` decodes: all but those of JSON whitespace only."""
     with open(path, "rb") as handle:
-        return [line for line in handle if line.strip()]
+        return [line for line in handle if line.strip(b" \t\r\n")]
 
 
 def decode_all(lines: list[bytes]) -> None:
     for line in lines:
         io._decode(line)
-
-
-def pre_golden(questions, profile, pricing) -> None:
-    """``sweep --mode pre --score-source refusal --golden``'s sweep: the
-    pre rows, their curve, and the golden points read off the rows."""
-    rows = cli._pre_rows(questions, profile, pricing, "refusal", False)
-    cli._sweep(rows, profile, pricing, normalize_taus(DEFAULT_TAUS))
-    cli._golden_points(rows, profile, pricing)
 
 
 def write_artifacts(directory: str, result, golden) -> None:
@@ -246,8 +235,6 @@ def time_stages(paths: dict[str, str], directory: str, rounds: int) -> dict[str,
         seconds["load_dataset"].append(took)
         _, took = cpu(sweep_pre, questions, profile, pricing, DEFAULT_TAUS, "refusal")
         seconds["sweep_pre"].append(took)
-        _, took = cpu(pre_golden, questions, profile, pricing)
-        seconds["pre_golden"].append(took)
         result, took = cpu(sweep_cascade, questions, profile, pricing)
         seconds["sweep_cascade"].append(took)
         golden, took = cpu(golden_curve, questions, profile, pricing)

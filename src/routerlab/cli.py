@@ -18,7 +18,6 @@ from typing import Sequence
 
 from . import __version__
 from .cascade import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_LATENCY_TAU, sweep_cascade
-from .costs import _sweep
 from .io import (
     SyntheticParams,
     _write_refusal_rows,
@@ -33,8 +32,8 @@ from .io import (
     write_metrics,
     write_pairs,
 )
-from .metrics import _golden_points, golden_curve, toa_from_points, togr
-from .prerouting import SCORE_SOURCES, _pre_rows
+from .metrics import golden_curve, toa_from_points, togr
+from .prerouting import SCORE_SOURCES, sweep_pre
 from .records import (
     CONFIDENCE_LEVELS,
     DEFAULT_TAUS,
@@ -43,7 +42,6 @@ from .records import (
     MetricsReport,
     PricingSchedule,
     ValidationError,
-    normalize_taus,
 )
 from .trainset import ESTIMATE_SAMPLES, _dpo_pair, refusal_targets
 
@@ -228,20 +226,15 @@ def _cmd_sweep(args) -> int:
     pricing = load_pricing(args.pricing) if args.pricing else PricingSchedule()
 
     if args.mode == "pre":
-        # sweep_pre's steps, keeping its rows: the golden curve reads
-        # each question's costs and quality off its pre row, and
-        # empties the rows as it goes.
-        taus = normalize_taus(args.taus)
-        rows = _pre_rows(questions, profile, pricing, args.score_source, args.assume_perfect)
-        result = _sweep(rows, profile, pricing, taus)
-        golden_points = _golden_points(rows, profile, pricing) if args.golden else None
-        del rows
+        result = sweep_pre(
+            questions, profile, pricing, args.taus, args.score_source, args.assume_perfect,
+        )
     else:
         result = sweep_cascade(
             questions, profile, pricing, args.taus, args.scheme, args.k, args.alpha,
             assume_perfect=args.assume_perfect, latency_tau=latency_tau,
         )
-        golden_points = golden_curve(questions, profile, pricing) if args.golden else None
+    golden_points = golden_curve(questions, profile, pricing) if args.golden else None
     report, artifacts = _sweep_artifacts(result, golden_points, args.assume_perfect)
     _write_artifacts(args.out_dir, artifacts)
     curve_path = os.path.join(args.out_dir, "curve.csv")

@@ -163,7 +163,8 @@ class DatasetError(ValidationError):
 def _read_jsonl(
     path: str, parse: Callable[..., Any]
 ) -> Iterator[tuple[Any, None] | tuple[None, str]]:
-    """Parse each non-blank line; yield ``(record, None)`` or ``(None, problem)``.
+    """Parse each line that holds more than JSON whitespace; yield
+    ``(record, None)`` or ``(None, problem)``.
 
     A problem is the line's ``path:line`` followed by what is wrong with
     it: what ``_decode`` or ``parse`` raised, or an id already seen on an
@@ -172,7 +173,7 @@ def _read_jsonl(
     seen: dict[str, int] = {}
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if not line.strip(b" \t\r\n"):
                 continue
             where = f"{path}:{lineno}"
             try:

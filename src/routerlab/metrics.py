@@ -110,28 +110,6 @@ def golden_curve(
     return _sweep(rows, profile, pricing).points
 
 
-def _golden_points(
-    pre_rows: list[tuple[float, str, float, float, float, float]],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-) -> tuple[CurvePoint, ...]:
-    """``golden_curve`` of the questions whose pre-generation rows are
-    ``pre_rows``, read off those rows.
-
-    A pre row already holds the question's keep cost, keep quality
-    (its mean sample accuracy) and route cost; the golden row scores
-    the question by that quality and routes it at quality 1.0, so it
-    equals ``golden_curve``'s row bit for bit. Empties ``pre_rows``:
-    each pre row is released as its golden row is made, so the two
-    sets of rows are never held at once.
-    """
-    rows = []
-    while pre_rows:
-        r = pre_rows.pop()
-        rows.append((r[3], r[1], r[2], r[3], r[4], 1.0))
-    return _sweep(rows, profile, pricing).points
-
-
 def togr(
     router_points: Sequence[CurvePoint], golden_points: Sequence[CurvePoint]
 ) -> float:

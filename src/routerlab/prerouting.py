@@ -5,12 +5,6 @@ strictly below the threshold; a score equal to the threshold stays on
 the small model. Because the decision happens before any generation,
 routed questions incur no SLM cost and every decision has zero token
 latency.
-
-``sweep_pre`` builds one row per question with ``_pre_rows``. The CLI's
-``sweep --mode pre`` keeps those rows and, with ``--golden``, reads the
-golden curve off them through ``metrics._golden_points``; the public
-``metrics.golden_curve`` builds its rows from the questions and stays
-the reference that path is tested against.
 """
 
 from __future__ import annotations
@@ -143,28 +137,6 @@ def _pre_row(
     )
 
 
-def _pre_rows(
-    questions: Sequence[QuestionRecord],
-    profile: DatasetProfile,
-    pricing: PricingSchedule,
-    score_source: str,
-    assume_perfect: bool,
-) -> list[tuple[float, str, float, float, float, float]]:
-    """The engine rows of a pre-generation sweep, one per question.
-
-    Every question is scored before any row is built, so a missing
-    score is reported before a missing LLM record.
-    """
-    questions = tuple(questions)
-    if not questions:
-        raise ValidationError("cannot sweep an empty dataset")
-    scores = [question_score(q, score_source) for q in questions]
-    return [
-        _pre_row(q, score, profile, pricing, assume_perfect)
-        for q, score in zip(questions, scores)
-    ]
-
-
 def sweep_pre(
     questions: Sequence[QuestionRecord],
     profile: DatasetProfile,
@@ -177,8 +149,16 @@ def sweep_pre(
 
     Returns the trade-off curve bracketed by the two reference points
     (all-SLM first, all-LLM last) and its assume-perfect twin, both read
-    off one row per question.
+    off one row per question. Every question is scored before any row
+    is built, so a missing score is reported before a missing LLM record.
     """
     taus = normalize_taus(taus)
-    rows = _pre_rows(questions, profile, pricing, score_source, assume_perfect)
+    questions = tuple(questions)
+    if not questions:
+        raise ValidationError("cannot sweep an empty dataset")
+    scores = [question_score(q, score_source) for q in questions]
+    rows = [
+        _pre_row(q, score, profile, pricing, assume_perfect)
+        for q, score in zip(questions, scores)
+    ]
     return _sweep(rows, profile, pricing, taus)

@@ -34,7 +34,7 @@ def test_appends_one_entry_per_run(tmp_path, capsys):
     control = result["cli"].pop("control")["peak_rss_mb"]
     assert all(control <= run["peak_rss_mb"] for run in result["cli"].values())
     assert {"load_training", "dpo_pairs", "refusal_rows"} <= set(result["stages"])
-    assert {"pre_golden", "decode_training"} <= set(result["stages"])
+    assert "decode_training" in result["stages"]
     assert "build" in result["cli"]
     out = capsys.readouterr().out
     assert "load/decode" in out and "n=50 cli: pre_refusal_golden " in out
@@ -52,14 +52,13 @@ def test_failed_cli_run_exits_one(tmp_path, monkeypatch, capsys):
 
 
 def test_gate_failure_stops_before_timing(tmp_path, monkeypatch, capsys):
-    # The CLI's pre mode builds its curve with the sweep engine itself.
-    sweep = cli._sweep
+    sweep_pre = cli.sweep_pre
 
     def swapped(*args, **kwargs):
-        result = sweep(*args, **kwargs)
+        result = sweep_pre(*args, **kwargs)
         return type(result)(result.perfect_points, result.points, result.latency)
 
-    monkeypatch.setattr(cli, "_sweep", swapped)
+    monkeypatch.setattr(cli, "sweep_pre", swapped)
     monkeypatch.setattr(stages, "time_stages", lambda *args: pytest.fail("timed after a failed gate"))
     out = tmp_path / "BENCH_e2e.json"
     with pytest.raises(SystemExit) as caught:

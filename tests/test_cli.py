@@ -108,6 +108,20 @@ class TestValidate:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_form_feed_line_is_not_blank(self, tmp_path, capsys):
+        # Only JSON whitespace makes a line blank; form feed and vertical tab do not.
+        path = tmp_path / "ff.jsonl"
+        synth = tmp_path / "two.jsonl"
+        assert main(["synth", str(synth), "--n", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        first, second = synth.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + b" \t\r\n" + b"\x0c\x0b\n" + second)
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 1
+        assert out == f"{path}: 2 question(s) ok, 1 problem(s)\n"
+        assert err.startswith(f"{path}:3: invalid JSON: Expecting value")
+        assert err.count("\n") == 1
+
 
     def test_deep_nesting_reported_at_its_line(self, dataset, capsys):
         lines = dataset.read_text(encoding="utf-8").splitlines()

@@ -3,32 +3,24 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from routerlab.metrics import (
     LatencyReport,
-    _golden_points,
     golden_curve,
     latency_report,
     toa,
     toa_from_points,
     togr,
 )
-from routerlab.prerouting import _pre_rows
 from routerlab.records import (
     CurvePoint,
     DatasetProfile,
-    LlmOutcome,
     PricingSchedule,
-    QuestionRecord,
     RoutingOutcome,
     ValidationError,
-    _ladder,
 )
 
 from conftest import make_question, uniform_cost_question
-from test_columns import ANY_QUESTION, outcome
 
 
 def grid_point(cost, perf, tau=0.5, n_routed=0):
@@ -169,43 +161,6 @@ class TestGoldenCurve:
             curve = golden_curve(qs, profile, pricing)
             assert curve[-1].cost == 1.0
             assert curve[0].cost < 1.0
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        st.lists(ANY_QUESTION, min_size=1, max_size=8),
-        st.sampled_from(["pre", "refusal", "refusal"]),  # refusal draws are often all dropped
-        st.booleans(),
-        st.data(),
-    )
-    def test_points_from_pre_rows_equal_golden_curve(self, drawn, score_source, assume_perfect, data):
-        """``sweep --mode pre --golden`` reads the golden curve off its
-        pre rows. Each question gets its own id, and a pre score and an
-        LLM record (always for actual quality, at times under a perfect
-        large model) where it has none, so that the pre rows build; under
-        refusal scores only full ladders are kept."""
-        questions = []
-        for question in drawn:
-            if score_source == "refusal" and outcome(_ladder, question)[1] is not None:
-                continue
-            pre_score = question.pre_score
-            if pre_score is None:
-                pre_score = data.draw(st.floats(0, 1))
-            llm = question.llm
-            if llm is None and (not assume_perfect or data.draw(st.booleans())):
-                llm = data.draw(st.builds(LlmOutcome, st.booleans(), st.integers(1, 500)))
-            questions.append(
-                QuestionRecord(f"q{len(questions)}", question.input_tokens, question.slm_samples, pre_score, llm)
-            )
-        assume(questions)
-        profile = DatasetProfile.from_questions(questions)
-        pricing = PricingSchedule()
-
-        def from_pre_rows():
-            rows = _pre_rows(questions, profile, pricing, score_source, assume_perfect)
-            return _golden_points(rows, profile, pricing)
-
-        # Without any LLM record both raise the same error.
-        assert outcome(from_pre_rows) == outcome(golden_curve, questions, profile, pricing)
 
 
 class TestTogr:

@@ -197,3 +197,14 @@ class TestSweepPre:
         questions, profile = synth_rcv
         sweep = sweep_pre(questions, profile, pricing, assume_perfect=True)
         assert sweep.points[-1].performance == 1.0
+
+    def test_missing_score_reported_before_missing_llm_record(self, pricing):
+        # Every question is scored before any row is built.
+        no_llm = make_question("a", pre_score=0.5, with_llm=False)
+        no_score = make_question("b", pre_score=None)
+        questions = [no_llm, no_score]
+        profile = DatasetProfile.from_questions(questions)
+        with pytest.raises(ValidationError, match="'b' has no pre_score"):
+            sweep_pre(questions, profile, pricing)
+        with pytest.raises(ValidationError, match="'a' has no llm record"):
+            sweep_pre(questions[:1], profile, pricing)
