@@ -45,7 +45,6 @@ from .metrics import (
 )
 from .prerouting import (
     derive_refusal_score,
-    majority_answer,
     question_score,
     route_pre,
     sweep_pre,

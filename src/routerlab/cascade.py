@@ -233,14 +233,14 @@ def route_cascade(
     samples = select_samples(question, scheme, k)
     accepted, answer, _share, latency, _stopped = simulate_parallel(samples, tau, alpha)
     slm_cost = slm_question_cost(question, float(sum(s.tokens for s in samples)), pricing)
-    llm_cost = llm_question_cost(question, profile, pricing)
-    quality = llm_quality(question, assume_perfect)
     if accepted:
         llm_cost = 0.0
         # With no answer (every sample refused) this matches only refusals,
         # which are never correct.
         quality = float(any(s.correct for s in samples if s.answer == answer))
     else:
+        llm_cost = llm_question_cost(question, profile, pricing)
+        quality = llm_quality(question, assume_perfect)
         answer = None
     return RoutingOutcome(
         question_id=question.id,
@@ -297,14 +297,10 @@ def sweep_cascade(
     """
     taus = normalize_taus(taus)
     (latency_tau,) = normalize_taus((latency_tau,))
-    questions = tuple(questions)
-    if not questions:
-        raise ValidationError("cannot sweep an empty dataset")
-
     weight_of = _Weights(alpha)
     columns = [
         _cascade_row(q, scheme, k, weight_of, profile, pricing, assume_perfect, latency_tau)
         for q in questions
     ]
-    latency = _latency_report(decision for _, decision in columns)
-    return _sweep([row for row, _ in columns], profile, pricing, taus, latency)
+    points, perfect = _sweep([row for row, _ in columns], profile, pricing, taus)
+    return SweepResult(points, perfect, _latency_report(decision for _, decision in columns))

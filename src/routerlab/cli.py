@@ -42,6 +42,7 @@ from .records import (
     MetricsReport,
     PricingSchedule,
     ValidationError,
+    _GRID_TOLERANCE,
 )
 from .trainset import ESTIMATE_SAMPLES, _dpo_pair, refusal_targets
 
@@ -192,7 +193,7 @@ def _taus_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("step must be positive")
     if not 0.0 <= start <= end <= 1.0:
         raise argparse.ArgumentTypeError("thresholds must satisfy 0 <= start <= end <= 1")
-    count = int(math.floor((end - start) / step + 1e-9))
+    count = int(math.floor((end - start) / step + _GRID_TOLERANCE))
     # Rounding keeps grids like 0:1:0.1 on the same floats as literals.
     return tuple(round(start + k * step, 9) for k in range(count + 1))
 
@@ -312,7 +313,7 @@ def _write_artifacts(out_dir: str, artifacts: dict) -> None:
 
 def _grid_tau(taus, requested: float) -> float:
     for tau in taus:
-        if tau == requested or abs(tau - requested) <= 1e-9:
+        if abs(tau - requested) <= _GRID_TOLERANCE:
             return tau
     grid = ", ".join(f"{t:g}" for t in sorted(taus))
     raise ValidationError(

@@ -16,11 +16,9 @@ from typing import Iterable, Sequence
 from .records import (
     CurvePoint,
     DatasetProfile,
-    LatencyReport,
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
-    SweepResult,
     ValidationError,
 )
 
@@ -152,10 +150,9 @@ def _sweep(
     profile: DatasetProfile,
     pricing: PricingSchedule,
     taus: Sequence[float] | None = None,
-    latency: LatencyReport | None = None,
-) -> SweepResult:
+) -> tuple[tuple[CurvePoint, ...], tuple[CurvePoint, ...]]:
     """Curve of a policy that routes exactly the questions scoring below
-    tau, and its assume-perfect twin.
+    tau, and its assume-perfect twin, as ``(points, perfect_points)``.
 
     ``rows`` holds one ``(score, id, keep_cost, keep_quality,
     route_cost, route_quality)`` row per question: its cost and quality
@@ -176,9 +173,11 @@ def _sweep(
     1.0, whose prefix sums are exactly ``range(n + 1)``. Route qualities
     are 0.0 or 1.0, so their float total is exact, and it equals n
     exactly when every routed question already scores 1.0; then the
-    twin is ``points`` itself. ``latency`` is passed through.
+    twin is ``points`` itself.
     """
     rows = sorted(rows)
+    if not rows:
+        raise ValidationError("cannot sweep an empty dataset")
     ids = tuple(sorted(row[1] for row in rows))
     if ids != profile.ids:
         raise ValidationError(
@@ -216,8 +215,8 @@ def _sweep(
 
     points = curve(route_quality)
     if route_quality[n] == n:
-        return SweepResult(points, points, latency)
-    return SweepResult(points, curve(range(n + 1)), latency)
+        return points, points
+    return points, curve(range(n + 1))
 
 
 def _check_coverage(

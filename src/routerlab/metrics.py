@@ -103,11 +103,8 @@ def golden_curve(
     routes the m hardest questions (ties broken by id) and keeps the
     rest, for m = 0..N. The ends are the usual reference points.
     """
-    questions = tuple(questions)
-    if not questions:
-        raise ValidationError("cannot build a golden curve for an empty dataset")
     rows = [_pre_row(q, mean_sample_correct(q), profile, pricing, True) for q in questions]
-    return _sweep(rows, profile, pricing).points
+    return _sweep(rows, profile, pricing)[0]
 
 
 def togr(

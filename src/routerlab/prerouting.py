@@ -9,9 +9,9 @@ latency.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
+from .cascade import cascade_vote
 from .costs import (
     _sweep,
     llm_quality,
@@ -27,7 +27,6 @@ from .records import (
     PricingSchedule,
     QuestionRecord,
     RoutingOutcome,
-    SampleRecord,
     SweepResult,
     ValidationError,
     _ladder,
@@ -65,17 +64,6 @@ def question_score(question: QuestionRecord, score_source: str) -> float:
     )
 
 
-def majority_answer(samples: Iterable[SampleRecord]) -> str | None:
-    """Equal-weight majority answer; lexicographically smallest on ties.
-
-    Refusals cast no vote. Returns None when every sample refused.
-    """
-    counts = Counter(s.answer for s in samples if s.answer is not None)
-    if not counts:
-        return None
-    return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
-
-
 def route_pre(
     question: QuestionRecord,
     tau: float,
@@ -88,7 +76,8 @@ def route_pre(
 
     A routed question goes to the large model before sampling. A kept
     one is scored and charged as the mean over all stored samples, so the
-    simulated deployment answers with a typical single draw.
+    simulated deployment answers with a typical single draw; its answer
+    is the cascade vote with flat weights, plain majority voting.
     """
     (tau,) = normalize_taus((tau,))  # first, as in sweep_pre
     if question_score(question, score_source) < tau:
@@ -110,7 +99,7 @@ def route_pre(
         slm_cost=slm_question_cost(question, mean_sample_tokens(question), pricing),
         llm_cost=0.0,
         decision_latency_tokens=0,
-        accepted_answer=majority_answer(question.slm_samples),
+        accepted_answer=cascade_vote(question.answers, (1.0,) * len(question.answers), question.tokens, 0.0)[1],
     )
 
 
@@ -154,11 +143,9 @@ def sweep_pre(
     """
     taus = normalize_taus(taus)
     questions = tuple(questions)
-    if not questions:
-        raise ValidationError("cannot sweep an empty dataset")
     scores = [question_score(q, score_source) for q in questions]
     rows = [
         _pre_row(q, score, profile, pricing, assume_perfect)
         for q, score in zip(questions, scores)
     ]
-    return _sweep(rows, profile, pricing, taus)
+    return SweepResult(*_sweep(rows, profile, pricing, taus))

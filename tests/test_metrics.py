@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from routerlab.cascade import sweep_cascade
 from routerlab.metrics import (
     LatencyReport,
     golden_curve,
@@ -12,6 +13,7 @@ from routerlab.metrics import (
     toa_from_points,
     togr,
 )
+from routerlab.prerouting import sweep_pre
 from routerlab.records import (
     CurvePoint,
     DatasetProfile,
@@ -151,10 +153,18 @@ class TestGoldenCurve:
             [a, b], profile, pricing
         )
 
-    def test_profile_coverage_enforced(self, pricing):
+    @pytest.mark.parametrize(
+        "build",
+        [golden_curve, sweep_pre, lambda *args: sweep_cascade(*args, scheme="sc")],
+        ids=["golden", "pre", "cascade"],
+    )
+    def test_profile_coverage_enforced(self, pricing, build):
         qs, profile = self.two_question_fixture(pricing)
-        with pytest.raises(ValidationError):
-            golden_curve(qs[:1], profile, pricing)
+        with pytest.raises(ValidationError) as caught:
+            build(qs[:1], profile, pricing)
+        assert str(caught.value) == (
+            "questions do not match the profiled dataset (1 questions vs 2 profiled)"
+        )
 
     def test_endpoint_costs(self, pricing, synth_rcv):
         for qs, profile in (self.two_question_fixture(pricing), synth_rcv):

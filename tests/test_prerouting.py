@@ -7,7 +7,6 @@ import pytest
 from routerlab.costs import llm_question_cost, slm_question_cost
 from routerlab.prerouting import (
     derive_refusal_score,
-    majority_answer,
     question_score,
     route_pre,
     sweep_pre,
@@ -59,32 +58,6 @@ class TestQuestionScore:
             question_score(make_question(), "oracle")
 
 
-class TestMajorityAnswer:
-    def test_plurality(self):
-        samples = [
-            make_sample("a", True),
-            make_sample("a", True),
-            make_sample("b", False),
-            make_sample("c", False),
-        ]
-        assert majority_answer(samples) == "a"
-
-    def test_tie_breaks_lexicographically(self):
-        samples = [make_sample("b", False), make_sample("a", True)]
-        assert majority_answer(samples) == "a"
-
-    def test_refusals_do_not_vote(self):
-        samples = [
-            make_sample("b", False),
-            make_sample(refusal=True),
-            make_sample(refusal=True),
-        ]
-        assert majority_answer(samples) == "b"
-
-    def test_all_refusals(self):
-        assert majority_answer([make_sample(refusal=True)]) is None
-
-
 class TestRoutePre:
     def fixture(self):
         kept_q = make_question("keep", pre_score=0.5, llm_correct=False)
@@ -114,6 +87,41 @@ class TestRoutePre:
         assert out.llm_cost == 0.0
         mean_tokens = (30 * 7 + 50 * 3) / 10
         assert out.slm_cost == slm_question_cost(q, mean_tokens, pricing)
+
+    @pytest.mark.parametrize(
+        "samples, answer",
+        [
+            (
+                [
+                    make_sample("a", True),
+                    make_sample("a", True),
+                    make_sample("b", False),
+                    make_sample("c", False),
+                ],
+                "a",
+            ),
+            ([make_sample("b", False), make_sample("a", True)], "a"),
+            (
+                [make_sample("b", False), make_sample(refusal=True), make_sample(refusal=True)],
+                "b",
+            ),
+            ([make_sample(refusal=True)], None),
+            # Confidence weights at alpha 0.5 would give "b": 0.325 + 0.375 < 0.775.
+            (
+                [
+                    make_sample("a", True, confidence=0.1),
+                    make_sample("a", True, confidence=0.2),
+                    make_sample("b", False, confidence=1.0),
+                ],
+                "a",
+            ),
+        ],
+        ids=["plurality", "tie_to_smallest_text", "refusals_cast_no_vote", "all_refused", "flat_weights"],
+    )
+    def test_kept_answer_is_the_flat_vote(self, pricing, samples, answer):
+        q = make_question("k", samples=samples, pre_score=0.9)
+        profile = DatasetProfile.from_questions([q])
+        assert route_pre(q, 0.5, profile, pricing).accepted_answer == answer
 
     def test_routed_outcome_charges_no_slm(self, pricing):
         q, profile = self.fixture()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from routerlab.cascade import route_cascade, sweep_cascade
 from routerlab.costs import _sweep, average_quality, normalized_cascade_cost, normalized_pre_cost
+from routerlab.io import SyntheticParams, generate_synthetic
 from routerlab.metrics import golden_curve
 from routerlab.prerouting import route_pre, sweep_pre
 from routerlab.records import (
@@ -28,7 +29,7 @@ from routerlab.records import (
     normalize_taus,
 )
 
-from conftest import make_sample
+from conftest import make_ladder, make_question, make_sample
 
 PRICING = PricingSchedule()
 REL_TOL = 1e-12
@@ -218,25 +219,45 @@ def test_twin_is_the_sweep_of_perfect_rows(data):
     route quality 1.0, and it is the curve itself exactly when every
     route quality already is 1.0."""
     rows, profile, taus = data
-    result = _sweep(rows, profile, PRICING, taus)
+    points, perfect_points = _sweep(rows, profile, PRICING, taus)
     perfect_rows = [row[:5] + (1.0,) for row in rows]
-    perfect = _sweep(perfect_rows, profile, PRICING, taus)
-    assert result.perfect_points == perfect.points
-    assert perfect.perfect_points is perfect.points
-    assert (result.perfect_points is result.points) == all(row[5] == 1.0 for row in rows)
+    perfect, perfect_twin = _sweep(perfect_rows, profile, PRICING, taus)
+    assert perfect_points == perfect
+    assert perfect_twin is perfect
+    assert (perfect_points is points) == all(row[5] == 1.0 for row in rows)
 
 
 @pytest.mark.parametrize(
-    "build, message",
-    [
-        (sweep_cascade, "cannot sweep an empty dataset"),
-        (sweep_pre, "cannot sweep an empty dataset"),
-        (golden_curve, "cannot build a golden curve for an empty dataset"),
-    ],
-    ids=["cascade", "pre", "golden"],
+    "build", [sweep_cascade, sweep_pre, golden_curve], ids=["cascade", "pre", "golden"]
 )
-def test_empty_dataset_rejected(build, message):
+def test_empty_dataset_rejected(build):
     profile = DatasetProfile(ids=("a",), input_tokens=(5,), avg_llm_tokens=3.0, n_with_llm=1)
     with pytest.raises(ValidationError) as caught:
         build([], profile, PRICING)
-    assert str(caught.value) == message
+    assert str(caught.value) == "cannot sweep an empty dataset"
+
+
+def _one_without_llm():
+    """A question with no LLM record, profiled beside one that has one."""
+    without = make_question("x", samples=make_ladder(10), with_llm=False)
+    beside = make_question("y", samples=make_ladder(10))
+    return [without], DatasetProfile.from_questions([without, beside])
+
+
+def _none_with_llm():
+    """A dataset without LLM records, whose LLM costs are undefined."""
+    questions = generate_synthetic(20, seed=1, params=SyntheticParams(include_llm=False))
+    return questions, DatasetProfile.from_questions(questions)
+
+
+@pytest.mark.parametrize("dataset", [_one_without_llm, _none_with_llm], ids=["one", "all"])
+@pytest.mark.parametrize("route", [route_pre, route_cascade], ids=["pre", "cascade"])
+def test_references_read_the_llm_record_only_to_escalate(route, dataset):
+    """At tau 0 no question escalates, so neither reference reads the
+    LLM record: a question without one is kept, even in a dataset with
+    no LLM records at all."""
+    questions, profile = dataset()
+    for question in questions:
+        outcome = route(question, 0.0, profile, PRICING)
+        assert outcome.routed is False
+        assert outcome.llm_cost == 0.0
