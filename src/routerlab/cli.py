@@ -193,7 +193,11 @@ def _taus_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("step must be positive")
     if not 0.0 <= start <= end <= 1.0:
         raise argparse.ArgumentTypeError("thresholds must satisfy 0 <= start <= end <= 1")
-    count = int(math.floor((end - start) / step + _GRID_TOLERANCE))
+    steps = (end - start) / step + _GRID_TOLERANCE  # a float: a tiny step gives inf, not an OverflowError
+    if steps >= 1_000_001:  # a 1e-6 step over [0, 1] is the finest grid
+        size = steps if math.isinf(steps) else math.floor(steps) + 1
+        raise argparse.ArgumentTypeError(f"the grid would hold {size:.7g} thresholds; at most 1000001 are allowed")
+    count = math.floor(steps)
     # Rounding keeps grids like 0:1:0.1 on the same floats as literals.
     return tuple(round(start + k * step, 9) for k in range(count + 1))
 

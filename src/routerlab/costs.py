@@ -163,11 +163,12 @@ def _sweep(
     costs O(N log N + T) for N questions and T thresholds.
 
     The first point keeps everything (m = 0) and is labelled
-    ``slm_only``. With ``taus``, one grid point per threshold follows;
-    without, one point per m = 1..N-1: the curve that routes the m
-    lowest scores. The last point, labelled ``llm_only``, routes every
-    question without a small-model pass, so its cost is the denominator
-    itself, 1.0, and its performance is the mean route quality.
+    ``slm_only``. With ``taus``, which ``normalize_taus`` has checked,
+    one grid point per threshold follows; without, one point per
+    m = 1..N-1: the curve that routes the m lowest scores. The last
+    point, labelled ``llm_only``, routes every question without a
+    small-model pass, so its cost is the denominator itself, 1.0, and
+    its performance is the mean route quality.
 
     The twin is read at the same cuts with every routed question scoring
     1.0, whose prefix sums are exactly ``range(n + 1)``. Route qualities
@@ -178,13 +179,12 @@ def _sweep(
     rows = sorted(rows)
     if not rows:
         raise ValidationError("cannot sweep an empty dataset")
-    ids = tuple(sorted(row[1] for row in rows))
-    if ids != profile.ids:
+    n = len(rows)  # the profile's ids are unique, so a set test suffices
+    if n != profile.n_questions or {row[1] for row in rows} != set(profile.ids):
         raise ValidationError(
             "questions do not match the profiled dataset "
-            f"({len(ids)} questions vs {profile.n_questions} profiled)"
+            f"({n} questions vs {profile.n_questions} profiled)"
         )
-    n = len(rows)
     _, _, keep_costs, keep_qualities, route_costs, route_qualities = zip(*rows)
     route_cost = list(accumulate(route_costs, initial=0.0))
     route_quality = list(accumulate(route_qualities, initial=0.0))
@@ -192,26 +192,26 @@ def _sweep(
     keep_quality = list(accumulate(reversed(keep_qualities), initial=0.0))[::-1]
     denominator = total_llm_cost(profile, pricing)
 
-    cuts: list[tuple[int, float | None, str | None]] = [(0, None, "slm_only")]
+    # Columns, not a tuple per point and a transpose: at 20k points those
+    # objects set off a full collection of the loaded dataset.
     if taus is None:
-        cuts += [(m, None, None) for m in range(1, n)]
+        ms: Sequence[int] = range(n + 1)
+        cut_taus: tuple[float | None, ...] = (None,) * (n + 1)
     else:
         scores = [row[0] for row in rows]
-        cuts += [(bisect_left(scores, tau), tau, None) for tau in taus]
+        ms = [0, *[bisect_left(scores, tau) for tau in taus], n]
+        cut_taus = (None, *taus, None)
+    labels = ("slm_only", *(None,) * (len(ms) - 2), "llm_only")
 
     def curve(routed: Sequence[float]) -> tuple[CurvePoint, ...]:
-        points = [
-            CurvePoint(
-                cost=(route_cost[m] + keep_cost[m]) / denominator,
-                performance=(keep_quality[m] + routed[m]) / n,
-                tau=tau,
-                label=label,
-                n_routed=m,
-            )
-            for m, tau, label in cuts
-        ]
-        points.append(CurvePoint(cost=1.0, performance=routed[n] / n, label="llm_only", n_routed=n))
-        return tuple(points)
+        costs = [(route_cost[m] + keep_cost[m]) / denominator for m in ms[:-1]]
+        costs.append(1.0)
+        performances = [(keep_quality[m] + routed[m]) / n for m in ms]
+        columns = (costs, performances, cut_taus, labels, ms)
+        finite = math.isfinite(sum(costs)) and math.isfinite(sum(performances))  # a finite sum has finite terms
+        if finite and min(costs) >= 0.0 and 0.0 <= min(performances) and max(performances) <= 1.0:
+            return tuple(CurvePoint._from_columns(*columns))
+        return tuple(map(CurvePoint, *columns))  # raises the first failing point's error
 
     points = curve(route_quality)
     if route_quality[n] == n:

@@ -37,7 +37,6 @@ writes for those rows' ``RefusalExample`` records.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
@@ -360,29 +359,26 @@ def load_pricing(path: str) -> PricingSchedule:
 
 
 def write_curve(points: Iterable[CurvePoint], path: str) -> None:
-    """Write a trade-off curve as CSV.
+    """Write a trade-off curve as CSV, in one write.
 
-    Grid rows carry their threshold in the tau column; the reference
-    rows carry their label there instead. Costs and performances are
-    written with six decimals.
+    The bytes are the header ``tau,cost,performance,n_routed`` and then
+    one row per point, each line ended by CRLF, as ``csv.writer``
+    writes them; no cell needs quoting. Grid rows carry their threshold
+    in the tau column; the reference rows carry their label there
+    instead. Costs and performances are written with six decimals.
     """
+    lines = [",".join(CURVE_HEADER)]
+    for point in points:
+        tau_cell = point.label or ("" if point.tau is None else format(point.tau, ".6g"))
+        lines.append(f"{tau_cell},{point.cost:.6f},{point.performance:.6f},{point.n_routed}")
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_HEADER)
-        for point in points:
-            if point.label is not None:
-                tau_cell = point.label
-            elif point.tau is not None:
-                tau_cell = format(point.tau, ".6g")
-            else:
-                tau_cell = ""
-            writer.writerow(
-                [tau_cell, f"{point.cost:.6f}", f"{point.performance:.6f}", point.n_routed]
-            )
+        handle.write("\r\n".join(lines))
 
 
 def read_curve(path: str) -> tuple[CurvePoint, ...]:
     """Read a curve CSV, which may start with a byte-order mark, back into points (at its precision)."""
+    import csv  # here only: every sweep writes curves, few runs read them
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)

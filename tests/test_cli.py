@@ -309,8 +309,16 @@ class TestSweep:
         [
             ("a:b:c", "argument --taus: expected three numbers, got 'a:b:c'"),
             ("0.5:0.2:0.1", "argument --taus: thresholds must satisfy 0 <= start <= end <= 1"),
+            (
+                "0:1:5e-324",
+                "argument --taus: the grid would hold inf thresholds; at most 1000001 are allowed",
+            ),
+            (
+                "0:1:1e-308",
+                "argument --taus: the grid would hold 1e+308 thresholds; at most 1000001 are allowed",
+            ),
         ],
-        ids=["not_numbers", "backwards"],
+        ids=["not_numbers", "backwards", "step_overflows", "step_too_small"],
     )
     def test_bad_taus_exit_two(self, dataset, tmp_path, capsys, taus, message):
         out_dir = tmp_path / "x"
@@ -973,8 +981,8 @@ FIRST_USE = {
 
 
 class TestStartup:
-    """Importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-    and ``hashlib`` waits for the first seeded draw."""
+    """Importing the CLI loads none of ``dataclasses``, ``inspect`` and
+    ``csv``, and ``hashlib`` waits for the first seeded draw."""
 
     @pytest.mark.parametrize("use", sorted(FIRST_USE))
     def test_import_defers_hashlib_to_its_first_use(self, use):
@@ -986,7 +994,7 @@ class TestStartup:
         )
         seen = json.loads(done.stdout)
         assert "routerlab.cli" in seen["at_import"]
-        assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(seen["at_import"])
+        assert {"dataclasses", "inspect", "csv", "hashlib"}.isdisjoint(seen["at_import"])
         if "hashlib" not in seen["preloaded"]:
             assert "hashlib" in seen["after_use"]
         question = routerlab.TrainingQuestion(

@@ -1108,6 +1108,28 @@ class TestCurveCsv:
         assert lines[2] == "0.3,0.250000,0.750000,12"
         assert lines[3] == "llm_only,1.000000,0.950000,40"
 
+    @pytest.mark.parametrize("extra", [False, True], ids=["endpoints", "every_cell_kind"])
+    def test_bytes_are_csv_writers(self, tmp_path, extra):
+        """The header and one CRLF row per point, as ``csv.writer`` writes
+        them: no cell needs quoting."""
+        import csv
+
+        points = self.points()
+        if extra:
+            points += (
+                CurvePoint(cost=1e300, performance=0.0, n_routed=3),
+                CurvePoint(cost=0.0, performance=1.0, tau=1e-7, n_routed=2**70),
+            )
+        path = tmp_path / "curve.csv"
+        write_curve(iter(points), str(path))
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("tau", "cost", "performance", "n_routed"))
+            for point in points:
+                tau_cell = point.label or ("" if point.tau is None else format(point.tau, ".6g"))
+                writer.writerow([tau_cell, f"{point.cost:.6f}", f"{point.performance:.6f}", point.n_routed])
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_curve(self.points(), str(path))

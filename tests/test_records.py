@@ -232,6 +232,14 @@ class TestQuestionRecord:
         with pytest.raises(ValidationError):
             make_question(samples=samples)
 
+    def test_first_conflict_in_sample_order_is_named(self):
+        """Both answers conflict; the one whose conflict comes first in
+        sample order is named, though the other appears first."""
+        samples = [make_sample("a", True), make_sample("b", True), make_sample("b", False), make_sample("a", False)]
+        with pytest.raises(ValidationError) as excinfo:
+            QuestionRecord("q", 5, samples)
+        assert str(excinfo.value) == "question 'q': answer 'b' is marked both correct and incorrect across samples"
+
     def test_llm_must_be_an_llm_outcome(self):
         with pytest.raises(ValidationError) as excinfo:
             QuestionRecord("q", 5, [make_sample("a", True)], llm={"correct": True, "tokens": 3})
@@ -317,6 +325,28 @@ class TestDatasetProfile:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             DatasetProfile.from_questions([make_question("a"), make_question("a")])
+
+    def test_loaded_questions_give_the_constructors_profile(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        generated = io.generate_synthetic(30, seed=4)
+        # Every third question without its LLM record.
+        io.write_dataset(
+            [QuestionRecord(q.id, q.input_tokens, q.slm_samples, q.pre_score, None) if i % 3 == 0 else q
+             for i, q in enumerate(generated)],
+            str(path),
+        )
+        questions, loaded = io.load_dataset(str(path))
+        ordered = sorted(questions, key=lambda q: q.id)
+        with_llm = [q.llm.tokens for q in questions if q.llm is not None]
+        expected = DatasetProfile(
+            ids=tuple(q.id for q in ordered),
+            input_tokens=tuple(q.input_tokens for q in ordered),
+            avg_llm_tokens=sum(with_llm) / len(with_llm),
+            n_with_llm=len(with_llm),
+        )
+        for profile in (loaded, DatasetProfile.from_questions(questions)):
+            assert profile == expected
+            assert repr(profile) == repr(expected)
 
     def test_duplicate_report_scales_to_large_datasets(self):
         samples = (make_sample(),)

@@ -21,6 +21,7 @@ from routerlab.prerouting import route_pre, sweep_pre
 from routerlab.records import (
     DEFAULT_TAUS,
     SCHEMES,
+    CurvePoint,
     DatasetProfile,
     LlmOutcome,
     PricingSchedule,
@@ -225,6 +226,64 @@ def test_twin_is_the_sweep_of_perfect_rows(data):
     assert perfect_points == perfect
     assert perfect_twin is perfect
     assert (perfect_points is points) == all(row[5] == 1.0 for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(engine_rows())
+def test_points_are_the_constructors_points(data):
+    """Points stored from checked columns equal, and repr as, the points
+    the constructor makes of the same values."""
+    rows, profile, taus = data
+    points, perfect_points = _sweep(rows, profile, PRICING, taus)
+    for point in points + perfect_points:
+        built = CurvePoint(
+            cost=point.cost,
+            performance=point.performance,
+            tau=point.tau,
+            label=point.label,
+            n_routed=point.n_routed,
+        )
+        assert point == built
+        assert repr(point) == repr(built)
+
+
+TWO = DatasetProfile(ids=("a", "b"), input_tokens=(5, 7), avg_llm_tokens=3.0, n_with_llm=2)
+
+
+@pytest.mark.parametrize("taus", [None, (0.5,)], ids=["cuts", "grid"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Keep quality 1.5 passes at the first point, (1.5 + 0.0) / 2, and
+        # fails at the second, which routes "a": (1.5 + 1.0) / 2.
+        (
+            [(0.1, "a", 0.0, 0.0, 0.0, 1.0), (0.9, "b", 0.0, 1.5, 0.0, 0.0)],
+            "performance must lie in [0, 1], got 1.25",
+        ),
+        # A nan route cost first counts at the point that routes "a".
+        (
+            [(0.1, "a", 0.0, 0.0, math.nan, 1.0), (0.9, "b", 0.0, 0.0, 0.0, 0.0)],
+            "cost must be a finite number, got nan",
+        ),
+    ],
+    ids=["performance_above_one", "nan_cost"],
+)
+def test_failing_column_raises_the_constructors_error(rows, message, taus):
+    with pytest.raises(ValidationError) as caught:
+        _sweep(rows, TWO, PRICING, taus)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "ids", [("a", "a"), ("a", "b", "b")], ids=["one_missing", "all_present"]
+)
+def test_rows_repeating_an_id_do_not_cover_the_profile(ids):
+    rows = [(0.5, qid, 0.0, 0.0, 0.0, 1.0) for qid in ids]
+    with pytest.raises(ValidationError) as caught:
+        _sweep(rows, TWO, PRICING)
+    assert str(caught.value) == (
+        f"questions do not match the profiled dataset ({len(ids)} questions vs 2 profiled)"
+    )
 
 
 @pytest.mark.parametrize(
