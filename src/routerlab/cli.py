@@ -20,6 +20,7 @@ from . import __version__
 from .cascade import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_LATENCY_TAU, sweep_cascade
 from .io import (
     SyntheticParams,
+    _write_pair_rows,
     _write_refusal_rows,
     generate_synthetic,
     load_dataset,
@@ -30,7 +31,6 @@ from .io import (
     write_curve,
     write_dataset,
     write_metrics,
-    write_pairs,
 )
 from .metrics import golden_curve, toa_from_points, togr
 from .prerouting import SCORE_SOURCES, sweep_pre
@@ -44,7 +44,7 @@ from .records import (
     ValidationError,
     _GRID_TOLERANCE,
 )
-from .trainset import ESTIMATE_SAMPLES, _dpo_pair, refusal_targets
+from .trainset import ESTIMATE_SAMPLES, _check_min_ratio, _dpo_pair, refusal_targets
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="recompute metrics from curve CSV files")
     p.add_argument("curve", help="curve CSV written by sweep")
-    p.add_argument("--golden", help="golden curve CSV; enables ToGR")
+    p.add_argument("--golden", help="golden curve CSV; enables ToGR of an assume-perfect curve, so needs --mode perfect")
     p.add_argument(
         "--mode",
         choices=("actual", "perfect"),
@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how the curve was produced; perfect also fills toa100 (default: actual)",
     )
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(handler=_cmd_metrics)
+    p.set_defaults(handler=_cmd_metrics, usage_error=p.error)
 
     return parser
 
@@ -336,6 +336,7 @@ def _cmd_build(args) -> int:
             f"{len(short)} question(s) do not have exactly {ESTIMATE_SAMPLES} samples "
             f"(first: {shown}); the corpus cannot be built"
         )
+    _check_min_ratio(args.min_ratio)
     pairs = []
     for question in corpus:
         pair = _dpo_pair(
@@ -348,7 +349,7 @@ def _cmd_build(args) -> int:
     refusals = ((question, refusal_targets(question, seed)) for question in corpus)
     _write_artifacts(
         args.out_dir,
-        {"pairs.jsonl": (write_pairs, pairs), "refusal.jsonl": (_write_refusal_rows, refusals)},
+        {"pairs.jsonl": (_write_pair_rows, pairs), "refusal.jsonl": (_write_refusal_rows, refusals)},
     )
     pairs_path = os.path.join(args.out_dir, "pairs.jsonl")
     refusal_path = os.path.join(args.out_dir, "refusal.jsonl")
@@ -372,6 +373,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if args.golden and args.mode != "perfect":  # ToGR is defined on the assume-perfect curve
+        args.usage_error("--golden needs --mode perfect and an assume-perfect curve, such as sweep's curve_perfect.csv")
     points, toa_value = _curve_toa(args.curve)
     togr_value = None
     if args.golden:

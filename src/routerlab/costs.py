@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .records import (
@@ -185,7 +186,8 @@ def _sweep(
             "questions do not match the profiled dataset "
             f"({n} questions vs {profile.n_questions} profiled)"
         )
-    _, _, keep_costs, keep_qualities, route_costs, route_qualities = zip(*rows)
+    # Not ``zip(*rows)``: its iterator per row set off 25 collections at 20k.
+    keep_costs, keep_qualities, route_costs, route_qualities = (list(map(itemgetter(i), rows)) for i in range(2, 6))
     route_cost = list(accumulate(route_costs, initial=0.0))
     route_quality = list(accumulate(route_qualities, initial=0.0))
     keep_cost = list(accumulate(reversed(keep_costs), initial=0.0))[::-1]

@@ -27,12 +27,13 @@ checks; a training question's completions are checked by
 the same way. Every other record is made by its constructor. So a
 loaded record is one its constructor accepts.
 
-JSON rows are written with ``_ENCODE``, except on ``build``'s path:
-``write_pairs`` and the private ``_write_refusal_rows`` write each row
-from an f-string template. ``_write_refusal_rows`` writes a checked
-``TrainingQuestion``'s rows from the targets ``refusal_targets`` drew,
-with no record per row, and must give the bytes ``write_refusal_examples``
-writes for those rows' ``RefusalExample`` records.
+JSON rows are written with ``_ENCODE``, except on ``build``'s path,
+which makes no record per row: ``_write_pair_rows`` writes the pair
+fields ``trainset._dpo_pair`` returns (``write_pairs`` maps records to
+them), and ``_write_refusal_rows`` writes a checked ``TrainingQuestion``'s
+rows from its drawn targets, with the bytes ``write_refusal_examples``
+writes for the same ``RefusalExample``s. ``_write_jsonl`` writes 1 MiB
+at a time: 11 writes for a 6,000-question ``refusal.jsonl``, not 1,500.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Any
 
 from .records import (
     CONFIDENCE_LEVELS,
+    REJECTION_TEXT,
     SCHEMES,
     CurvePoint,
     DatasetProfile,
@@ -344,7 +346,7 @@ def write_dataset(questions: Iterable[QuestionRecord], path: str) -> None:
 
 
 def _write_jsonl(lines: Iterable[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", buffering=1 << 20) as handle:
         handle.writelines(lines)
 
 
@@ -454,12 +456,17 @@ def load_training_questions(path: str) -> tuple[TrainingQuestion, ...]:
 
 def write_pairs(pairs: Iterable[PreferencePair], path: str) -> None:
     """One line per pair, byte for byte ``_ENCODE(pair.to_dict())``."""
+    _write_pair_rows(map(PreferencePair._values, pairs), path)
+
+
+def _write_pair_rows(rows: Iterable[tuple[str, str, str, int, int]], path: str) -> None:
+    """``write_pairs`` of the pairs whose fields, in ``PreferencePair`` order, are ``rows``."""
     _write_jsonl(
         (
-            f'{{"id": {_STR(p.question_id)}, "chosen": {_STR(p.chosen)}, '
-            f'"rejected": {_STR(p.rejected)}, "chosen_tokens": {_INT(p.chosen_tokens)}, '
-            f'"rejected_tokens": {_INT(p.rejected_tokens)}}}\n'
-            for p in pairs
+            f'{{"id": {_STR(question_id)}, "chosen": {_STR(chosen)}, '
+            f'"rejected": {_STR(rejected)}, "chosen_tokens": {_INT(chosen_tokens)}, '
+            f'"rejected_tokens": {_INT(rejected_tokens)}}}\n'
+            for question_id, chosen, rejected, chosen_tokens, rejected_tokens in rows
         ),
         path,
     )
@@ -477,6 +484,8 @@ _REFUSAL_HEADS = tuple(
     f'"threshold": {_FLOAT(level)}, "prompt": {_STR(refusal_prompt(level, ""))[:-1]}'
     for level in CONFIDENCE_LEVELS
 )
+# The target most rows carry, encoded here rather than once per row.
+_REJECTION = _STR(REJECTION_TEXT)
 
 
 def _write_refusal_rows(
@@ -497,7 +506,7 @@ def _write_refusal_rows(
             end = f'{_STR(question.question)[1:]}, "target": '
             yield "".join(
                 [
-                    f"{start}{head}{end}{_STR(target)}}}\n"
+                    f"{start}{head}{end}{_REJECTION if target is REJECTION_TEXT else _STR(target)}}}\n"
                     for head, target in zip(_REFUSAL_HEADS, targets, strict=True)
                 ]
             )

@@ -26,7 +26,7 @@ Only the per-sample rules, ``_sample_fields`` and ``_response_fields``,
 test the common exact types inline before calling a helper: that saves
 about a microsecond a call, which counts only at ten calls a line.
 Calls per run of a sweep over 400 or 4,000 questions of ten samples and
-of a build over 6,000 questions of ten completions:
+of a build over 6,000 questions of ten completions (4,409 pairs):
 
     ================================  ==========  ===========  ======
     code                              sweep, 400  sweep, 4000  build
@@ -38,6 +38,7 @@ of a build over 6,000 questions of ten completions:
     ``LlmOutcome``                    400         4,000        0
     ``QuestionRecord._from_rows``     400         4,000        0
     ``TrainingQuestion._from_rows``   0           0            6,000
+    ``PreferencePair``                0           0            0
     ================================  ==========  ===========  ======
 
 ``_ladder`` gives the index of a question's sample at each confidence

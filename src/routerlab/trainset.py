@@ -15,8 +15,9 @@ downstream trainers and this package agree on them.
 
 A ``TrainingQuestion`` keeps its completions as columns, and the pair
 rule (``_dpo_pair``) and ``refusal_targets`` read them: ``build`` makes
-no ``ResponseSample``. ``build_dpo_pair`` applies the same rule to
-records.
+no ``ResponseSample``. ``_dpo_pair`` returns a pair's fields, which
+``build`` writes, and trusts ``min_ratio``, which ``build`` checks once
+(``_check_min_ratio``); ``build_dpo_pair`` checks it and makes the record.
 
 ``refusal_targets`` is the only code that draws a refusal example's
 target. It reads each draw straight off the question's SHA-256 digest
@@ -137,24 +138,28 @@ def build_dpo_pair(
     1.5 but never below it. ``build`` applies the same rule to a
     question's columns, through ``_dpo_pair``.
     """
+    _check_min_ratio(min_ratio)
     columns = [s.text for s in samples], [s.correct for s in samples], [s.tokens for s in samples]
-    return _dpo_pair(question_id, *columns, min_ratio, include_correct_rejected)
+    fields = _dpo_pair(question_id, *columns, min_ratio, include_correct_rejected)
+    return None if fields is None else PreferencePair(*fields)
 
 
-def _dpo_pair(
-    question_id: str, texts: Sequence[str], correct: Sequence[bool], tokens: Sequence[int],
-    min_ratio: float, include_correct_rejected: bool,
-) -> PreferencePair | None:
-    """``build_dpo_pair`` over a question's aligned completion columns."""
+def _check_min_ratio(min_ratio: float) -> None:
+    """Reject a ``min_ratio`` below the stored-pair guarantee, or not a finite number."""
     if not (math.isfinite(_as_number(min_ratio, "min_ratio")) and min_ratio >= REJECTED_TOKEN_RATIO):
         raise ValidationError(
             f"min_ratio must be a finite number >= {REJECTED_TOKEN_RATIO}, got "
             f"{min_ratio}; stored pairs guarantee at least that length gap"
         )
-    chosen = None
-    for index, count in enumerate(tokens):
-        if correct[index] and (chosen is None or count < tokens[chosen]):
-            chosen = index
+
+
+def _dpo_pair(
+    question_id: str, texts: Sequence[str], correct: Sequence[bool], tokens: Sequence[int],
+    min_ratio: float, include_correct_rejected: bool,
+) -> tuple[str, str, str, int, int] | None:
+    """``build_dpo_pair``'s rule over a checked question's columns and a
+    ``min_ratio`` that passed ``_check_min_ratio``: the pair's fields, or None."""
+    chosen = min(compress(range(len(tokens)), correct), key=tokens.__getitem__, default=None)
     if chosen is None:
         return None
     floor = min_ratio * tokens[chosen]
@@ -166,9 +171,7 @@ def _dpo_pair(
             rejected = index
     if rejected is None:
         return None
-    return PreferencePair(
-        question_id, texts[chosen], texts[rejected], tokens[chosen], tokens[rejected]
-    )
+    return question_id, texts[chosen], texts[rejected], tokens[chosen], tokens[rejected]
 
 
 # The targets of a question with no correct completion to draw.

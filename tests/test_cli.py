@@ -13,7 +13,7 @@ import routerlab
 from routerlab import __version__, cli
 from routerlab.cli import main
 from routerlab.io import SyntheticParams, generate_synthetic, load_dataset, load_training_questions, write_dataset
-from routerlab.records import CONFIDENCE_LEVELS, QuestionRecord, ValidationError
+from routerlab.records import CONFIDENCE_LEVELS, PreferencePair, QuestionRecord, RefusalExample, ValidationError
 from routerlab.trainset import ResponseSample
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "build_golden"
@@ -543,6 +543,22 @@ class TestBuild:
         samples = question.samples
         assert len(made) == len(samples) == len(question.texts)
 
+    def test_makes_no_output_record(self, tmp_path, capsys, monkeypatch):
+        # build writes each pair's fields and each refusal row as text;
+        # only the record-level builders make these records.
+        def fail(self, *args, **kwargs):
+            raise AssertionError(f"build made a {type(self).__name__}")
+
+        for cls in (PreferencePair, RefusalExample):
+            monkeypatch.setattr(cls, "__init__", fail)
+        code, out, err = run(
+            ["build", str(GOLDEN / "corpus.jsonl"), "--out-dir", str(tmp_path), "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        for name in ("pairs.jsonl", "refusal.jsonl"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
     def test_lone_surrogate_reported_at_its_line(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         samples = [{"text": "a", "correct": True, "tokens": 5}] * 10
@@ -638,6 +654,17 @@ class TestBuild:
         )
         assert code == 1
         assert not (tmp_path / "x").exists()
+
+    def test_bad_line_reported_before_min_ratio(self, corpus, tmp_path, capsys):
+        # build checks --min-ratio once, after loading the corpus.
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, '{"id": "t9", "question": "Q?", "samples": [5]}')
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "x"
+        code, out, err = run(["build", str(corpus), "--out-dir", str(out_dir), "--min-ratio", "1.2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {corpus}:2: samples[0]: expected a JSON object, got int\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_non_finite_min_ratio_rejected(self, corpus, tmp_path, capsys, ratio):
@@ -792,14 +819,15 @@ class TestSynth:
 
 
 class TestMetrics:
-    def test_recompute_from_curve(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["pre", "cascade"])
+    def test_recompute_from_curve(self, dataset, tmp_path, capsys, mode):
         out_dir = tmp_path / "sweep"
         run(
             [
                 "sweep",
                 str(dataset),
                 "--mode",
-                "pre",
+                mode,
                 "--out-dir",
                 str(out_dir),
                 "--golden",
@@ -808,13 +836,21 @@ class TestMetrics:
         )
         sweep_report = json.loads((out_dir / "metrics.json").read_text())
 
+        code, out, err = run(["metrics", str(out_dir / "curve.csv")], capsys)
+        assert code == 0
+        # the CSV stores six decimals, so agreement is at file precision
+        assert json.loads(out)["toa"] == pytest.approx(sweep_report["toa"], abs=1e-4)
+
+        # ToGR and ToA-100 come from the assume-perfect curve.
         report_path = tmp_path / "recomputed.json"
         code, out, err = run(
             [
                 "metrics",
-                str(out_dir / "curve.csv"),
+                str(out_dir / "curve_perfect.csv"),
                 "--golden",
                 str(out_dir / "golden.csv"),
+                "--mode",
+                "perfect",
                 "--out",
                 str(report_path),
             ],
@@ -822,9 +858,25 @@ class TestMetrics:
         )
         assert code == 0
         recomputed = json.loads(report_path.read_text())
-        # the CSV stores six decimals, so agreement is at file precision
-        assert recomputed["toa"] == pytest.approx(sweep_report["toa"], abs=1e-4)
+        for key in ("togr", "toa100"):
+            assert recomputed[key] == pytest.approx(sweep_report[key], abs=1e-4)
         assert recomputed["agl"] == 0.0 and recomputed["arol"] == 0.0
+
+    def test_golden_needs_perfect_mode(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        run(["sweep", str(dataset), "--mode", "pre", "--out-dir", str(out_dir), "--golden"], capsys)
+        report_path = tmp_path / "m.json"
+        argv = ["metrics", str(out_dir / "curve.csv"), "--golden", str(out_dir / "golden.csv")]
+        with pytest.raises(SystemExit) as caught:
+            main([*argv, "--out", str(report_path)])
+        err = capsys.readouterr().err
+        assert caught.value.code == 2
+        assert err.startswith("usage: routerlab metrics ")
+        assert "--golden needs --mode perfect" in err and "curve_perfect.csv" in err
+        assert not report_path.exists()
+        code, out, err = run_fresh(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_failed_write_leaves_no_artifact(self, dataset, tmp_path, capsys, monkeypatch, existing):
@@ -908,7 +960,9 @@ class TestMetricsNamesTheCurve:
         good.write_text("tau,cost,performance,n_routed\nslm_only,0.1,0.3,0\nllm_only,1.0,0.9,10\n")
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(["tau,cost,performance,n_routed", *self.ROWS[shape]]) + "\n")
-        argv = ["metrics", str(bad)] if role == "curve" else ["metrics", str(good), "--golden", str(bad)]
+        argv = ["metrics", str(bad)] if role == "curve" else [
+            "metrics", str(good), "--golden", str(bad), "--mode", "perfect"
+        ]
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {bad}: {self.ERRORS[shape]}\n"

@@ -20,6 +20,7 @@ from routerlab import cli, io, trainset
 from routerlab.io import (
     DatasetError,
     SyntheticParams,
+    _write_pair_rows,
     _write_refusal_rows,
     generate_synthetic,
     load_dataset,
@@ -1361,6 +1362,12 @@ class TestTrainingCorpus:
                     json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records
                 )
                 assert written == expected.encode("utf-8")
+            # build writes the pairs' fields, str and int subclasses included.
+            _write_pair_rows(map(PreferencePair._values, pairs), path)
+            with open(path, "rb") as handle:
+                assert handle.read() == "".join(
+                    json.dumps(p.to_dict(), ensure_ascii=False) + "\n" for p in pairs
+                ).encode("utf-8")
 
 
 # Text that JSON escapes or writes raw: quotes, backslashes, control
@@ -1411,6 +1418,20 @@ class TestRefusalRows:
             assert refusal_targets(q, seed) == tuple(
                 e.target for e in build_refusal_examples(q, seed)
             )
+
+    def test_a_target_equal_to_the_rejection_text_writes_its_bytes(self, tmp_path):
+        # Only the rejection text itself is written from its one encoding;
+        # an equal string, here a drawn completion, is encoded as any other.
+        copy = "".join(list(REJECTION_TEXT))
+        assert copy == REJECTION_TEXT and copy is not REJECTION_TEXT
+        q = TrainingQuestion(
+            "q", "Why?", [ResponseSample(copy, True, 3)] + [ResponseSample("no", False, 3)] * 9
+        )
+        targets = (copy,) + (REJECTION_TEXT,) * (len(CONFIDENCE_LEVELS) - 1)
+        assert refusal_targets(q, 0) == targets
+        _write_refusal_rows([(q, targets)], str(tmp_path / "rows.jsonl"))
+        write_refusal_examples(build_refusal_examples(q, 0), str(tmp_path / "records.jsonl"))
+        assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "records.jsonl").read_bytes()
 
     def test_no_correct_sample_draws_nothing(self, monkeypatch):
         def no_hash(*args):

@@ -5,6 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from routerlab import cli
 from routerlab.records import PreferencePair, RefusalExample, refusal_prompt
 
@@ -28,6 +30,13 @@ def test_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == shown
     for name in ("curve.csv", "metrics.json", "golden.csv", "curve_perfect.csv"):
         assert (tmp_path / "run" / name).is_file()
+    # The recompute command gives the sweep's ToGR at the CSVs' precision.
+    (recompute,) = [shlex.split(line) for line in fenced_blocks("Quick start", "sh")[1].splitlines()]
+    assert recompute[:2] == ["routerlab", "metrics"]
+    assert cli.main(recompute[1:]) == 0
+    togr = json.loads(capsys.readouterr().out)["togr"]
+    assert togr == pytest.approx(json.loads((tmp_path / "run" / "metrics.json").read_text())["togr"], abs=1e-4)
+    assert f"{togr:.7f}" in README
 
 
 def test_library_use_runs(tmp_path, monkeypatch, capsys):

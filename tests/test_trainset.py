@@ -22,6 +22,7 @@ from routerlab.trainset import (
     ResponseSample,
     TrainingQuestion,
     build_dpo_pair,
+    _check_min_ratio,
     _dpo_pair,
     build_refusal_examples,
     combined_loss,
@@ -162,8 +163,9 @@ def reference_pair(verdicts, min_ratio, include_correct_rejected):
 
 
 class TestPairRuleOnColumns:
-    """``build`` calls the column rule ``_dpo_pair``; ``build_dpo_pair``
-    over records wraps it. Both give the brute-force pair. Small token
+    """``build`` calls the column rule ``_dpo_pair``, which gives a
+    pair's fields; ``build_dpo_pair`` over records wraps them in a
+    ``PreferencePair``. Both give the brute-force pair. Small token
     counts make ties and exact 1.5x lengths common."""
 
     @given(
@@ -185,12 +187,18 @@ class TestPairRuleOnColumns:
         assert build_dpo_pair("q", samples, min_ratio, include_correct_rejected) == expected
         q = question(samples, qid="q")
         assert (q.texts, q.correct, q.tokens) == (tuple(texts), tuple(correct), tuple(tokens))
-        assert _dpo_pair("q", q.texts, q.correct, q.tokens, min_ratio, include_correct_rejected) == expected
+        fields = _dpo_pair("q", q.texts, q.correct, q.tokens, min_ratio, include_correct_rejected)
+        assert fields == (None if expected is None else expected._values(expected))
 
     def test_min_ratio_checked_before_any_completion(self):
-        # As in build_dpo_pair: a bad ratio fails even where no pair exists.
-        with pytest.raises(ValidationError, match="min_ratio must be a finite number >= 1.5"):
-            _dpo_pair("q", ("a",), (False,), (3,), 1.2, False)
+        # A bad ratio fails even where no pair exists.
+        q = question([resp("a", False, 3)], qid="q")
+        message = "min_ratio must be a finite number >= 1.5"
+        with pytest.raises(ValidationError, match=message):
+            build_dpo_pair(q.id, q.samples, 1.2)
+        with pytest.raises(ValidationError, match=message):
+            _check_min_ratio(1.2)
+        _check_min_ratio(1.5)
 
 
 class TestBuildRefusalExamples:
